@@ -44,8 +44,11 @@ base_only = x.data @ adapter.base.data.T
 print("adapter is identity at init:",
       np.array_equal(lora_forward(x, adapter).data, base_only))
 
+# The forward pass applies the merged weight W + (alpha/r) B A; it equals
+# the factored form x W^T + (alpha/r) (x A^T) B^T.
 adapter.B.data = np.random.default_rng(1).standard_normal(adapter.B.shape)
-factored = lora_forward(x, adapter).data
-merged = x.data @ merge(adapter).data.T
-print("factored path matches merged weights:",
-      float(np.abs(factored - merged).max()) < 1e-12)
+merged = lora_forward(x, adapter).data
+factored = (x.data @ adapter.base.data.T
+            + adapter.scale * (x.data @ adapter.A.data.T) @ adapter.B.data.T)
+print("merged forward matches the factored form:",
+      float(np.abs(merged - factored).max()) < 1e-12)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import tensor as T
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, DomainError
 from .tensor import Tensor
 
 LAMBDA_INIT = 0.1
@@ -50,9 +52,11 @@ class AttentionContext:
                 raise DomainError(f"distance must be finite and >= 0, got {d}")
 
 
-def distance_modulation(d: float, lam: Tensor) -> Tensor:
-    """exp(-lambda * d^2), differentiable in lambda."""
-    if d < 0.0:
+def distance_modulation(d, lam: Tensor) -> Tensor:
+    """exp(-lambda * d^2) for a distance or an array of them, differentiable
+    in lambda."""
+    d = np.asarray(d, dtype=np.float64)
+    if np.any(d < 0.0):
         raise DomainError(f"distance must be >= 0, got {d}")
     if float(lam.data) < 0.0:
         raise DomainError(f"lambda must be >= 0, got {float(lam.data)}")
@@ -68,11 +72,8 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
     """
     if not ctx.memory_embeddings:
         raise ContractError("cross_slice_weights on an empty context")
-    logits = []
-    for emb, d in zip(ctx.memory_embeddings, ctx.distances):
-        sim = T.cosine_sim(ctx.query, emb)
-        logits.append(T.mul(sim, distance_modulation(d, lam)))
-    return T.softmax(T.stack_scalars(logits))
+    sims = T.cosine_sims(ctx.query, ctx.memory_embeddings)
+    return T.softmax(T.mul(sims, distance_modulation(ctx.distances, lam)))
 
 
 def fuse_memory(
@@ -89,12 +90,4 @@ def fuse_memory(
         raise ContractError(
             f"alpha has {alpha.size} weights for {len(memory_patch_feats)} memory grids + self"
         )
-    for m in memory_patch_feats:
-        if m.shape != patch_feats.shape:
-            raise ShapeError(
-                f"memory grid shape {m.shape} != self grid shape {patch_feats.shape}"
-            )
-    fused = T.mul(T.narrow(alpha, 0, 0, 1), patch_feats)
-    for j, m in enumerate(memory_patch_feats):
-        fused = T.add(fused, T.mul(T.narrow(alpha, 0, j + 1, 1), m))
-    return T.layer_norm(fused)
+    return T.layer_norm(T.weighted_sum(alpha, [patch_feats, *memory_patch_feats]))

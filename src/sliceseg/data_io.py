@@ -18,14 +18,16 @@ ground-truth mask. Everything is deterministic per seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DomainError, FormatError, UnsupportedVersionError
+from .errors import ConfigError, ContractError, DomainError, FormatError, UnsupportedVersionError
 from .rng import substream
 
 RASTER_MAGIC = b"PSR1"
@@ -88,6 +90,31 @@ def read_raster(path: str | Path) -> np.ndarray:
     return data.reshape(h, w, c).copy()
 
 
+# ------------------------------------------------------------------ configs
+
+
+def dataclass_from_dict(cls, doc, prefix: str = ""):
+    """Build dataclass `cls` from a JSON object, rejecting unknown keys.
+
+    A nested object for a field typed as a dataclass is built the same
+    way; an unknown key is named with its dotted path.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config section {prefix or cls.__name__!r} must be an object")
+    known = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in doc.items():
+        if key not in known:
+            raise ConfigError(f"unknown config key: {prefix}{key!r}")
+        if isinstance(value, dict):
+            # Resolving annotations is slow, so only nested objects pay for it.
+            field_type = typing.get_type_hints(cls)[key]
+            if dataclasses.is_dataclass(field_type):
+                value = dataclass_from_dict(field_type, value, f"{prefix}{key}.")
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
 # -------------------------------------------------------------- checkpoints
 
 
@@ -132,7 +159,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
         )
     if len(blob) < 12 + header_len:
         raise FormatError("checkpoint header extends past end of file", offset=len(blob))
-    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}", offset=12) from None
+    if not isinstance(header, dict) or not {"tensors", "config"} <= header.keys():
+        raise FormatError("checkpoint header lacks a 'tensors' or 'config' entry", offset=12)
     base = 12 + header_len
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
@@ -258,8 +290,10 @@ def _render_clean(blobs: list[Ellipse], size: int, jitter: float) -> np.ndarray:
         u = dx * np.cos(b.angle) + dy * np.sin(b.angle)
         v = -dx * np.sin(b.angle) + dy * np.cos(b.angle)
         q_min = np.minimum(q_min, (u / b.ax) ** 2 + (v / b.ay) ** 2)
-    # Soft-edged bright blobs on a darker background.
-    img = 0.2 + 0.6 / (1.0 + np.exp(-3.0 * (1.0 - q_min))) + jitter
+    # Soft-edged bright blobs on a darker background. Far from every blob
+    # the exponent grows without bound; capped at 700, exp stays finite and
+    # the blob term is already far below one ulp of the background.
+    img = 0.2 + 0.6 / (1.0 + np.exp(np.minimum(-3.0 * (1.0 - q_min), 700.0))) + jitter
     return np.clip(img, 0.0, 1.0)
 
 

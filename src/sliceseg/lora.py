@@ -58,14 +58,8 @@ def init_lora(
 
 
 def lora_forward(x: Tensor, adapter: LoraAdapter) -> Tensor:
-    """y = x W^T + (alpha/r) x A^T B^T; gradients reach A and B only."""
-    if x.data.ndim != 2 or x.shape[1] != adapter.base.shape[1]:
-        raise ShapeError(
-            f"input shape {x.shape} incompatible with base {adapter.base.shape}"
-        )
-    frozen = T.matmul(x, T.transpose(adapter.base))
-    low_rank = T.matmul(T.matmul(x, T.transpose(adapter.A)), T.transpose(adapter.B))
-    return T.add(frozen, T.mul(low_rank, adapter.scale))
+    """y = x (W + (alpha/r) B A)^T; gradients reach A and B only."""
+    return T.linear(x, merge(adapter))
 
 
 def merge(adapter: LoraAdapter) -> Tensor:

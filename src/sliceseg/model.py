@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionContext, cross_slice_weights, fuse_memory, LAMBDA_INIT
-from .data_io import SliceSequence, estimate_distance
+from .data_io import SliceSequence, dataclass_from_dict, estimate_distance
 from .errors import ConfigError, ContractError, ShapeError
 from .lora import LoraAdapter, lora_forward
 from .memory import MemoryBank, MemoryEntry, prediction_confidence, select_memory
@@ -177,6 +177,11 @@ def _extract_patches(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return patches.reshape(cfg.num_patches, cfg.patch_dim)
 
 
+def _add_norm(x: Tensor, y: Tensor, params: ModelParams, ln: str) -> Tensor:
+    """Residual add, layer norm, then the `ln` gain and bias."""
+    return T.add(T.mul(T.layer_norm(T.add(x, y)), params[f"{ln}.gamma"]), params[f"{ln}.beta"])
+
+
 def encode_slice(image: np.ndarray, params: ModelParams) -> tuple[Tensor, Tensor]:
     """Image -> (patch feature grid (P, d_model), pooled embedding)."""
     cfg = params.config
@@ -184,46 +189,23 @@ def encode_slice(image: np.ndarray, params: ModelParams) -> tuple[Tensor, Tensor
     image = np.asarray(image, dtype=np.float64)
     if image.shape != expected:
         raise ShapeError(f"image shape {image.shape} != expected {expected}")
-    x = Tensor(_extract_patches(image, cfg))
+    patches = _extract_patches(image, cfg)
     x = T.add(
-        T.add(T.matmul(x, T.transpose(params["encoder.patch_proj.W"])), params["encoder.patch_proj.b"]),
+        T.linear(patches, params["encoder.patch_proj.W"], params["encoder.patch_proj.b"]),
         params["encoder.pos_embed"],
     )
-    dh = cfg.d_model // cfg.heads
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
     for i in range(cfg.encoder_blocks):
-        q = lora_forward(x, params.adapter(i, "q"))
-        k = T.matmul(x, T.transpose(params[f"encoder.block{i}.attn.k.W"]))
-        v = lora_forward(x, params.adapter(i, "v"))
-        head_outs = []
-        for h in range(cfg.heads):
-            qh = T.narrow(q, 1, h * dh, dh)
-            kh = T.narrow(k, 1, h * dh, dh)
-            vh = T.narrow(v, 1, h * dh, dh)
-            scores = T.mul(T.matmul(qh, T.transpose(kh)), inv_sqrt_dh)
-            head_outs.append(T.matmul(T.softmax(scores), vh))
-        attn = T.matmul(
-            T.concatenate(head_outs, axis=1),
-            T.transpose(params[f"encoder.block{i}.attn.o.W"]),
+        block = f"encoder.block{i}"
+        attn = T.multi_head_attention(
+            lora_forward(x, params.adapter(i, "q")),
+            T.linear(x, params[f"{block}.attn.k.W"]),
+            lora_forward(x, params.adapter(i, "v")),
+            cfg.heads,
         )
-        x = T.add(
-            T.mul(T.layer_norm(T.add(x, attn)), params[f"encoder.block{i}.ln1.gamma"]),
-            params[f"encoder.block{i}.ln1.beta"],
-        )
-        h1 = T.tanh(
-            T.add(
-                T.matmul(x, T.transpose(params[f"encoder.block{i}.mlp.fc1.W"])),
-                params[f"encoder.block{i}.mlp.fc1.b"],
-            )
-        )
-        m = T.add(
-            T.matmul(h1, T.transpose(params[f"encoder.block{i}.mlp.fc2.W"])),
-            params[f"encoder.block{i}.mlp.fc2.b"],
-        )
-        x = T.add(
-            T.mul(T.layer_norm(T.add(x, m)), params[f"encoder.block{i}.ln2.gamma"]),
-            params[f"encoder.block{i}.ln2.beta"],
-        )
+        x = _add_norm(x, T.linear(attn, params[f"{block}.attn.o.W"]), params, f"{block}.ln1")
+        h1 = T.tanh(T.linear(x, params[f"{block}.mlp.fc1.W"], params[f"{block}.mlp.fc1.b"]))
+        m = T.linear(h1, params[f"{block}.mlp.fc2.W"], params[f"{block}.mlp.fc2.b"])
+        x = _add_norm(x, m, params, f"{block}.ln2")
     pooled = T.mean(x, axis=0)
     return x, pooled
 
@@ -236,10 +218,8 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
             f"fused features shape {fused_features.shape} != "
             f"({cfg.num_patches}, {cfg.d_model})"
         )
-    h1 = T.tanh(
-        T.add(T.matmul(fused_features, T.transpose(params["decoder.fc1.W"])), params["decoder.fc1.b"])
-    )
-    patch_logits = T.add(T.matmul(h1, T.transpose(params["decoder.fc2.W"])), params["decoder.fc2.b"])
+    h1 = T.tanh(T.linear(fused_features, params["decoder.fc1.W"], params["decoder.fc1.b"]))
+    patch_logits = T.linear(h1, params["decoder.fc2.W"], params["decoder.fc2.b"])
     g, ps = cfg.grid, cfg.patch_size
     return T.reshape(
         T.transpose(T.reshape(patch_logits, (g, g, ps, ps)), (0, 2, 1, 3)),
@@ -330,7 +310,7 @@ def load_params(path) -> ModelParams:
     from .data_io import load_checkpoint
 
     arrays, config, frozen = load_checkpoint(path)
-    cfg = ModelConfig(**config)
+    cfg = dataclass_from_dict(ModelConfig, config)
     frozen_set = set(frozen)
     tensors = {
         name: Tensor(arr, requires_grad=name not in frozen_set)

@@ -8,9 +8,12 @@ topological order and accumulates gradients additively into every
 
 The op set is fixed and small: elementwise arithmetic, matmul, exp/log/
 sqrt/tanh/sigmoid, sum/mean, reshape/transpose/narrow/concatenate,
-softmax, layer normalization, clip and cosine similarity. Shapes are
-checked eagerly; only numpy-style broadcasting needed by the model is
-supported.
+softmax, layer normalization, clip and cosine similarity, plus fused
+primitives that each replace a whole op chain of the model with one node
+and a hand-written backward: ``linear``, ``multi_head_attention``,
+``cosine_sims`` (one query against many vectors) and ``weighted_sum``.
+Shapes are checked eagerly; only numpy-style broadcasting needed by the
+model is supported.
 """
 
 from __future__ import annotations
@@ -156,6 +159,8 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g over the axes numpy broadcast to reach its shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -164,11 +169,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcasting(fn, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """fn(a.data, b.data), with numpy's broadcast failure as a ShapeError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 # ------------------------------------------------------------- elementwise
@@ -176,27 +182,24 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "add")
 
     def backward(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
 
-    return _node(a.data + b.data, (a, b), backward, "add")
+    return _node(_broadcasting(np.add, a, b, "add"), (a, b), backward, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
 
     def backward(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
 
-    return _node(a.data - b.data, (a, b), backward, "sub")
+    return _node(_broadcasting(np.subtract, a, b, "sub"), (a, b), backward, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
 
     def backward(g):
         return (
@@ -204,12 +207,11 @@ def mul(a, b) -> Tensor:
             (b, _unbroadcast(g * a.data, b.shape)),
         )
 
-    return _node(a.data * b.data, (a, b), backward, "mul")
+    return _node(_broadcasting(np.multiply, a, b, "mul"), (a, b), backward, "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "div")
 
     def backward(g):
         return (
@@ -217,7 +219,7 @@ def div(a, b) -> Tensor:
             (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
         )
 
-    return _node(a.data / b.data, (a, b), backward, "div")
+    return _node(_broadcasting(np.divide, a, b, "div"), (a, b), backward, "div")
 
 
 def exp(a) -> Tensor:
@@ -326,6 +328,69 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
 
+def linear(x, W, b=None) -> Tensor:
+    """x @ W.T (+ b) as one node: x (N, d_in), W (d_out, d_in), b (d_out,)."""
+    x, W = as_tensor(x), as_tensor(W)
+    parents = (x, W)
+    if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[1]:
+        raise ShapeError(f"linear: input {x.shape} incompatible with weight {W.shape}")
+    out_data = x.data @ W.data.T
+    if b is not None:
+        b = as_tensor(b)
+        parents += (b,)
+        if b.shape != (W.shape[0],):
+            raise ShapeError(f"linear: bias {b.shape} does not match weight {W.shape}")
+        out_data = out_data + b.data
+
+    def backward(g):
+        grads = [(x, g @ W.data), (W, (x.data.T @ g).T)]
+        if b is not None:
+            grads.append((b, g.sum(axis=0)))
+        return grads
+
+    return _node(out_data, parents, backward, "linear")
+
+
+def multi_head_attention(q, k, v, heads: int) -> Tensor:
+    """Scaled dot-product self-attention over `heads` column groups, one node.
+
+    q, k, v are (N, d) with d divisible by heads; head h reads columns
+    [h*d/heads, (h+1)*d/heads) of each, and the head outputs are laid
+    side by side in the same columns of the (N, d) result.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"attention expects equal 2-D q/k/v, got {q.shape}, {k.shape}, {v.shape}")
+    n, d = q.shape
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a: np.ndarray) -> np.ndarray:  # (N, d) -> (heads, N, dh)
+        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    def join(a: np.ndarray) -> np.ndarray:  # (heads, N, dh) -> (N, d)
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = split(g)
+        gp = gh @ vh.transpose(0, 2, 1)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        return (
+            (q, join(gs @ kh)),
+            (k, join(gs.transpose(0, 2, 1) @ qh)),
+            (v, join(p.transpose(0, 2, 1) @ gh)),
+        )
+
+    return _node(join(p @ vh), (q, k, v), backward, "attention")
+
+
 # -------------------------------------------------------------- structural
 
 
@@ -432,19 +497,65 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
     return _node(xhat, (a,), backward, "layer_norm")
 
 
-def cosine_sim(u, v) -> Tensor:
-    """Cosine similarity of two 1-D vectors, differentiable in both.
+def cosine_sims(query, vectors: Sequence[Tensor]) -> Tensor:
+    """Cosine similarity of a 1-D query with each vector, as one (n,) node.
 
-    A degenerate input (norm below 1e-12) yields a constant 0 with no
-    gradient through the pair; near-zero pooled features early in
+    A degenerate pair (either norm at or below 1e-12) yields a constant 0
+    with no gradient through it; near-zero pooled features early in
     training must not poison the tape.
     """
-    u, v = as_tensor(u), as_tensor(v)
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_sim expects matching 1-D vectors, got {u.shape} and {v.shape}")
-    if np.linalg.norm(u.data) <= NORM_EPS or np.linalg.norm(v.data) <= NORM_EPS:
-        return Tensor(0.0)
-    dot = tensor_sum(mul(u, v))
-    nu = sqrt(tensor_sum(mul(u, u)))
-    nv = sqrt(tensor_sum(mul(v, v)))
-    return div(dot, mul(nu, nv))
+    query = as_tensor(query)
+    vectors = [as_tensor(v) for v in vectors]
+    if not vectors:
+        raise ContractError("cosine_sims requires at least one vector")
+    if query.data.ndim != 1 or any(v.shape != query.shape for v in vectors):
+        raise ShapeError(
+            f"cosine_sims expects 1-D vectors matching the query {query.shape}, "
+            f"got {[v.shape for v in vectors]}"
+        )
+    q = query.data
+    E = np.stack([v.data for v in vectors])
+    nq = np.sqrt((q * q).sum())
+    ne = np.sqrt((E * E).sum(axis=1))
+    live = (ne > NORM_EPS) & (nq > NORM_EPS)
+    denom = np.where(live, nq * ne, 1.0)
+    sims = np.where(live, (E * q).sum(axis=1) / denom, 0.0)
+
+    def backward(g):
+        w = np.where(live, g / denom, 0.0)  # d(loss)/d(dot) per pair
+        gq = w @ E - (g * sims).sum() * q / (nq * nq) if live.any() else None
+        grads = [(query, gq)]
+        for j, vec in enumerate(vectors):
+            if live[j]:
+                grads.append((vec, w[j] * q - g[j] * sims[j] * E[j] / (ne[j] * ne[j])))
+        return grads
+
+    return _node(sims, (query, *vectors), backward, "cosine")
+
+
+def cosine_sim(u, v) -> Tensor:
+    """Cosine similarity of two 1-D vectors, differentiable in both; the
+    degenerate-pair rule of ``cosine_sims`` applies."""
+    return reshape(cosine_sims(u, [v]), ())
+
+
+def weighted_sum(alpha, grids: Sequence[Tensor]) -> Tensor:
+    """sum_j alpha[j] * grids[j] as one node, for a (n,) weight vector and
+    n tensors of one shape."""
+    alpha = as_tensor(alpha)
+    grids = [as_tensor(m) for m in grids]
+    if alpha.data.ndim != 1 or alpha.size != len(grids) or not grids:
+        raise ShapeError(f"weighted_sum: {alpha.shape} weights for {len(grids)} tensors")
+    for m in grids[1:]:
+        if m.shape != grids[0].shape:
+            raise ShapeError(f"weighted_sum: tensor shape {m.shape} != {grids[0].shape}")
+    a = alpha.data
+    out = a[0] * grids[0].data
+    for w, m in zip(a[1:], grids[1:]):
+        out = out + w * m.data
+
+    def backward(g):
+        ga = np.array([(g * m.data).sum() for m in grids])
+        return [(alpha, ga)] + [(m, w * g) for w, m in zip(a, grids)]
+
+    return _node(out, (alpha, *grids), backward, "weighted_sum")

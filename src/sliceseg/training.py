@@ -9,14 +9,13 @@ given (seed, config, data).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import load_dataset
+from .data_io import dataclass_from_dict, load_dataset
 from .errors import ConfigError, ContractError, EvaluationError
 from .gradcheck import max_rel_error
 from .losses import LossWeights, combined_loss, consistency_pairs, dice_score
@@ -55,24 +54,7 @@ class TrainConfig:
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
     """Build a TrainConfig from a JSON document, rejecting unknown keys."""
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown config key: {key!r}")
-    kwargs = dict(doc)
-    if "loss" in kwargs:
-        loss_known = {f.name for f in dataclasses.fields(LossWeights)}
-        for key in kwargs["loss"]:
-            if key not in loss_known:
-                raise ConfigError(f"unknown config key: loss.{key!r}")
-        kwargs["loss"] = LossWeights(**kwargs["loss"])
-    if "model" in kwargs:
-        model_known = {f.name for f in dataclasses.fields(ModelConfig)}
-        for key in kwargs["model"]:
-            if key not in model_known:
-                raise ConfigError(f"unknown config key: model.{key!r}")
-        kwargs["model"] = ModelConfig(**kwargs["model"])
-    return TrainConfig(**kwargs)
+    return dataclass_from_dict(TrainConfig, doc)
 
 
 # ------------------------------------------------------------------- adam

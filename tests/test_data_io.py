@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceseg.data_io import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     SynthConfig,
     ellipse_mask,
     estimate_distance,
@@ -21,7 +24,8 @@ from sliceseg.data_io import (
     save_checkpoint,
     write_raster,
 )
-from sliceseg.errors import FormatError, UnsupportedVersionError
+from sliceseg.errors import ConfigError, FormatError, UnsupportedVersionError
+from sliceseg.model import MICRO_CONFIG, init_params, load_params, save_params
 
 
 # ------------------------------------------------------------------ rasters
@@ -128,7 +132,48 @@ def test_checkpoint_truncated_tensor(tmp_path):
         load_checkpoint(p)
 
 
+def _with_header(path: Path, header: bytes) -> None:
+    """Rewrite a checkpoint's header bytes, keeping magic and version."""
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b'{"config": {}, "tensors": [], "frozen": ["\xff"]}',
+        b'{"config": {}, "tensors": [',
+        b'{"config": {}, "frozen": []}',
+        b'{"tensors": [], "frozen": []}',
+        b"[1, 2]",
+    ],
+    ids=["non_utf8", "invalid_json", "no_tensors", "no_config", "not_an_object"],
+)
+def test_checkpoint_malformed_header_is_format_error_at_12(tmp_path, header):
+    p = tmp_path / "h.psc"
+    _with_header(p, header)
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(p)
+    assert err.value.offset == 12
+
+
+def test_checkpoint_unknown_config_key_is_config_error(tmp_path):
+    params = init_params(MICRO_CONFIG, seed=0)
+    save_params(tmp_path / "p.psc", params)
+    arrays, config, frozen = load_checkpoint(tmp_path / "p.psc")
+    save_checkpoint(tmp_path / "p.psc", arrays, {**config, "bogus_width": 3}, frozen=frozen)
+    with pytest.raises(ConfigError, match="bogus_width"):
+        load_params(tmp_path / "p.psc")
+
+
 # ---------------------------------------------------------------- synthesis
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generating_a_long_stack_raises_no_warning(seed):
+    # far from every blob the renderer's logistic exponent used to overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_sequence(SynthConfig(num_sequences=1, slices_per_sequence=64, seed=seed), 0)
 
 
 def test_generation_deterministic_byte_identical(tmp_path):

@@ -83,6 +83,20 @@ def test_dual_path_equivalence_random_adapters(seed):
     assert np.abs(lora_forward(Tensor(x), ad).data - x @ merge(ad).data.T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_forward_matches_factored_form(seed):
+    # numpy oracle of the factored path: x W^T + (alpha/r) (x A^T) B^T
+    rng = np.random.default_rng(100 + seed)
+    d_in, d_out = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+    r = int(rng.integers(1, min(d_in, d_out) + 1))
+    ad = init_lora(d_in, d_out, rank=r, alpha=float(rng.uniform(0.5, 2 * r)), seed=seed)
+    ad.A.data = rng.standard_normal(ad.A.shape)
+    ad.B.data = rng.standard_normal(ad.B.shape)
+    x = rng.standard_normal((3, d_in))
+    factored = x @ ad.base.data.T + ad.scale * (x @ ad.A.data.T) @ ad.B.data.T
+    assert np.abs(lora_forward(Tensor(x), ad).data - factored).max() <= 1e-10
+
+
 def test_gradients_reach_adapters_only():
     ad = init_lora(4, 3, rank=2, seed=5)
     ad.B.data = np.random.default_rng(5).standard_normal(ad.B.shape) * 0.1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sliceseg.data_io import SliceData, SliceSequence
+from sliceseg.data_io import SliceData, SliceSequence, SynthConfig, generate_dataset, load_dataset
 from sliceseg.errors import ConfigError, ContractError, ShapeError
 from sliceseg.model import (
     MICRO_CONFIG,
@@ -16,6 +16,7 @@ from sliceseg.model import (
     save_params,
 )
 from sliceseg.attention import fuse_memory
+from sliceseg.losses import combined_loss
 from sliceseg.tensor import Tensor
 
 
@@ -230,3 +231,31 @@ def test_fresh_checkpoint_contains_lambda_at_point_one(tmp_path):
     assert sorted(lora_names) == sorted(
         f"lora.block{i}.{p}.{m}" for i in range(2) for p in ("q", "v") for m in ("A", "B")
     )
+
+
+def _tape_nodes(root: Tensor) -> int:
+    """Non-leaf nodes reachable from root through _parents."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._op != "leaf"
+        stack.extend(node._parents)
+    return count
+
+
+def test_reference_train_step_tape_size(tmp_path):
+    # seq_000 of dataset seed 1 at init seed 1, default config; written and
+    # read back so the images carry the on-disk f32 rounding
+    generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=6, seed=1), tmp_path)
+    [seq] = load_dataset(tmp_path)
+    params = init_params(ModelConfig(), seed=1)
+    preds = forward_sequence(seq, params)
+    loss = combined_loss(
+        [p.probabilities for p in preds],
+        [Tensor(sl.mask.astype(np.float64)) for sl in seq.slices],
+        [p.pooled_embedding for p in preds],
+    )
+    assert _tape_nodes(loss) <= 600

@@ -166,6 +166,24 @@ def test_composite_graph_matches_finite_differences(seed):
         ("layer_norm", lambda x, c: T.tensor_sum(T.mul(T.layer_norm(x), c))),
         ("softmax", lambda x, c: T.tensor_sum(T.mul(T.softmax(x), c))),
         ("clip", lambda x, c: T.tensor_sum(T.clip(T.mul(x, c), -0.5, 0.5))),
+        ("linear", lambda x, c: T.tensor_sum(T.tanh(T.linear(x, c, T.tensor_sum(c, axis=1))))),
+        (
+            "attention",
+            lambda x, c: T.tensor_sum(T.mul(T.multi_head_attention(x, T.mul(x, c), c, 2), c)),
+        ),
+        (
+            "cosine_sims",
+            lambda x, c: T.tensor_sum(
+                T.mul(
+                    T.cosine_sims(T.tensor_sum(x, axis=0), [T.mean(T.mul(x, c), axis=0), c.data[0]]),
+                    [1.0, -2.0],
+                )
+            ),
+        ),
+        (
+            "weighted_sum",
+            lambda x, c: T.tensor_sum(T.mul(T.weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
+        ),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -184,6 +202,135 @@ def test_cosine_sim_gradients():
     T.cosine_sim(u, v).backward()
     assert max_rel_error(lambda: T.cosine_sim(u, v), u) <= 1e-3
     assert max_rel_error(lambda: T.cosine_sim(u, v), v) <= 1e-3
+
+
+def _assert_gradients_reach(build, parents):
+    """Tape gradient of build() against finite differences, per parent."""
+    for t in parents:
+        t.zero_grad()
+    build().backward()
+    for i, t in enumerate(parents):
+        assert t.grad is not None, f"parent {i} got no gradient"
+        assert max_rel_error(build, t) <= 1e-3, f"parent {i}"
+
+
+def _leaves(rng, *shapes):
+    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_gradients_reach_every_parent(seed):
+    rng = np.random.default_rng(seed)
+    x, W, b = _leaves(rng, (5, 4), (3, 4), (3,))
+    c = Tensor(rng.standard_normal((5, 3)))
+    _assert_gradients_reach(
+        lambda: T.tensor_sum(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b]
+    )
+    assert np.array_equal(T.linear(x, W, b).data, x.data @ W.data.T + b.data)
+    assert np.array_equal(T.linear(x, W).data, x.data @ W.data.T)
+
+
+def test_linear_shape_errors():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    with pytest.raises(ShapeError, match="bias"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+
+
+def _per_head_attention(q, k, v, heads):
+    """The per-head narrow/softmax/concatenate chain, op by op on the tape."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        qh, kh, vh = (T.narrow(t, 1, h * dh, dh) for t in (q, k, v))
+        scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
+        outs.append(T.matmul(T.softmax(scores), vh))
+    return T.concatenate(outs, axis=1)
+
+
+@pytest.mark.parametrize("seed,heads", [(0, 1), (1, 2), (2, 4), (3, 4)])
+def test_multi_head_attention_matches_per_head_oracle(seed, heads):
+    rng = np.random.default_rng(seed)
+    q, k, v = _leaves(rng, (6, 8), (6, 8), (6, 8))
+    c = Tensor(rng.standard_normal((6, 8)))
+    fused = T.multi_head_attention(q, k, v, heads)
+    oracle = _per_head_attention(q, k, v, heads)
+    assert np.abs(fused.data - oracle.data).max() <= 1e-12
+    T.tensor_sum(T.mul(oracle, c)).backward()
+    oracle_grads = [t.grad for t in (q, k, v)]
+    _assert_gradients_reach(
+        lambda: T.tensor_sum(T.mul(T.multi_head_attention(q, k, v, heads), c)), [q, k, v]
+    )
+    for t, g in zip((q, k, v), oracle_grads):
+        assert np.abs(t.grad - g).max() <= 1e-12
+
+
+def test_multi_head_attention_shape_errors():
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(*(Tensor(np.zeros((4, 6))) for _ in range(3)), heads=4)
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(
+            Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), Tensor(np.zeros((4, 6))), heads=2
+        )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cosine_sims_gradients_reach_query_and_each_vector(seed):
+    rng = np.random.default_rng(seed)
+    query, *vectors = _leaves(rng, (5,), (5,), (5,), (5,))
+    weights = Tensor(rng.standard_normal(3))
+    _assert_gradients_reach(
+        lambda: T.tensor_sum(T.mul(T.cosine_sims(query, vectors), weights)), [query, *vectors]
+    )
+    pairwise = [T.cosine_sim(query, v).item() for v in vectors]
+    assert np.abs(T.cosine_sims(query, vectors).data - pairwise).max() <= 1e-15
+
+
+def test_cosine_sims_degenerate_vector_gets_zero_and_no_gradient():
+    query = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    zero = Tensor(np.zeros(3), requires_grad=True)
+    live = Tensor([3.0, -1.0, 0.5], requires_grad=True)
+    out = T.cosine_sims(query, [zero, live])
+    assert out.data[0] == 0.0
+    assert out.data[1] == pytest.approx(T.cosine_sim(query, live).item(), abs=1e-15)
+    T.tensor_sum(out).backward()
+    assert zero.grad is None
+    assert live.grad is not None and query.grad is not None
+
+
+def test_cosine_sims_degenerate_query_gets_zeros_and_no_gradient():
+    query = Tensor(np.zeros(3), requires_grad=True)
+    vectors = [Tensor(v, requires_grad=True) for v in ([1.0, 2.0, 3.0], [0.5, 0.0, 1.0])]
+    out = T.cosine_sims(query, vectors)
+    assert np.array_equal(out.data, [0.0, 0.0])
+    T.tensor_sum(out).backward()
+    assert query.grad is None
+    assert all(v.grad is None for v in vectors)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weighted_sum_gradients_reach_alpha_and_each_grid(seed):
+    rng = np.random.default_rng(seed)
+    alpha, *grids = _leaves(rng, (3,), (4, 2), (4, 2), (4, 2))
+    c = Tensor(rng.standard_normal((4, 2)))
+    _assert_gradients_reach(
+        lambda: T.tensor_sum(T.mul(T.weighted_sum(alpha, grids), c)), [alpha, *grids]
+    )
+    expected = sum(a * g.data for a, g in zip(alpha.data, grids))
+    assert np.abs(T.weighted_sum(alpha, grids).data - expected).max() <= 1e-15
+
+
+def test_weighted_sum_shape_errors():
+    with pytest.raises(ShapeError):
+        T.weighted_sum(Tensor([0.5, 0.5]), [Tensor(np.zeros((2, 2)))])
+    with pytest.raises(ShapeError):
+        T.weighted_sum(Tensor([0.5, 0.5]), [Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))])
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+def test_elementwise_shape_error_names_both_shapes(op):
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4,\)"):
+        op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
 
 
 def test_forward_outputs_finite():
