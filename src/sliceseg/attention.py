@@ -8,6 +8,11 @@ slices; lambda is a learned non-negative scalar, initialized to 0.1.
 The caller decides which slots enter the context. The sequence pipeline
 always includes the current slice itself as slot 0 (similarity 1,
 distance 0), so a slice with no memory degenerates to self-attention.
+
+Distances come from the slices' z metadata when both positions are
+known. Otherwise ``estimate_distance`` derives one from the embeddings:
+DISTANCE_SCALE_UM * (1 - cos), so identical features sit at 0, orthogonal
+ones at the scale and opposite ones at twice the scale.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from .errors import ContractError, DomainError
 from .tensor import Tensor
 
 LAMBDA_INIT = 0.1
+
+# Scale (micrometers) for similarity-estimated distances; chosen to land
+# inside the synthetic z-gap range so the modulation behaves comparably
+# whether distances come from metadata or from features.
+DISTANCE_SCALE_UM = 10.0
 
 
 def new_lambda() -> Tensor:
@@ -50,6 +60,15 @@ class AttentionContext:
         for d in self.distances:
             if not (d >= 0.0 and d == d and d != float("inf")):
                 raise DomainError(f"distance must be finite and >= 0, got {d}")
+
+
+def estimate_distance(f_i: np.ndarray, f_j: np.ndarray, scale: float = DISTANCE_SCALE_UM) -> float:
+    """Similarity-derived distance: scale * (1 - cos(F_i, F_j)).
+
+    Used only when z metadata is absent. A degenerate pair has cosine 0,
+    so it lands at `scale` itself.
+    """
+    return scale * (1.0 - float(T.cosines(np.ravel(f_i), np.ravel(f_j)[None])[0]))
 
 
 def distance_modulation(d, lam: Tensor) -> Tensor:

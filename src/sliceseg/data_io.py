@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 import typing
 from dataclasses import dataclass, field
@@ -36,11 +37,6 @@ CHECKPOINT_VERSION = 1
 DTYPE_F32 = 0
 DTYPE_U8 = 1
 MAX_EXTENT = 1 << 20
-
-# Scale (micrometers) for similarity-estimated distances; chosen to land
-# inside the synthetic z-gap range so the modulation behaves comparably
-# whether distances come from metadata or from features.
-DISTANCE_SCALE_UM = 10.0
 
 
 # ------------------------------------------------------------------ rasters
@@ -165,11 +161,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
         raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}", offset=12) from None
     if not isinstance(header, dict) or not {"tensors", "config"} <= header.keys():
         raise FormatError("checkpoint header lacks a 'tensors' or 'config' entry", offset=12)
+    entries, frozen = header["tensors"], header.get("frozen", [])
+    if not isinstance(entries, list) or not (
+        isinstance(frozen, list) and all(isinstance(n, str) for n in frozen)
+    ):
+        raise FormatError("checkpoint 'tensors' and 'frozen' must be lists", offset=12)
     base = 12 + header_len
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
+    for entry in entries:
+        if not _is_manifest_entry(entry) or entry["name"] in tensors:
+            raise FormatError(
+                f"bad checkpoint manifest entry {entry!r}: want a unique name, a shape of "
+                "ints >= 0 and an offset >= 0",
+                offset=12,
+            )
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         start = base + entry["offset"]
         if start + 4 * count > len(blob):
             raise FormatError(
@@ -177,7 +184,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
             )
         data = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
         tensors[entry["name"]] = data.reshape(shape).astype(np.float64)
-    return tensors, header["config"], list(header.get("frozen", []))
+    return tensors, header["config"], frozen
+
+
+def _is_manifest_entry(entry) -> bool:
+    """{name: str, shape: [ints >= 0], offset: int >= 0} and nothing else.
+    Exact type tests, since JSON true and false are bools, which isinstance
+    would pass as ints."""
+    return (
+        isinstance(entry, dict)
+        and entry.keys() == {"name", "shape", "offset"}
+        and isinstance(entry["name"], str)
+        and isinstance(entry["shape"], list)
+        and all(type(n) is int and n >= 0 for n in entry["shape"])
+        and type(entry["offset"]) is int
+        and entry["offset"] >= 0
+    )
 
 
 # ------------------------------------------------------ sequences on disk
@@ -198,10 +220,23 @@ class SliceSequence:
 
 
 def load_sequence(seq_dir: str | Path) -> SliceSequence:
+    """Read one sequence directory; a malformed ``sequence.json`` is a
+    FormatError naming the file and the field."""
     seq_dir = Path(seq_dir)
-    meta = json.loads((seq_dir / "sequence.json").read_text())
+    path = seq_dir / "sequence.json"
+    try:
+        meta = json.loads(path.read_bytes())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"{path}: not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("sequence_id"), str):
+        raise FormatError(f"{path}: 'sequence_id' must be a string")
+    if not isinstance(meta.get("slices"), list):
+        raise FormatError(f"{path}: 'slices' must be a list")
     slices = []
-    for rec in meta["slices"]:
+    for t, rec in enumerate(meta["slices"]):
+        problem = _record_problem(rec)
+        if problem:
+            raise FormatError(f"{path}: slices[{t}].{problem}")
         image = read_raster(seq_dir / rec["image"]).astype(np.float64)
         mask = None
         if rec.get("mask"):
@@ -216,6 +251,18 @@ def load_sequence(seq_dir: str | Path) -> SliceSequence:
             )
         )
     return SliceSequence(sequence_id=meta["sequence_id"], slices=slices)
+
+
+def _record_problem(rec) -> str | None:
+    """What is wrong with one record of sequence.json's slices, if anything."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("image"), str):
+        return "image must be a file name"
+    mask, z = rec.get("mask"), rec.get("z_position_um")
+    if mask and not isinstance(mask, str):
+        return "mask must be a file name or null"
+    if z is not None and not (type(z) in (int, float) and math.isfinite(z)):
+        return f"z_position_um must be a finite number or null, got {z!r}"
+    return None
 
 
 def load_dataset(root: str | Path) -> list[SliceSequence]:
@@ -388,21 +435,3 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
         meta = {"sequence_id": seq_id, "slices": records}
         (seq_dir / "sequence.json").write_text(json.dumps(meta, indent=2) + "\n")
     return root
-
-
-# ---------------------------------------------------- distance estimation
-
-
-def estimate_distance(f_i: np.ndarray, f_j: np.ndarray, scale: float = DISTANCE_SCALE_UM) -> float:
-    """Similarity-derived distance: scale * (1 - cos(F_i, F_j)).
-
-    Used only when z metadata is absent. Degenerate embeddings map to the
-    maximal-dissimilarity convention, i.e. `scale` itself.
-    """
-    a = np.asarray(f_i, dtype=np.float64).ravel()
-    b = np.asarray(f_j, dtype=np.float64).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= 1e-12 or nb <= 1e-12:
-        return scale
-    sim = float(a @ b) / (na * nb)
-    return scale * (1.0 - sim)

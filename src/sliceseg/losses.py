@@ -63,15 +63,11 @@ def consistency_pairs(
     Similarities are computed on detached values: the consistency term
     shapes predictions, not features, so these act as fixed weights.
     """
+    data = [e.data for e in embeddings]
     pairs = []
-    n = len(embeddings)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = embeddings[i].data, embeddings[j].data
-            ni, nj = np.linalg.norm(ei), np.linalg.norm(ej)
-            sim = 0.0 if ni <= 1e-12 or nj <= 1e-12 else float(ei @ ej) / (ni * nj)
-            if sim > threshold:
-                pairs.append((i, j, sim))
+    for i in range(len(data) - 1):
+        sims = T.cosines(data[i], np.stack(data[i + 1 :]))
+        pairs.extend((i, i + 1 + j, float(s)) for j, s in enumerate(sims) if s > threshold)
     return pairs
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .tensor import Tensor
+from .tensor import Tensor, cosines
 
 
 @dataclass
@@ -58,16 +58,6 @@ def prediction_confidence(prob_mask: Tensor | np.ndarray) -> float:
     return float(np.abs(2.0 * p - 1.0).mean())
 
 
-def _score(entry: MemoryEntry, query: np.ndarray) -> float:
-    e = entry.pooled_embedding.data
-    ne, nq = np.linalg.norm(e), np.linalg.norm(query)
-    if ne <= 1e-12 or nq <= 1e-12:
-        sim = 0.0
-    else:
-        sim = float(e @ query) / (ne * nq)
-    return sim * entry.confidence
-
-
 def select_memory(bank: MemoryBank, query_embedding: Tensor, k: int) -> list[MemoryEntry]:
     """Top-k entries by similarity*confidence, descending score.
 
@@ -77,10 +67,10 @@ def select_memory(bank: MemoryBank, query_embedding: Tensor, k: int) -> list[Mem
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    query = query_embedding.data
-    ranked = sorted(
-        bank.entries,
-        key=lambda e: (_score(e, query), e.slice_index),
-        reverse=True,
-    )
-    return ranked[:k]
+    entries = bank.entries
+    if not entries:
+        return []
+    sims = cosines(query_embedding.data, np.stack([e.pooled_embedding.data for e in entries]))
+    scores = sims * np.array([e.confidence for e in entries])
+    order = np.lexsort(([e.slice_index for e in entries], scores))[::-1]
+    return [entries[i] for i in order[:k]]

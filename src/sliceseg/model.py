@@ -17,9 +17,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionContext, cross_slice_weights, fuse_memory, LAMBDA_INIT
-from .data_io import SliceSequence, dataclass_from_dict, estimate_distance
-from .errors import ConfigError, ContractError, ShapeError
+from .attention import (
+    LAMBDA_INIT, AttentionContext, cross_slice_weights, estimate_distance, fuse_memory,
+)
+from .data_io import SliceSequence, dataclass_from_dict
+from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .lora import LoraAdapter, lora_forward
 from .memory import MemoryBank, MemoryEntry, prediction_confidence, select_memory
 from .rng import substream
@@ -119,53 +121,57 @@ class ModelParams:
         return "encoder"
 
 
+def _layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every tensor, in the order init_params draws
+    them. init is "linear" (N(0, 1/fan_in)), "small" (N(0, 0.02^2)),
+    "zeros", "ones" or "lambda" (LAMBDA_INIT)."""
+    d, r, h, pp = cfg.d_model, cfg.lora_rank, cfg.decoder_hidden, cfg.patch_size**2
+    layout = [
+        ("encoder.patch_proj.W", (d, cfg.patch_dim), "linear"),
+        ("encoder.patch_proj.b", (d,), "zeros"),
+        ("encoder.pos_embed", (cfg.num_patches, d), "small"),
+    ]
+    for i in range(cfg.encoder_blocks):
+        block = f"encoder.block{i}"
+        layout += [(f"{block}.attn.{proj}.W", (d, d), "linear") for proj in "qkvo"]
+        for proj in "qv":
+            lora = f"lora.block{i}.{proj}"
+            layout += [(f"{lora}.A", (r, d), "small"), (f"{lora}.B", (d, r), "zeros")]
+        for ln in ("ln1", "ln2"):
+            layout += [(f"{block}.{ln}.gamma", (d,), "ones"), (f"{block}.{ln}.beta", (d,), "zeros")]
+        for fc in ("fc1", "fc2"):
+            mlp = f"{block}.mlp.{fc}"
+            layout += [(f"{mlp}.W", (d, d), "linear"), (f"{mlp}.b", (d,), "zeros")]
+    return layout + [
+        ("lambda", (), "lambda"),
+        ("decoder.fc1.W", (h, d), "linear"),
+        ("decoder.fc1.b", (h,), "zeros"),
+        ("decoder.fc2.W", (pp, h), "linear"),
+        ("decoder.fc2.b", (pp,), "zeros"),
+    ]
+
+
+def _frozen(cfg: ModelConfig) -> set[str]:
+    """The q/v attention bases: adapters train in their place."""
+    return {f"encoder.block{i}.attn.{proj}.W" for i in range(cfg.encoder_blocks) for proj in "qv"}
+
+
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Seeded initialization; the q/v attention bases are frozen."""
     rng = substream(seed, "init")
-    cfg = config
-    d, r = cfg.d_model, cfg.lora_rank
-
-    def linear(d_out: int, d_in: int) -> np.ndarray:
-        return rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
-
-    tensors: dict[str, Tensor] = {}
-    frozen: set[str] = set()
-
-    tensors["encoder.patch_proj.W"] = Tensor(linear(d, cfg.patch_dim), requires_grad=True)
-    tensors["encoder.patch_proj.b"] = Tensor(np.zeros(d), requires_grad=True)
-    tensors["encoder.pos_embed"] = Tensor(
-        rng.normal(0.0, 0.02, size=(cfg.num_patches, d)), requires_grad=True
-    )
-    for i in range(cfg.encoder_blocks):
-        for proj in ("q", "k", "v", "o"):
-            name = f"encoder.block{i}.attn.{proj}.W"
-            trainable = proj in ("k", "o")
-            tensors[name] = Tensor(linear(d, d), requires_grad=trainable)
-            if not trainable:
-                frozen.add(name)
-        for proj in ("q", "v"):
-            tensors[f"lora.block{i}.{proj}.A"] = Tensor(
-                rng.normal(0.0, 0.02, size=(r, d)), requires_grad=True
-            )
-            tensors[f"lora.block{i}.{proj}.B"] = Tensor(np.zeros((d, r)), requires_grad=True)
-        for ln in ("ln1", "ln2"):
-            tensors[f"encoder.block{i}.{ln}.gamma"] = Tensor(np.ones(d), requires_grad=True)
-            tensors[f"encoder.block{i}.{ln}.beta"] = Tensor(np.zeros(d), requires_grad=True)
-        tensors[f"encoder.block{i}.mlp.fc1.W"] = Tensor(linear(d, d), requires_grad=True)
-        tensors[f"encoder.block{i}.mlp.fc1.b"] = Tensor(np.zeros(d), requires_grad=True)
-        tensors[f"encoder.block{i}.mlp.fc2.W"] = Tensor(linear(d, d), requires_grad=True)
-        tensors[f"encoder.block{i}.mlp.fc2.b"] = Tensor(np.zeros(d), requires_grad=True)
-
-    tensors["lambda"] = Tensor(LAMBDA_INIT, requires_grad=True)
-    tensors["decoder.fc1.W"] = Tensor(linear(cfg.decoder_hidden, d), requires_grad=True)
-    tensors["decoder.fc1.b"] = Tensor(np.zeros(cfg.decoder_hidden), requires_grad=True)
-    tensors["decoder.fc2.W"] = Tensor(
-        linear(cfg.patch_size * cfg.patch_size, cfg.decoder_hidden), requires_grad=True
-    )
-    tensors["decoder.fc2.b"] = Tensor(
-        np.zeros(cfg.patch_size * cfg.patch_size), requires_grad=True
-    )
-    return ModelParams(config=cfg, tensors=tensors, frozen=frozen)
+    draw = {
+        "linear": lambda shape: rng.standard_normal(shape) / np.sqrt(shape[1]),
+        "small": lambda shape: rng.normal(0.0, 0.02, size=shape),
+        "zeros": np.zeros,
+        "ones": np.ones,
+        "lambda": lambda shape: np.full(shape, LAMBDA_INIT),
+    }
+    frozen = _frozen(config)
+    tensors = {
+        name: Tensor(draw[init](shape), requires_grad=name not in frozen)
+        for name, shape, init in _layout(config)
+    }
+    return ModelParams(config=config, tensors=tensors, frozen=frozen)
 
 
 # ------------------------------------------------------------ forward pass
@@ -230,19 +236,17 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
 def forward_sequence(
     seq: SliceSequence,
     params: ModelParams,
-    k_override: int | None = None,
     allow_distance_estimation: bool = True,
 ) -> list[SlicePrediction]:
     """Process one subject's slices in order through the memory pipeline.
 
-    k_override=0 bypasses the memory path entirely (the independent
-    per-slice baseline); the bank is fresh per call, so no state leaks
-    across sequences.
+    The config's k_memory=0 bypasses the memory path entirely (the
+    independent per-slice baseline); the bank is fresh per call, so no
+    state leaks across sequences.
     """
     if not seq.slices:
         raise ContractError("forward_sequence on an empty sequence")
-    cfg = params.config
-    k = cfg.k_memory if k_override is None else k_override
+    k = params.config.k_memory
     lam = params["lambda"]
     bank = MemoryBank()
     predictions: list[SlicePrediction] = []
@@ -307,11 +311,27 @@ def save_params(path, params: ModelParams) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """Read a checkpoint whose tensors and frozen set are exactly those its
+    config implies; anything else is a FormatError."""
     from .data_io import load_checkpoint
 
     arrays, config, frozen = load_checkpoint(path)
     cfg = dataclass_from_dict(ModelConfig, config)
+    expected = {name: shape for name, shape, _ in _layout(cfg)}
+    missing = sorted(expected.keys() - arrays.keys())
+    unexpected = sorted(arrays.keys() - expected.keys())
+    misshapen = sorted(n for n in expected.keys() & arrays.keys() if arrays[n].shape != expected[n])
+    if missing or unexpected or misshapen:
+        raise FormatError(
+            f"checkpoint {path} does not match its config: missing {missing}, "
+            f"unexpected {unexpected}, wrong shape {misshapen}",
+            offset=12,
+        )
     frozen_set = set(frozen)
+    if frozen_set != _frozen(cfg):
+        raise FormatError(
+            f"checkpoint {path} freezes {sorted(frozen_set)}, not the q/v bases", offset=12
+        )
     tensors = {
         name: Tensor(arr, requires_grad=name not in frozen_set)
         for name, arr in arrays.items()

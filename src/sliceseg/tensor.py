@@ -12,6 +12,8 @@ softmax, layer normalization, clip and cosine similarity, plus fused
 primitives that each replace a whole op chain of the model with one node
 and a hand-written backward: ``linear``, ``multi_head_attention``,
 ``cosine_sims`` (one query against many vectors) and ``weighted_sum``.
+``cosines`` is the detached numpy kernel behind ``cosine_sims``; memory
+selection, consistency pairs and distance estimation use it directly.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported.
 """
@@ -497,12 +499,27 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
     return _node(xhat, (a,), backward, "layer_norm")
 
 
+def _norms(q: np.ndarray, E: np.ndarray):
+    """|q|, |E_j|, live pairs (both norms > NORM_EPS), cosine denominators."""
+    nq = np.sqrt((q * q).sum())
+    ne = np.sqrt((E * E).sum(axis=1))
+    live = (ne > NORM_EPS) & (nq > NORM_EPS)
+    return nq, ne, live, np.where(live, nq * ne, 1.0)
+
+
+def cosines(q: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Detached cosine of the 1-D array q with each row of E, as an (n,)
+    array; 0 wherever either norm is at or below NORM_EPS."""
+    _, _, live, denom = _norms(q, E)
+    return np.where(live, (E * q).sum(axis=1) / denom, 0.0)
+
+
 def cosine_sims(query, vectors: Sequence[Tensor]) -> Tensor:
     """Cosine similarity of a 1-D query with each vector, as one (n,) node.
 
-    A degenerate pair (either norm at or below 1e-12) yields a constant 0
-    with no gradient through it; near-zero pooled features early in
-    training must not poison the tape.
+    Forward values are ``cosines``: a degenerate pair (either norm at or
+    below 1e-12) yields a constant 0 with no gradient through it;
+    near-zero pooled features early in training must not poison the tape.
     """
     query = as_tensor(query)
     vectors = [as_tensor(v) for v in vectors]
@@ -515,13 +532,10 @@ def cosine_sims(query, vectors: Sequence[Tensor]) -> Tensor:
         )
     q = query.data
     E = np.stack([v.data for v in vectors])
-    nq = np.sqrt((q * q).sum())
-    ne = np.sqrt((E * E).sum(axis=1))
-    live = (ne > NORM_EPS) & (nq > NORM_EPS)
-    denom = np.where(live, nq * ne, 1.0)
-    sims = np.where(live, (E * q).sum(axis=1) / denom, 0.0)
+    sims = cosines(q, E)
 
     def backward(g):
+        nq, ne, live, denom = _norms(q, E)
         w = np.where(live, g / denom, 0.0)  # d(loss)/d(dot) per pair
         gq = w @ E - (g * sims).sum() * q / (nq * nq) if live.any() else None
         grads = [(query, gq)]

@@ -40,7 +40,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    k_memory: int | None = None  # None: take the model config's value
     checkpoint_every: int | None = None
     loss: LossWeights = field(default_factory=LossWeights)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -115,7 +114,7 @@ def _sequence_targets(seq):
 
 
 def train_step(params: ModelParams, seq, state: AdamState, config: TrainConfig) -> float:
-    preds = forward_sequence(seq, params, k_override=config.k_memory)
+    preds = forward_sequence(seq, params)
     loss = combined_loss(
         [p.probabilities for p in preds],
         _sequence_targets(seq),
@@ -184,7 +183,6 @@ class EvalReport:
 def evaluate(
     dataset_dir: str | Path,
     checkpoint: str | Path,
-    k_override: int | None = None,
     threshold: float = 0.5,
 ) -> EvalReport:
     """Per-slice Dice at the fixed threshold, aggregated mean +/- SD."""
@@ -195,7 +193,7 @@ def evaluate(
     all_dice: list[float] = []
     per_sequence = []
     for seq in sequences:
-        preds = forward_sequence(seq, params, k_override=k_override)
+        preds = forward_sequence(seq, params)
         dice_values = []
         corrupted = []
         for sl, pred in zip(seq.slices, preds):
@@ -219,17 +217,9 @@ def evaluate(
             "checkpoint": str(checkpoint),
             "dataset": str(dataset_dir),
             "threshold": threshold,
-            "k_override": k_override,
-            "model": load_checkpoint_config(checkpoint),
+            "model": asdict(params.config),
         },
     )
-
-
-def load_checkpoint_config(checkpoint: str | Path) -> dict:
-    from .data_io import load_checkpoint
-
-    _, config, _ = load_checkpoint(checkpoint)
-    return config
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:

@@ -289,13 +289,13 @@ def test_criterion_cross_slice_benefit(verdict, tmp_path):
             SynthConfig(num_sequences=4, slices_per_sequence=6, seed=seed + 100, corrupt_prob=0.3),
             test_dir,
         )
-        for scores, k in ((full_scores, None), (nomem_scores, 0)):
+        for scores, k in ((full_scores, 5), (nomem_scores, 0)):
             from sliceseg.training import train
 
-            cfg = TrainConfig(steps=300, seed=seed, k_memory=k)
+            cfg = TrainConfig(steps=300, seed=seed, model=ModelConfig(k_memory=k))
             ckpt = tmp_path / f"m{seed}_{k}.psc"
             train(cfg, train_dir, ckpt)
-            report = evaluate(test_dir, ckpt, k_override=k)
+            report = evaluate(test_dir, ckpt)
             scores.append(_corrupted_mean(report))
     full_mean, nomem_mean = np.mean(full_scores), np.mean(nomem_scores)
     ok = full_mean > nomem_mean

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, config handling, error reporting."""
 
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -112,3 +114,75 @@ def test_missing_dataset_is_single_line_error(tmp_path, capsys):
     err_lines = [l for l in capsys.readouterr().err.strip().splitlines() if l]
     assert len(err_lines) == 1
     json.loads(err_lines[0])
+
+
+def _single_json_error(capsys) -> dict:
+    err_lines = [l for l in capsys.readouterr().err.strip().splitlines() if l]
+    assert len(err_lines) == 1
+    return json.loads(err_lines[0])
+
+
+def _edit_manifest(blob: bytes, edit) -> bytes:
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len :]
+
+
+def _flatten_first(header):
+    entry = header["tensors"][0]
+    entry["shape"] = [int(np.prod(entry["shape"]))]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.update(tensors=[e for e in h["tensors"] if e["name"] != "lambda"]),
+        _flatten_first,
+        lambda h: h["tensors"][0].update(offset=-8),
+        lambda h: h["tensors"][0].update(name=None),
+        lambda h: h.update(frozen=[]),
+    ],
+    ids=["missing_tensor", "wrong_shape", "negative_offset", "bad_entry", "frozen_mismatch"],
+)
+def test_infer_on_malformed_manifest_is_single_line_error(
+    dataset, checkpoint, tmp_path, capsys, edit
+):
+    bad = tmp_path / "bad.psc"
+    bad.write_bytes(_edit_manifest(checkpoint.read_bytes(), edit))
+    out = tmp_path / "p"
+    rc = main(["infer", "--ckpt", str(bad), "--sequence", str(dataset / "seq_000"), "--out", str(out)])
+    assert rc == 1
+    assert "checkpoint" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.pop("slices"),
+        lambda m: m.update(slices=3),
+        lambda m: m["slices"][0].pop("image"),
+        lambda m: m["slices"][0].update(z_position_um="0.0"),
+        lambda m: m["slices"][1].update(z_position_um=float("nan")),
+        None,
+    ],
+    ids=["no_slices", "slices_int", "no_image", "string_z", "nan_z", "invalid_json"],
+)
+def test_infer_on_malformed_sequence_json_is_single_line_error(
+    dataset, checkpoint, tmp_path, capsys, edit
+):
+    seq_dir = tmp_path / "seq"
+    shutil.copytree(dataset / "seq_000", seq_dir)
+    meta_path = seq_dir / "sequence.json"
+    if edit is None:
+        meta_path.write_text(meta_path.read_text()[:-5])
+    else:
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+    out = str(tmp_path / "p")
+    rc = main(["infer", "--ckpt", str(checkpoint), "--sequence", str(seq_dir), "--out", out])
+    assert rc == 1
+    assert "sequence.json" in _single_json_error(capsys)["error"]

@@ -15,15 +15,16 @@ from sliceseg.data_io import (
     CHECKPOINT_VERSION,
     SynthConfig,
     ellipse_mask,
-    estimate_distance,
     generate_dataset,
     generate_sequence,
     load_checkpoint,
     load_dataset,
+    load_sequence,
     read_raster,
     save_checkpoint,
     write_raster,
 )
+from sliceseg.attention import estimate_distance
 from sliceseg.errors import ConfigError, FormatError, UnsupportedVersionError
 from sliceseg.model import MICRO_CONFIG, init_params, load_params, save_params
 
@@ -165,6 +166,64 @@ def test_checkpoint_unknown_config_key_is_config_error(tmp_path):
         load_params(tmp_path / "p.psc")
 
 
+def _with_manifest(path: Path, edit) -> None:
+    """Let `edit` change a checkpoint's manifest entries in place."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header["tensors"])
+    _with_header(path, json.dumps(header).encode("utf-8"))
+    path.write_bytes(path.read_bytes() + blob[12 + header_len :])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda e: e[0].update(offset=-8),
+        lambda e: e[0].update(offset="0"),
+        lambda e: e[0].update(offset=True),
+        lambda e: e[0].update(name=3),
+        lambda e: e[0].update(shape=[-1]),
+        lambda e: e[0].update(shape=[True]),
+        lambda e: e[0].update(shape=4),
+        lambda e: e[0].pop("shape"),
+        lambda e: e[0].update(dtype="f4"),
+        lambda e: e.append(dict(e[0])),
+        lambda e: e.append(7),
+    ],
+    ids=[
+        "negative_offset", "string_offset", "bool_offset", "int_name", "negative_dim",
+        "bool_dim", "scalar_shape", "no_shape", "extra_key", "duplicate_name", "not_an_object",
+    ],
+)
+def test_checkpoint_bad_manifest_entry_is_format_error(tmp_path, edit):
+    p = tmp_path / "m.psc"
+    save_checkpoint(p, {"x": np.ones((2, 3)), "y": np.zeros(4)}, {})
+    _with_manifest(p, edit)
+    with pytest.raises(FormatError, match="manifest entry"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b'{"config": {}, "tensors": {}}', b'{"config": {}, "tensors": [], "frozen": [1]}'],
+    ids=["tensors_not_a_list", "frozen_not_names"],
+)
+def test_checkpoint_manifest_container_is_format_error(tmp_path, header):
+    p = tmp_path / "c.psc"
+    _with_header(p, header)
+    with pytest.raises(FormatError, match="must be lists"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_huge_shape_is_truncation_not_overflow(tmp_path):
+    p = tmp_path / "h.psc"
+    save_checkpoint(p, {"x": np.ones(2)}, {})
+    _with_manifest(p, lambda e: e[0].update(shape=[2**40, 2**40]))
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(p)
+
+
 # ---------------------------------------------------------------- synthesis
 
 
@@ -261,6 +320,63 @@ def test_load_dataset_round_trip(tmp_path):
             assert sl.image.shape == (64, 64, 1)
             assert sl.image.min() >= 0.0 and sl.image.max() <= 1.0
             assert set(np.unique(sl.mask)) <= {0, 1}
+
+
+def _edit_sequence_json(seq_dir: Path, edit) -> None:
+    path = seq_dir / "sequence.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: m.pop("slices"), "'slices'"),
+        (lambda m: m.update(slices=3), "'slices'"),
+        (lambda m: m.pop("sequence_id"), "'sequence_id'"),
+        (lambda m: m["slices"][1].pop("image"), r"slices\[1\]\.image"),
+        (lambda m: m["slices"][0].update(image=5), r"slices\[0\]\.image"),
+        (lambda m: m["slices"].__setitem__(2, "slice_2.psr"), r"slices\[2\]\.image"),
+        (lambda m: m["slices"][0].update(mask=["mask_0.psr"]), r"slices\[0\]\.mask"),
+        (lambda m: m["slices"][2].update(z_position_um="12.5"), r"slices\[2\]\.z_position_um"),
+        (lambda m: m["slices"][1].update(z_position_um=float("nan")), r"slices\[1\]\.z_position_um"),
+        (lambda m: m["slices"][1].update(z_position_um=True), r"slices\[1\]\.z_position_um"),
+    ],
+    ids=[
+        "no_slices", "slices_not_a_list", "no_sequence_id", "no_image", "int_image",
+        "record_not_an_object", "list_mask", "string_z", "nan_z", "bool_z",
+    ],
+)
+def test_malformed_sequence_json_is_format_error_naming_file_and_field(tmp_path, edit, field):
+    root = generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=3, seed=2), tmp_path)
+    seq_dir = root / "seq_000"
+    _edit_sequence_json(seq_dir, edit)
+    with pytest.raises(FormatError, match=field) as err:
+        load_sequence(seq_dir)
+    assert "sequence.json" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text", [b'{"slices": [', b'{"slices": "\xff"}'], ids=["invalid_json", "non_utf8"]
+)
+def test_undecodable_sequence_json_is_format_error(tmp_path, text):
+    (tmp_path / "sequence.json").write_bytes(text)
+    with pytest.raises(FormatError, match="sequence.json"):
+        load_sequence(tmp_path)
+
+
+def test_sequence_json_null_z_and_integer_z_load(tmp_path):
+    root = generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=2, seed=2), tmp_path)
+    seq_dir = root / "seq_000"
+
+    def edit(meta):
+        meta["slices"][0]["z_position_um"] = None
+        meta["slices"][1]["z_position_um"] = 7
+
+    _edit_sequence_json(seq_dir, edit)
+    seq = load_sequence(seq_dir)
+    assert [sl.z_position_um for sl in seq.slices] == [None, 7]
 
 
 # ------------------------------------------------------ distance estimation

@@ -12,6 +12,7 @@ from sliceseg.losses import (
     bce_loss,
     combined_loss,
     consistency_loss,
+    consistency_pairs,
     dice_loss,
     dice_score,
 )
@@ -211,3 +212,25 @@ def test_dice_score_symmetric_and_bounded():
 def test_dice_score_rejects_non_binary():
     with pytest.raises(ContractError):
         dice_score(np.full((2, 2), 0.5), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_consistency_pairs_match_nested_loop_oracle(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(6)
+    # near copies of one direction clear the threshold, the rest mostly not
+    embeddings = [Tensor(base + rng.normal(0.0, rng.choice([0.1, 2.0]), 6)) for _ in range(7)]
+    embeddings[3] = Tensor(np.zeros(6))  # degenerate: similarity 0
+    expected = []
+    for i in range(len(embeddings)):
+        for j in range(i + 1, len(embeddings)):
+            ei, ej = embeddings[i].data, embeddings[j].data
+            ni, nj = np.linalg.norm(ei), np.linalg.norm(ej)
+            sim = 0.0 if ni <= 1e-12 or nj <= 1e-12 else float(ei @ ej) / (ni * nj)
+            if sim > 0.7:
+                expected.append((i, j, sim))
+    got = consistency_pairs(embeddings, 0.7)
+    assert isinstance(got, list)
+    assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in expected]
+    assert all(abs(a[2] - b[2]) <= 1e-15 for a, b in zip(got, expected))
+    assert 0 < len(got) < 21

@@ -1,10 +1,21 @@
 """Encoder/decoder shapes, sequence pipeline causality and determinism."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from sliceseg.data_io import SliceData, SliceSequence, SynthConfig, generate_dataset, load_dataset
-from sliceseg.errors import ConfigError, ContractError, ShapeError
+from sliceseg.data_io import (
+    SliceData,
+    SliceSequence,
+    SynthConfig,
+    generate_dataset,
+    load_checkpoint,
+    load_dataset,
+    save_checkpoint,
+)
+from sliceseg.errors import ConfigError, ContractError, FormatError, ShapeError
 from sliceseg.model import (
     MICRO_CONFIG,
     ModelConfig,
@@ -168,13 +179,14 @@ def test_causality_prediction_ignores_future_slices(seed, micro_params):
         assert np.array_equal(before[i].logits.data, after[i].logits.data)
 
 
-def test_k_zero_equals_independent_per_slice(micro_params):
+def test_k_zero_equals_independent_per_slice():
+    params = init_params(dataclasses.replace(MICRO_CONFIG, k_memory=0), seed=0)
     rng = np.random.default_rng(6)
     seq = make_sequence(rng, MICRO_CONFIG, 4)
-    preds = forward_sequence(seq, micro_params, k_override=0)
+    preds = forward_sequence(seq, params)
     for sl, pred in zip(seq.slices, preds):
-        feats, _ = encode_slice(sl.image, micro_params)
-        solo = decode_mask(fuse_memory(feats, [], Tensor([1.0])), micro_params)
+        feats, _ = encode_slice(sl.image, params)
+        solo = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
         assert np.array_equal(pred.logits.data, solo.data)
 
 
@@ -220,6 +232,49 @@ def test_params_checkpoint_round_trip(tmp_path):
     for name, t in params.tensors.items():
         assert np.array_equal(back.tensors[name].data, t.data)
         assert back.tensors[name].requires_grad == t.requires_grad
+
+
+@pytest.mark.parametrize(
+    "config, seed, digest",
+    [
+        (MICRO_CONFIG, 0, "6d59f03d5e5089638f5ab745a14c93b88811feeb24ef665c39c1c1955e36b621"),
+        (ModelConfig(), 3, "de027bed0aaba3ad14eebafa3389efa22278637eac649fa497a4f915999c3dde"),
+    ],
+)
+def test_init_draws_are_pinned(config, seed, digest):
+    # names, order, values and trainability of a seeded init never move
+    h = hashlib.sha256()
+    for name, t in init_params(config, seed=seed).tensors.items():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+        h.update(str(t.requires_grad).encode())
+    assert h.hexdigest() == digest
+
+
+def _rewrite_checkpoint(path, edit) -> None:
+    """Load a checkpoint's parts, let `edit` change them, save them back."""
+    arrays, config, frozen = load_checkpoint(path)
+    edit(arrays, frozen)
+    save_checkpoint(path, arrays, config, frozen=frozen)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda a, f: a.pop("lambda"), r"missing \['lambda'\]"),
+        (lambda a, f: a.update(extra=np.zeros(2)), r"unexpected \['extra'\]"),
+        (lambda a, f: a.update({"decoder.fc1.b": np.zeros(3)}), r"wrong shape \['decoder"),
+        (lambda a, f: f.pop(), "freezes"),
+        (lambda a, f: f.append("decoder.fc1.W"), "freezes"),
+    ],
+    ids=["missing", "unexpected", "wrong_shape", "unfrozen_base", "frozen_extra"],
+)
+def test_load_params_rejects_a_manifest_its_config_does_not_imply(tmp_path, edit, match):
+    path = tmp_path / "p.psc"
+    save_params(path, init_params(MICRO_CONFIG, seed=0))
+    _rewrite_checkpoint(path, edit)
+    with pytest.raises(FormatError, match=match):
+        load_params(path)
 
 
 def test_fresh_checkpoint_contains_lambda_at_point_one(tmp_path):

@@ -349,3 +349,35 @@ def test_grad_shape_matches_data():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     T.tensor_sum(T.mul(x, x)).backward()
     assert x.grad.shape == x.data.shape
+
+
+def _norm_formula_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """The per-pair np.linalg.norm formula the kernel replaced."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    return 0.0 if na <= 1e-12 or nb <= 1e-12 else float(a @ b) / (na * nb)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cosines_matches_norm_formula(seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(16)
+    E = rng.standard_normal((7, 16))
+    expected = [_norm_formula_cosine(q, e) for e in E]
+    assert np.abs(T.cosines(q, E) - expected).max() <= 1e-15
+
+
+def test_cosines_degenerate_side_gives_zero():
+    E = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1e-13, 0.0, 0.0]])
+    assert np.array_equal(T.cosines(np.zeros(3), E), [0.0, 0.0, 0.0])
+    sims = T.cosines(np.array([1.0, 0.0, 0.0]), E)
+    assert sims[0] > 0.0 and sims[1] == 0.0 and sims[2] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cosine_sims_forward_is_the_kernel_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(8)
+    E = rng.standard_normal((4, 8))
+    E[2] = 0.0
+    out = T.cosine_sims(Tensor(q), [Tensor(e) for e in E])
+    assert np.array_equal(out.data, T.cosines(q, E))

@@ -1,13 +1,24 @@
 """Adam, the training loop, evaluation reports and grad-check."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sliceseg.data_io import SynthConfig, generate_dataset
+from sliceseg.attention import fuse_memory
+from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
 from sliceseg.errors import ConfigError
-from sliceseg.model import MICRO_CONFIG, ModelConfig, init_params, load_params
+from sliceseg.losses import dice_score
+from sliceseg.model import (
+    MICRO_CONFIG,
+    ModelConfig,
+    decode_mask,
+    encode_slice,
+    forward_sequence,
+    init_params,
+    load_params,
+)
 from sliceseg.tensor import Tensor
 from sliceseg.training import (
     AdamState,
@@ -45,6 +56,13 @@ def test_unknown_config_key_rejected_by_name():
         train_config_from_dict({"model": {"typo": 1}})
     with pytest.raises(ConfigError, match="loss.*nope"):
         train_config_from_dict({"loss": {"nope": 1}})
+
+
+def test_top_level_k_memory_is_config_error():
+    # the memory size lives in the model config only, which the checkpoint records
+    with pytest.raises(ConfigError, match="k_memory"):
+        train_config_from_dict({"k_memory": 0})
+    assert train_config_from_dict({"model": {"k_memory": 0}}).model.k_memory == 0
 
 
 def test_config_from_nested_dict():
@@ -177,6 +195,28 @@ def test_evaluate_single_slice_sd_zero(tmp_path):
     report = evaluate(data, out)
     assert report.num_slices == 1
     assert report.sd_dice == 0.0
+
+
+def test_k_zero_training_is_served_without_memory(tiny_dataset, tmp_path):
+    out = tmp_path / "k0.psc"
+    model = dataclasses.replace(small_model_config(), k_memory=0)
+    train(TrainConfig(steps=3, seed=0, model=model), tiny_dataset, out)
+    params = load_params(out)
+    assert params.config.k_memory == 0
+    report = evaluate(tiny_dataset, out)
+    assert report.config["model"] == dataclasses.asdict(model)
+    assert "k_override" not in report.config
+    for seq, entry in zip(load_dataset(tiny_dataset), report.sequences):
+        preds = forward_sequence(seq, params)
+        for sl, pred in zip(seq.slices, preds):
+            feats, _ = encode_slice(sl.image, params)
+            solo = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
+            assert np.array_equal(pred.logits.data, solo.data)
+        expected = [
+            dice_score((p.probabilities.data >= 0.5).astype(np.uint8), sl.mask)
+            for sl, p in zip(seq.slices, preds)
+        ]
+        assert entry["dice"] == expected
 
 
 def test_evaluate_does_not_mutate_inputs(tiny_dataset, trained):
