@@ -62,13 +62,13 @@ class AttentionContext:
                 raise DomainError(f"distance must be finite and >= 0, got {d}")
 
 
-def estimate_distance(f_i: np.ndarray, f_j: np.ndarray, scale: float = DISTANCE_SCALE_UM) -> float:
-    """Similarity-derived distance: scale * (1 - cos(F_i, F_j)).
+def estimate_distance(f_i: np.ndarray, f_j: np.ndarray) -> float:
+    """Similarity-derived distance: DISTANCE_SCALE_UM * (1 - cos(F_i, F_j)).
 
     Used only when z metadata is absent. A degenerate pair has cosine 0,
-    so it lands at `scale` itself.
+    so it lands at DISTANCE_SCALE_UM itself.
     """
-    return scale * (1.0 - float(T.cosines(np.ravel(f_i), np.ravel(f_j)[None])[0]))
+    return DISTANCE_SCALE_UM * (1.0 - float(T.cosines(np.ravel(f_i), np.ravel(f_j)[None])[0]))
 
 
 def distance_modulation(d, lam: Tensor) -> Tensor:

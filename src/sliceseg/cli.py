@@ -7,6 +7,7 @@ JSON error line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from .data_io import SynthConfig, generate_dataset, load_sequence, write_raster
 from .errors import SlicesegError
 from .model import forward_sequence, load_params
 from .training import (
+    MASK_THRESHOLD,
     TrainConfig,
     evaluate,
     grad_check,
@@ -77,11 +79,11 @@ def _cmd_train(args) -> None:
     doc = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text())
-    config = train_config_from_dict(doc)
-    if args.steps is not None:
-        config.steps = args.steps
-    if args.seed is not None:
-        config.seed = args.seed
+    # replace() re-runs the config's checks on the flag values
+    flags = {"steps": args.steps, "seed": args.seed}
+    config = dataclasses.replace(
+        train_config_from_dict(doc), **{k: v for k, v in flags.items() if v is not None}
+    )
     trace = train(config, args.data, args.out)
     print(f"trained {config.steps} steps, final loss {trace[-1]:.6f}, checkpoint {args.out}")
 
@@ -99,7 +101,7 @@ def _cmd_infer(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     preds = forward_sequence(seq, params)
     for t, pred in enumerate(preds):
-        mask = (pred.probabilities.data >= 0.5).astype(np.uint8)
+        mask = (pred.probabilities.data >= MASK_THRESHOLD).astype(np.uint8)
         write_raster(out_dir / f"pred_{t}.psr", mask)
     print(f"wrote {len(preds)} predicted masks to {out_dir}")
 

@@ -19,6 +19,7 @@ ground-truth mask. Everything is deterministic per seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -61,7 +62,8 @@ def write_raster(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_raster(path: str | Path) -> np.ndarray:
-    """Read a raster back as (H, W, C) float32 or uint8."""
+    """Read a raster back as (H, W, C) float32 or uint8; a NaN or infinite
+    f32 value is a FormatError at its byte offset."""
     blob = Path(path).read_bytes()
     if blob[:4] != RASTER_MAGIC:
         raise FormatError(f"bad raster magic {blob[:4]!r}", offset=0)
@@ -82,33 +84,65 @@ def read_raster(path: str | Path) -> np.ndarray:
             f"raster payload truncated: header declares {need} bytes, file has {len(blob)}",
             offset=len(blob),
         )
-    data = np.frombuffer(blob, dtype=dtype, count=w * h * c, offset=17)
-    return data.reshape(h, w, c).copy()
+    # Scan the copy: the payload starts at byte 17, and unaligned scans are slower.
+    data = np.frombuffer(blob, dtype=dtype, count=w * h * c, offset=17).reshape(h, w, c).copy()
+    if tag == DTYPE_F32 and not np.isfinite(data).all():
+        first = int(np.flatnonzero(~np.isfinite(data))[0])
+        raise FormatError(f"raster value {data.flat[first]} is not finite", offset=17 + 4 * first)
+    return data
 
 
 # ------------------------------------------------------------------ configs
 
 
 def dataclass_from_dict(cls, doc, prefix: str = ""):
-    """Build dataclass `cls` from a JSON object, rejecting unknown keys.
+    """Build dataclass `cls` from a JSON object, rejecting unknown keys and
+    values of the wrong type.
 
-    A nested object for a field typed as a dataclass is built the same
-    way; an unknown key is named with its dotted path.
+    An int field takes an int, a float field an int or a finite float
+    (neither takes a bool), ``X | None`` also takes null, and a field typed
+    as a dataclass takes an object built the same way. A bad key or value
+    is a ConfigError naming its dotted path.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"config section {prefix or cls.__name__!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
+        section = prefix.rstrip(".") or cls.__name__
+        raise ConfigError(f"config section {section!r} must be an object")
+    fields = _field_types(cls)
     kwargs = {}
     for key, value in doc.items():
-        if key not in known:
+        if key not in fields:
             raise ConfigError(f"unknown config key: {prefix}{key!r}")
-        if isinstance(value, dict):
-            # Resolving annotations is slow, so only nested objects pay for it.
-            field_type = typing.get_type_hints(cls)[key]
-            if dataclasses.is_dataclass(field_type):
-                value = dataclass_from_dict(field_type, value, f"{prefix}{key}.")
+        kind, optional = fields[key]
+        if dataclasses.is_dataclass(kind):
+            value = dataclass_from_dict(kind, value, f"{prefix}{key}.")
+        elif not ((optional and value is None) or _is_a(value, kind)):
+            want = "a finite number" if kind is float else kind.__name__
+            null = " or null" if optional else ""
+            raise ConfigError(f"config key {prefix + key!r} must be {want}{null}, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """{field: (type, whether null is allowed)}, resolved once per class:
+    typing.get_type_hints is slow."""
+    fields = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if len(args) == 2 and type(None) in args:  # X | None
+            fields[name] = (next(a for a in args if a is not type(None)), True)
+        else:
+            fields[name] = (hint, False)
+    return fields
+
+
+def _is_a(value, kind: type) -> bool:
+    """Exact type match, except that a float takes an int and must be
+    finite. Exact, so that a JSON true or false is never a number."""
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is kind
 
 
 # -------------------------------------------------------------- checkpoints
@@ -168,6 +202,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
         raise FormatError("checkpoint 'tensors' and 'frozen' must be lists", offset=12)
     base = 12 + header_len
     tensors: dict[str, np.ndarray] = {}
+    spans = []
     for entry in entries:
         if not _is_manifest_entry(entry) or entry["name"] in tensors:
             raise FormatError(
@@ -184,6 +219,20 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
             )
         data = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
         tensors[entry["name"]] = data.reshape(shape).astype(np.float64)
+        spans.append((start, start + 4 * count))
+    # The payloads must tile the rest of the file: no overlap, gap or tail.
+    end = base
+    for start, stop in sorted(spans):
+        if start != end:
+            raise FormatError(
+                f"checkpoint payloads {'overlap' if start < end else 'leave a gap'}",
+                offset=min(start, end),
+            )
+        end = stop
+    if end != len(blob):
+        raise FormatError(
+            f"{len(blob) - end} trailing bytes after the checkpoint payloads", offset=end
+        )
     return tensors, header["config"], frozen
 
 
@@ -260,7 +309,7 @@ def _record_problem(rec) -> str | None:
     mask, z = rec.get("mask"), rec.get("z_position_um")
     if mask and not isinstance(mask, str):
         return "mask must be a file name or null"
-    if z is not None and not (type(z) in (int, float) and math.isfinite(z)):
+    if z is not None and not _is_a(z, float):
         return f"z_position_um must be a finite number or null, got {z!r}"
     return None
 
@@ -274,6 +323,15 @@ def load_dataset(root: str | Path) -> list[SliceSequence]:
 # --------------------------------------------------------------- synthesis
 
 
+# Generator constants: blob drift (pixels per um of z), the SDs of the
+# per-slice intensity offset and the pixel noise, and the SD of the
+# heavy noise added to a corrupted slice.
+DRIFT_PER_UM = 0.03
+INTENSITY_JITTER = 0.03
+NOISE_SIGMA = 0.02
+CORRUPT_NOISE_SIGMA = 0.35
+
+
 @dataclass
 class SynthConfig:
     num_sequences: int = 4
@@ -282,11 +340,7 @@ class SynthConfig:
     min_blobs: int = 1
     max_blobs: int = 3
     z_gap_range: tuple[float, float] = (2.0, 40.0)
-    drift_per_um: float = 0.03
-    intensity_jitter: float = 0.03
-    noise_sigma: float = 0.02
     corrupt_prob: float = 0.0
-    corrupt_noise_sigma: float = 0.35
     seed: int = 0
 
     def __post_init__(self):
@@ -362,10 +416,10 @@ def generate_sequence(cfg: SynthConfig, index: int) -> tuple[str, list[SynthSlic
     ]
     vel = [
         (
-            float(rng.uniform(-cfg.drift_per_um, cfg.drift_per_um)),
-            float(rng.uniform(-cfg.drift_per_um, cfg.drift_per_um)),
-            float(rng.uniform(-cfg.drift_per_um / 4, cfg.drift_per_um / 4)),
-            float(rng.uniform(-cfg.drift_per_um / 4, cfg.drift_per_um / 4)),
+            float(rng.uniform(-DRIFT_PER_UM, DRIFT_PER_UM)),
+            float(rng.uniform(-DRIFT_PER_UM, DRIFT_PER_UM)),
+            float(rng.uniform(-DRIFT_PER_UM / 4, DRIFT_PER_UM / 4)),
+            float(rng.uniform(-DRIFT_PER_UM / 4, DRIFT_PER_UM / 4)),
             float(rng.uniform(-0.005, 0.005)),
         )
         for _ in range(n_blobs)
@@ -386,15 +440,15 @@ def generate_sequence(cfg: SynthConfig, index: int) -> tuple[str, list[SynthSlic
             for b, v in zip(base, vel)
         ]
         mask = ellipse_mask(blobs, size)
-        jitter = float(rng.normal(0.0, cfg.intensity_jitter))
+        jitter = float(rng.normal(0.0, INTENSITY_JITTER))
         clean = np.clip(
-            _render_clean(blobs, size, jitter) + rng.normal(0.0, cfg.noise_sigma, (size, size)),
+            _render_clean(blobs, size, jitter) + rng.normal(0.0, NOISE_SIGMA, (size, size)),
             0.0,
             1.0,
         )
         corrupted = bool(rng.random() < cfg.corrupt_prob)
         if corrupted:
-            image = np.clip(clean + rng.normal(0.0, cfg.corrupt_noise_sigma, (size, size)), 0.0, 1.0)
+            image = np.clip(clean + rng.normal(0.0, CORRUPT_NOISE_SIGMA, (size, size)), 0.0, 1.0)
         else:
             image = clean
         slices.append(

@@ -37,7 +37,6 @@ class ModelConfig:
     heads: int = 4
     encoder_blocks: int = 2
     lora_rank: int = 8
-    lora_alpha: float | None = None  # defaults to rank (scale 1)
     k_memory: int = 5
     decoder_hidden: int = 64
 
@@ -62,10 +61,6 @@ class ModelConfig:
     @property
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * self.channels
-
-    @property
-    def lora_scale_alpha(self) -> float:
-        return self.lora_rank if self.lora_alpha is None else self.lora_alpha
 
 
 MICRO_CONFIG = ModelConfig(
@@ -107,7 +102,7 @@ class ModelParams:
             A=self.tensors[f"lora.block{block}.{proj}.A"],
             B=self.tensors[f"lora.block{block}.{proj}.B"],
             rank=cfg.lora_rank,
-            alpha=cfg.lora_scale_alpha,
+            alpha=cfg.lora_rank,  # scale alpha / rank = 1
         )
 
     def group_of(self, name: str) -> str:
@@ -233,12 +228,11 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
     )
 
 
-def forward_sequence(
-    seq: SliceSequence,
-    params: ModelParams,
-    allow_distance_estimation: bool = True,
-) -> list[SlicePrediction]:
+def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePrediction]:
     """Process one subject's slices in order through the memory pipeline.
+
+    A memory slot's distance is the z gap when both slices have a z
+    position, and is estimated from the embeddings otherwise.
 
     The config's k_memory=0 bypasses the memory path entirely (the
     independent per-slice baseline); the bank is fresh per call, so no
@@ -260,14 +254,8 @@ def forward_sequence(
             for e in selected:
                 if sl.z_position_um is not None and e.z_position_um is not None:
                     distances.append(abs(sl.z_position_um - e.z_position_um))
-                elif allow_distance_estimation:
-                    distances.append(
-                        estimate_distance(pooled.data, e.pooled_embedding.data)
-                    )
                 else:
-                    raise ConfigError(
-                        f"slice {t}: z position missing and distance estimation disabled"
-                    )
+                    distances.append(estimate_distance(pooled.data, e.pooled_embedding.data))
             ctx = AttentionContext(
                 query=pooled,
                 memory_embeddings=[pooled] + [e.pooled_embedding for e in selected],

@@ -10,13 +10,14 @@ given (seed, config, data).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data_io import dataclass_from_dict, load_dataset
-from .errors import ConfigError, ContractError, EvaluationError
+from .errors import ConfigError, ContractError, DomainError, EvaluationError
 from .gradcheck import max_rel_error
 from .losses import LossWeights, combined_loss, consistency_pairs, dice_score
 from .model import (
@@ -31,14 +32,15 @@ from .model import (
 from .rng import substream
 from .tensor import Tensor
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Probability at or above which a pixel counts as foreground.
+MASK_THRESHOLD = 0.5
+
 
 @dataclass
 class TrainConfig:
     steps: int = 500
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int | None = None
     loss: LossWeights = field(default_factory=LossWeights)
@@ -78,7 +80,7 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, tensor in params.trainable().items():
         if tensor.grad is None:
             continue
@@ -95,7 +97,7 @@ def adam_step(
         state.m[name], state.v[name] = m, v
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        tensor.data = tensor.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        tensor.data = tensor.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     lam = params.tensors.get("lambda")
     if lam is not None and float(lam.data) < 0.0:
         lam.data = np.asarray(0.0)
@@ -114,6 +116,8 @@ def _sequence_targets(seq):
 
 
 def train_step(params: ModelParams, seq, state: AdamState, config: TrainConfig) -> float:
+    """One Adam step on one sequence; a non-finite loss is a DomainError
+    raised before any parameter moves."""
     preds = forward_sequence(seq, params)
     loss = combined_loss(
         [p.probabilities for p in preds],
@@ -121,6 +125,11 @@ def train_step(params: ModelParams, seq, state: AdamState, config: TrainConfig) 
         [p.pooled_embedding for p in preds],
         config.loss,
     )
+    if not math.isfinite(loss.item()):
+        raise DomainError(
+            f"non-finite loss {loss.item()} at step {state.step + 1} "
+            f"on sequence {seq.sequence_id!r}"
+        )
     params.zero_grad()
     loss.backward()
     adam_step(params, state, config)
@@ -131,13 +140,12 @@ def train(
     config: TrainConfig,
     dataset_dir: str | Path,
     out_checkpoint: str | Path,
-    trace_path: str | Path | None = None,
 ) -> list[float]:
     """Train from scratch on a dataset directory; returns the loss trace.
 
     Sequences are visited one per step in a per-epoch shuffled order
     drawn from the seed's "order" substream. The trace is written as one
-    JSON record per line next to the checkpoint unless overridden.
+    JSON record per line to ``<out_checkpoint>.trace.jsonl``.
     """
     sequences = load_dataset(dataset_dir)
     if not sequences:
@@ -145,12 +153,9 @@ def train(
     params = init_params(config.model, seed=config.seed)
     state = AdamState()
     order_rng = substream(config.seed, "order")
-    out_checkpoint = Path(out_checkpoint)
-    if trace_path is None:
-        trace_path = out_checkpoint.with_suffix(out_checkpoint.suffix + ".trace.jsonl")
     trace: list[float] = []
     schedule: list[int] = []
-    with open(trace_path, "w") as tf:
+    with open(f"{out_checkpoint}.trace.jsonl", "w") as tf:
         for step in range(1, config.steps + 1):
             if not schedule:
                 schedule = list(order_rng.permutation(len(sequences)))
@@ -180,12 +185,8 @@ class EvalReport:
         return asdict(self)
 
 
-def evaluate(
-    dataset_dir: str | Path,
-    checkpoint: str | Path,
-    threshold: float = 0.5,
-) -> EvalReport:
-    """Per-slice Dice at the fixed threshold, aggregated mean +/- SD."""
+def evaluate(dataset_dir: str | Path, checkpoint: str | Path) -> EvalReport:
+    """Per-slice Dice at MASK_THRESHOLD, aggregated mean +/- SD."""
     params = load_params(checkpoint)
     sequences = load_dataset(dataset_dir)
     if not sequences:
@@ -199,7 +200,7 @@ def evaluate(
         for sl, pred in zip(seq.slices, preds):
             if sl.mask is None:
                 raise EvaluationError(f"sequence {seq.sequence_id} has a slice without a mask")
-            binary = (pred.probabilities.data >= threshold).astype(np.uint8)
+            binary = (pred.probabilities.data >= MASK_THRESHOLD).astype(np.uint8)
             dice_values.append(dice_score(binary, sl.mask))
             corrupted.append(sl.corrupted)
         per_sequence.append(
@@ -216,7 +217,7 @@ def evaluate(
         config={
             "checkpoint": str(checkpoint),
             "dataset": str(dataset_dir),
-            "threshold": threshold,
+            "threshold": MASK_THRESHOLD,
             "model": asdict(params.config),
         },
     )

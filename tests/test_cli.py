@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sliceseg.cli import main
-from sliceseg.data_io import read_raster, load_dataset
+from sliceseg.data_io import load_dataset, read_raster, write_raster
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,33 @@ def test_train_unknown_config_key_fails_with_json_error(dataset, tmp_path, capsy
     assert len(err_lines) == 1
     doc = json.loads(err_lines[0])
     assert "stepz" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"steps": "5"}, "steps"),
+        ({"model": {"d_model": "64"}}, "model.d_model"),
+        ({"steps": 2.5}, "steps"),
+        ({"steps": True}, "steps"),
+    ],
+)
+def test_train_wrongly_typed_config_value_fails_with_json_error(dataset, tmp_path, capsys, doc, key):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "x.psc"
+    rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert f"'{key}' must be int" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
+def test_train_zero_steps_flag_fails_with_json_error(dataset, tmp_path, capsys):
+    out = tmp_path / "x.psc"
+    rc = main(["train", "--data", str(dataset), "--out", str(out), "--steps", "0"])
+    assert rc == 1
+    assert "steps must be >= 1" in _single_json_error(capsys)["error"]
+    assert not out.exists()
 
 
 def test_eval_writes_report(dataset, checkpoint, tmp_path):
@@ -186,3 +213,16 @@ def test_infer_on_malformed_sequence_json_is_single_line_error(
     rc = main(["infer", "--ckpt", str(checkpoint), "--sequence", str(seq_dir), "--out", out])
     assert rc == 1
     assert "sequence.json" in _single_json_error(capsys)["error"]
+
+
+def test_infer_on_non_finite_raster_is_single_line_error(dataset, checkpoint, tmp_path, capsys):
+    seq_dir = tmp_path / "seq"
+    shutil.copytree(dataset / "seq_000", seq_dir)
+    image = read_raster(seq_dir / "slice_1.psr")
+    image[0, 2, 0] = np.nan
+    write_raster(seq_dir / "slice_1.psr", image)
+    out = tmp_path / "p"
+    rc = main(["infer", "--ckpt", str(checkpoint), "--sequence", str(seq_dir), "--out", str(out)])
+    assert rc == 1
+    assert "not finite (at byte offset 25)" in _single_json_error(capsys)["error"]
+    assert not out.exists()

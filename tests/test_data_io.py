@@ -1,5 +1,6 @@
 """On-disk formats, synthetic generation and distance estimation."""
 
+import hashlib
 import json
 import struct
 import warnings
@@ -81,6 +82,17 @@ def test_raster_dimension_overflow(tmp_path):
         read_raster(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raster_non_finite_value_is_format_error_at_its_offset(tmp_path, bad):
+    arr = np.zeros((4, 5, 2), dtype=np.float32)
+    arr[2, 3, 1] = bad
+    arr[3, 4, 0] = np.nan
+    write_raster(tmp_path / "n.psr", arr)
+    with pytest.raises(FormatError, match="not finite") as err:
+        read_raster(tmp_path / "n.psr")
+    assert err.value.offset == 17 + 4 * ((2 * 5 + 3) * 2 + 1)
+
+
 def test_raster_unknown_dtype_tag(tmp_path):
     p = tmp_path / "tag.psr"
     p.write_bytes(b"PSR1" + struct.pack("<IIIB", 1, 1, 1, 9) + b"\0\0\0\0")
@@ -133,6 +145,50 @@ def test_checkpoint_truncated_tensor(tmp_path):
         load_checkpoint(p)
 
 
+def _two_tensor_checkpoint(path: Path, offsets: tuple[int, int]) -> int:
+    """A checkpoint of two 2-element tensors at the given payload offsets,
+    with payload bytes up to the furthest end; returns the payload base."""
+    manifest = [
+        {"name": name, "shape": [2], "offset": off} for name, off in zip("ab", offsets)
+    ]
+    header = json.dumps({"config": {}, "frozen": [], "tensors": manifest}).encode("utf-8")
+    payload = bytes(max(offsets) + 8)
+    path.write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header + payload
+    )
+    return 12 + len(header)
+
+
+def test_checkpoint_payloads_in_any_manifest_order_load(tmp_path):
+    p = tmp_path / "t.psc"
+    _two_tensor_checkpoint(p, (8, 0))
+    tensors, _, _ = load_checkpoint(p)
+    assert set(tensors) == {"a", "b"}
+
+
+@pytest.mark.parametrize(
+    "offsets, stray",
+    [((0, 0), 0), ((0, 4), 4), ((0, 12), 8)],
+    ids=["shared_offset", "overlap", "gap"],
+)
+def test_checkpoint_payloads_must_tile_the_file(tmp_path, offsets, stray):
+    p = tmp_path / "t.psc"
+    base = _two_tensor_checkpoint(p, offsets)
+    with pytest.raises(FormatError, match="overlap|gap") as err:
+        load_checkpoint(p)
+    assert err.value.offset == base + stray
+
+
+def test_checkpoint_with_appended_bytes_is_format_error(tmp_path):
+    p = tmp_path / "p.psc"
+    save_params(p, init_params(MICRO_CONFIG, seed=0))
+    end = len(p.read_bytes())
+    p.write_bytes(p.read_bytes() + b"\0" * 8)
+    with pytest.raises(FormatError, match="8 trailing bytes") as err:
+        load_params(p)
+    assert err.value.offset == end
+
+
 def _with_header(path: Path, header: bytes) -> None:
     """Rewrite a checkpoint's header bytes, keeping magic and version."""
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
@@ -163,6 +219,24 @@ def test_checkpoint_unknown_config_key_is_config_error(tmp_path):
     arrays, config, frozen = load_checkpoint(tmp_path / "p.psc")
     save_checkpoint(tmp_path / "p.psc", arrays, {**config, "bogus_width": 3}, frozen=frozen)
     with pytest.raises(ConfigError, match="bogus_width"):
+        load_params(tmp_path / "p.psc")
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # checkpoints written while the LoRA scale was a setting carry this key
+        ({"lora_alpha": None}, "unknown config key.*lora_alpha"),
+        ({"d_model": "8"}, "'d_model' must be int, got '8'"),
+    ],
+    ids=["lora_alpha", "string_d_model"],
+)
+def test_checkpoint_config_is_checked_like_a_train_config(tmp_path, edit, match):
+    params = init_params(MICRO_CONFIG, seed=0)
+    save_params(tmp_path / "p.psc", params)
+    arrays, config, frozen = load_checkpoint(tmp_path / "p.psc")
+    save_checkpoint(tmp_path / "p.psc", arrays, {**config, **edit}, frozen=frozen)
+    with pytest.raises(ConfigError, match=match):
         load_params(tmp_path / "p.psc")
 
 
@@ -244,6 +318,23 @@ def test_generation_deterministic_byte_identical(tmp_path):
     assert files1 == files2
     for rel in files1:
         assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()
+
+
+def test_generated_dataset_bytes_are_pinned(tmp_path):
+    # half the slices corrupted, so every generator noise constant is drawn
+    root = generate_dataset(
+        SynthConfig(num_sequences=2, slices_per_sequence=3, image_size=16, corrupt_prob=0.5, seed=7),
+        tmp_path / "d",
+    )
+    assert [sl.corrupted for seq in load_dataset(root) for sl in seq.slices] == [
+        False, False, True, False, True, True,
+    ]
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(p.relative_to(root).as_posix().encode())
+            h.update(p.read_bytes())
+    assert h.hexdigest() == "d6983f8421f5a7314e39a0aa810a8a48a93f86970057e1cee34253d5cdd09419"
 
 
 def test_generation_counts(tmp_path):

@@ -158,12 +158,9 @@ def test_empty_sequence_rejected(micro_params):
         forward_sequence(SliceSequence("e", []), micro_params)
 
 
-def test_missing_z_without_estimation_is_config_error(micro_params):
+def test_missing_z_is_estimated(micro_params):
     rng = np.random.default_rng(4)
     seq = make_sequence(rng, MICRO_CONFIG, 3, with_z=False)
-    with pytest.raises(ConfigError):
-        forward_sequence(seq, micro_params, allow_distance_estimation=False)
-    # estimation enabled: runs fine
     assert len(forward_sequence(seq, micro_params)) == 3
 
 

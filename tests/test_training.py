@@ -8,8 +8,8 @@ import pytest
 
 from sliceseg.attention import fuse_memory
 from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
-from sliceseg.errors import ConfigError
-from sliceseg.losses import dice_score
+from sliceseg.errors import ConfigError, DomainError
+from sliceseg.losses import LossWeights, dice_score
 from sliceseg.model import (
     MICRO_CONFIG,
     ModelConfig,
@@ -21,6 +21,7 @@ from sliceseg.model import (
 )
 from sliceseg.tensor import Tensor
 from sliceseg.training import (
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -28,6 +29,7 @@ from sliceseg.training import (
     grad_check,
     train,
     train_config_from_dict,
+    train_step,
     write_report,
 )
 
@@ -63,6 +65,49 @@ def test_top_level_k_memory_is_config_error():
     with pytest.raises(ConfigError, match="k_memory"):
         train_config_from_dict({"k_memory": 0})
     assert train_config_from_dict({"model": {"k_memory": 0}}).model.k_memory == 0
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"beta1": 0.9}, "beta1"),
+        ({"beta2": 0.999}, "beta2"),
+        ({"eps": 1e-8}, "eps"),
+        ({"model": {"lora_alpha": 8}}, "lora_alpha"),
+    ],
+)
+def test_removed_settings_are_unknown_keys(doc, key):
+    # Adam's betas and eps and the LoRA alpha are constants now
+    with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
+        train_config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, key, shown",
+    [
+        ({"steps": "5"}, "steps", "'5'"),
+        ({"model": {"d_model": "64"}}, "model.d_model", "'64'"),
+        ({"steps": 2.5}, "steps", "2.5"),
+        ({"steps": True}, "steps", "True"),
+        ({"learning_rate": False}, "learning_rate", "False"),
+        ({"learning_rate": float("nan")}, "learning_rate", "nan"),
+        ({"loss": {"w_bce": "0.5"}}, "loss.w_bce", "'0.5'"),
+        ({"checkpoint_every": 1.0}, "checkpoint_every", "1.0"),
+    ],
+)
+def test_wrongly_typed_config_value_is_config_error(doc, key, shown):
+    with pytest.raises(ConfigError, match=f"'{key}' must be .*, got {shown}$"):
+        train_config_from_dict(doc)
+
+
+def test_config_values_of_the_declared_types_load():
+    cfg = train_config_from_dict(
+        {"learning_rate": 1, "checkpoint_every": None, "loss": {"w_dice": 2}}
+    )
+    assert (cfg.learning_rate, cfg.checkpoint_every, cfg.loss.w_dice) == (1, None, 2)
+    assert train_config_from_dict({"checkpoint_every": 3}).checkpoint_every == 3
+    with pytest.raises(ConfigError, match="section 'model' must be an object"):
+        train_config_from_dict({"model": 64})
 
 
 def test_config_from_nested_dict():
@@ -102,7 +147,7 @@ def test_adam_first_step_hand_value():
     lam.grad = np.asarray(1.0)
     cfg = TrainConfig(learning_rate=1e-3)
     adam_step(params, AdamState(), cfg)
-    expected = theta - 1e-3 * 1.0 / (1.0 + cfg.eps)
+    expected = theta - 1e-3 * 1.0 / (1.0 + ADAM_EPS)
     assert float(lam.data) == pytest.approx(expected, abs=1e-12)
 
 
@@ -126,6 +171,23 @@ def test_adam_never_touches_frozen_tensors():
 
 
 # ---------------------------------------------------------------- training
+
+
+def test_non_finite_loss_raises_before_adam_moves(tiny_dataset):
+    # weights this large overflow the summed slice terms to inf
+    huge = LossWeights(w_dice=1e308, w_bce=1e308)
+    cfg = TrainConfig(steps=1, seed=0, loss=huge, model=small_model_config())
+    params = init_params(cfg.model, seed=0)
+    before = {n: t.data.copy() for n, t in params.tensors.items()}
+    state = AdamState()
+    seq = load_dataset(tiny_dataset)[1]
+    with np.errstate(over="ignore"), pytest.raises(
+        DomainError, match=r"non-finite loss inf at step 1 on sequence 'seq_001'"
+    ):
+        train_step(params, seq, state, cfg)
+    assert state.step == 0
+    for n, t in params.tensors.items():
+        assert np.array_equal(t.data, before[n]), n
 
 
 def test_single_step_training(tiny_dataset, tmp_path):
@@ -185,6 +247,16 @@ def test_evaluate_report_consistency(tiny_dataset, trained, tmp_path):
     write_report(report, tmp_path / "r.json")
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["mean_dice"] == report.mean_dice
+
+
+def test_micro_loss_trace_is_pinned(tmp_path):
+    data = generate_dataset(
+        SynthConfig(num_sequences=2, slices_per_sequence=3, image_size=8, seed=1), tmp_path / "d"
+    )
+    trace = train(TrainConfig(steps=3, seed=0, model=MICRO_CONFIG), data, tmp_path / "m.psc")
+    assert [x.hex() for x in trace] == [
+        "0x1.00cca5490b7f7p+0", "0x1.e442ba36c96ffp-1", "0x1.fef9f8696b2d1p-1",
+    ]
 
 
 def test_evaluate_single_slice_sd_zero(tmp_path):
