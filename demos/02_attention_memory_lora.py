@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from sliceseg.attention import AttentionContext, cross_slice_weights, distance_modulation
-from sliceseg.lora import init_lora, lora_forward, merge
+from sliceseg.lora import lora_forward
 from sliceseg.memory import MemoryBank, MemoryEntry, select_memory
 from sliceseg.tensor import Tensor
 
@@ -36,19 +36,21 @@ chosen = select_memory(bank, query, k=2)
 print("top-2 slices by sim*confidence:", [e.slice_index for e in chosen])
 
 # --- low-rank adapters ----------------------------------------------------
-# The base matrix stays frozen; only the rank-r factors learn. At init the
-# up-projection is zero, so the adapter is an exact no-op.
-adapter = init_lora(d_in=8, d_out=8, rank=2, seed=0)
-x = Tensor(np.random.default_rng(0).standard_normal((3, 8)))
-base_only = x.data @ adapter.base.data.T
+# An adapted projection is three tensors: the frozen base W and the rank-r
+# factors A and B, which learn. B starts at zero, so the adapter is an
+# exact no-op at init.
+rng = np.random.default_rng(0)
+W = Tensor(rng.standard_normal((8, 8)) / np.sqrt(8))
+A = Tensor(rng.normal(0.0, 0.02, size=(2, 8)), requires_grad=True)
+B = Tensor(np.zeros((8, 2)), requires_grad=True)
+x = Tensor(rng.standard_normal((3, 8)))
 print("adapter is identity at init:",
-      np.array_equal(lora_forward(x, adapter).data, base_only))
+      np.array_equal(lora_forward(x, W, A, B).data, x.data @ W.data.T))
 
-# The forward pass applies the merged weight W + (alpha/r) B A; it equals
-# the factored form x W^T + (alpha/r) (x A^T) B^T.
-adapter.B.data = np.random.default_rng(1).standard_normal(adapter.B.shape)
-merged = lora_forward(x, adapter).data
-factored = (x.data @ adapter.base.data.T
-            + adapter.scale * (x.data @ adapter.A.data.T) @ adapter.B.data.T)
+# The forward pass applies the merged weight W + B A; it equals the
+# factored form x W^T + (x A^T) B^T.
+B.data = np.random.default_rng(1).standard_normal(B.shape)
+merged = lora_forward(x, W, A, B).data
+factored = x.data @ W.data.T + (x.data @ A.data.T) @ B.data.T
 print("merged forward matches the factored form:",
       float(np.abs(merged - factored).max()) < 1e-12)

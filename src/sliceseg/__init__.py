@@ -15,7 +15,7 @@ from .data_io import (
     read_raster,
     write_raster,
 )
-from .lora import LoraAdapter, init_lora, lora_forward, merge
+from .lora import lora_forward, merge
 from .losses import LossWeights, bce_loss, combined_loss, consistency_loss, dice_loss, dice_score
 from .memory import MemoryBank, MemoryEntry, prediction_confidence, select_memory
 from .model import (

@@ -33,12 +33,6 @@ LAMBDA_INIT = 0.1
 DISTANCE_SCALE_UM = 10.0
 
 
-def new_lambda() -> Tensor:
-    """The learnable distance-decay rate, initialized to 0.1."""
-    t = Tensor(LAMBDA_INIT, requires_grad=True)
-    return t
-
-
 @dataclass
 class AttentionContext:
     """Query embedding plus the memory slots it attends over.

@@ -175,7 +175,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list[str]]:
-    """Read back (tensors, config, frozen names); tensors come out float64."""
+    """Read back (tensors, config, frozen names); tensors come out float64.
+    A NaN or infinite payload value is a FormatError naming its tensor."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}", offset=0)
@@ -201,28 +202,25 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
     ):
         raise FormatError("checkpoint 'tensors' and 'frozen' must be lists", offset=12)
     base = 12 + header_len
-    tensors: dict[str, np.ndarray] = {}
-    spans = []
+    spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}  # name: (start, stop, shape)
     for entry in entries:
-        if not _is_manifest_entry(entry) or entry["name"] in tensors:
+        if not _is_manifest_entry(entry) or entry["name"] in spans:
             raise FormatError(
                 f"bad checkpoint manifest entry {entry!r}: want a unique name, a shape of "
                 "ints >= 0 and an offset >= 0",
                 offset=12,
             )
         shape = tuple(entry["shape"])
-        count = math.prod(shape)
         start = base + entry["offset"]
-        if start + 4 * count > len(blob):
+        stop = start + 4 * math.prod(shape)
+        if stop > len(blob):
             raise FormatError(
                 f"tensor {entry['name']!r} payload truncated", offset=len(blob)
             )
-        data = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
-        tensors[entry["name"]] = data.reshape(shape).astype(np.float64)
-        spans.append((start, start + 4 * count))
+        spans[entry["name"]] = (start, stop, shape)
     # The payloads must tile the rest of the file: no overlap, gap or tail.
     end = base
-    for start, stop in sorted(spans):
+    for start, stop in sorted(span[:2] for span in spans.values()):
         if start != end:
             raise FormatError(
                 f"checkpoint payloads {'overlap' if start < end else 'leave a gap'}",
@@ -233,6 +231,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
         raise FormatError(
             f"{len(blob) - end} trailing bytes after the checkpoint payloads", offset=end
         )
+    # One scan of the whole payload region, before the float64 cast.
+    payload = np.frombuffer(blob, dtype="<f4", offset=base)
+    if not np.isfinite(payload).all():
+        first = int(np.flatnonzero(~np.isfinite(payload))[0])
+        at = base + 4 * first
+        name = next(name for name, (start, stop, _) in spans.items() if start <= at < stop)
+        raise FormatError(f"tensor {name!r} value {payload[first]} is not finite", offset=at)
+    tensors = {
+        name: payload[(start - base) // 4 : (stop - base) // 4].reshape(shape).astype(np.float64)
+        for name, (start, stop, shape) in spans.items()
+    }
     return tensors, header["config"], frozen
 
 

@@ -53,7 +53,7 @@ class MemoryBank:
 def prediction_confidence(prob_mask: Tensor | np.ndarray) -> float:
     """Mean pixel margin |2p - 1|: 0 at p=0.5 everywhere, 1 at hard masks."""
     p = prob_mask.data if isinstance(prob_mask, Tensor) else np.asarray(prob_mask, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # false for NaN too
         raise DomainError("probabilities must lie in [0, 1]")
     return float(np.abs(2.0 * p - 1.0).mean())
 

@@ -2,12 +2,14 @@
 
 A small randomly initialized patch-embedding transformer stands in for a
 pretrained encoder: linear patch projection + learned positions, then
-encoder blocks of multi-head self-attention (low-rank adapters on the
-query and value projections, frozen bases) and a tanh MLP, with residual
-connections and layer norm. Per slice, the pooled embedding queries the
-memory bank, distance-aware attention weights fuse the retrieved patch
-grids with the current one, and a per-patch MLP decoder emits pixel
-logits reassembled to the full image.
+encoder blocks of multi-head self-attention and a tanh MLP, with residual
+connections and layer norm. The query and value projections of block i
+are low-rank adapted: their weight is W + B @ A, with the base
+``encoder.block<i>.attn.{q,v}.W`` frozen and the factors
+``lora.block<i>.{q,v}.{A,B}`` trained (B starts at zero). Per slice, the
+pooled embedding queries the memory bank, distance-aware attention
+weights fuse the retrieved patch grids with the current one, and a
+per-patch MLP decoder emits pixel logits reassembled to the full image.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .attention import (
 )
 from .data_io import SliceSequence, dataclass_from_dict
 from .errors import ConfigError, ContractError, FormatError, ShapeError
-from .lora import LoraAdapter, lora_forward
+from .lora import lora_forward
 from .memory import MemoryBank, MemoryEntry, prediction_confidence, select_memory
 from .rng import substream
 from .tensor import Tensor
@@ -41,6 +43,10 @@ class ModelConfig:
     decoder_hidden: int = 64
 
     def __post_init__(self):
+        sizes = ("image_size", "patch_size", "channels", "d_model", "heads", "decoder_hidden")
+        too_small = [f"{name}={getattr(self, name)}" for name in sizes if getattr(self, name) < 1]
+        if too_small:
+            raise ConfigError(f"sizes must be >= 1, got {', '.join(too_small)}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError("image_size must be divisible by patch_size")
         if self.d_model % self.heads != 0:
@@ -94,16 +100,6 @@ class ModelParams:
     def zero_grad(self) -> None:
         for t in self.tensors.values():
             t.zero_grad()
-
-    def adapter(self, block: int, proj: str) -> LoraAdapter:
-        cfg = self.config
-        return LoraAdapter(
-            base=self.tensors[f"encoder.block{block}.attn.{proj}.W"],
-            A=self.tensors[f"lora.block{block}.{proj}.A"],
-            B=self.tensors[f"lora.block{block}.{proj}.B"],
-            rank=cfg.lora_rank,
-            alpha=cfg.lora_rank,  # scale alpha / rank = 1
-        )
 
     def group_of(self, name: str) -> str:
         """Parameter group for reporting: encoder/lora_A/lora_B/decoder/lambda."""
@@ -196,11 +192,11 @@ def encode_slice(image: np.ndarray, params: ModelParams) -> tuple[Tensor, Tensor
         params["encoder.pos_embed"],
     )
     for i in range(cfg.encoder_blocks):
-        block = f"encoder.block{i}"
+        block, lora = f"encoder.block{i}", f"lora.block{i}"
         attn = T.multi_head_attention(
-            lora_forward(x, params.adapter(i, "q")),
+            lora_forward(x, params[f"{block}.attn.q.W"], params[f"{lora}.q.A"], params[f"{lora}.q.B"]),
             T.linear(x, params[f"{block}.attn.k.W"]),
-            lora_forward(x, params.adapter(i, "v")),
+            lora_forward(x, params[f"{block}.attn.v.W"], params[f"{lora}.v.A"], params[f"{lora}.v.B"]),
             cfg.heads,
         )
         x = _add_norm(x, T.linear(attn, params[f"{block}.attn.o.W"]), params, f"{block}.ln1")

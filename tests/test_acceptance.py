@@ -26,7 +26,7 @@ from sliceseg.data_io import (
     write_raster,
 )
 from sliceseg.errors import FormatError, UnsupportedVersionError
-from sliceseg.lora import init_lora, lora_forward, merge
+from sliceseg.lora import lora_forward, merge
 from sliceseg.losses import (
     LossWeights,
     bce_loss,
@@ -153,20 +153,20 @@ def test_criterion_lora_properties(verdict):
     rng = np.random.default_rng(2)
     zero_ok = True
     for seed in range(10):
-        ad = init_lora(12, 9, rank=3, seed=seed)
-        x = rng.standard_normal((4, 12))
-        zero_ok &= np.array_equal(lora_forward(Tensor(x), ad).data, x @ ad.base.data.T)
+        p = init_params(MICRO_CONFIG, seed=seed)
+        W, A, B = p["encoder.block0.attn.q.W"], p["lora.block0.q.A"], p["lora.block0.q.B"]
+        x = rng.standard_normal((4, MICRO_CONFIG.d_model))
+        zero_ok &= np.array_equal(lora_forward(Tensor(x), W, A, B).data, x @ W.data.T)
 
     dual_ok = True
     for seed in range(50):
         r2 = np.random.default_rng(seed)
         d_in, d_out = int(r2.integers(2, 16)), int(r2.integers(2, 16))
         r = int(r2.integers(1, min(d_in, d_out) + 1))
-        ad = init_lora(d_in, d_out, rank=r, alpha=float(r2.uniform(0.5, 2 * r)), seed=seed)
-        ad.A.data = r2.standard_normal(ad.A.shape)
-        ad.B.data = r2.standard_normal(ad.B.shape)
+        W, A, B = (Tensor(r2.standard_normal(s)) for s in ((d_out, d_in), (r, d_in), (d_out, r)))
         x = r2.standard_normal((3, d_in))
-        dual_ok &= np.abs(lora_forward(Tensor(x), ad).data - x @ merge(ad).data.T).max() <= 1e-10
+        via_merge = x @ merge(W, A, B).data.T
+        dual_ok &= np.abs(lora_forward(Tensor(x), W, A, B).data - via_merge).max() <= 1e-10
 
     # frozen bases bitwise unchanged after 100 in-memory training steps
     cfg = TrainConfig(

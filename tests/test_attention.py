@@ -7,14 +7,15 @@ import pytest
 
 from sliceseg import tensor as T
 from sliceseg.attention import (
+    LAMBDA_INIT,
     AttentionContext,
     cross_slice_weights,
     distance_modulation,
     fuse_memory,
-    new_lambda,
 )
 from sliceseg.errors import ContractError, DomainError, ShapeError
 from sliceseg.gradcheck import max_rel_error
+from sliceseg.model import MICRO_CONFIG, init_params
 from sliceseg.tensor import Tensor
 
 
@@ -140,7 +141,7 @@ def test_weight_never_increases_with_distance(seed):
 
 
 def test_lambda_gradient_matches_finite_differences():
-    lam = new_lambda()
+    lam = Tensor(LAMBDA_INIT, requires_grad=True)
     ctx = AttentionContext(
         query=Tensor([0.3, 1.2, -0.5]),
         memory_embeddings=[Tensor([1.0, 0.4, 0.2]), Tensor([-0.2, 0.9, 0.1])],
@@ -157,7 +158,7 @@ def test_lambda_gradient_matches_finite_differences():
 
 
 def test_lambda_initialized_to_point_one():
-    assert new_lambda().item() == 0.1
+    assert init_params(MICRO_CONFIG, seed=0)["lambda"].item() == 0.1
 
 
 def test_fuse_empty_memory_is_layer_norm_passthrough():

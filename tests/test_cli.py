@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from sliceseg.cli import main
-from sliceseg.data_io import load_dataset, read_raster, write_raster
+from sliceseg.data_io import (
+    load_checkpoint, load_dataset, read_raster, save_checkpoint, write_raster,
+)
 
 
 @pytest.fixture(scope="module")
@@ -225,4 +227,21 @@ def test_infer_on_non_finite_raster_is_single_line_error(dataset, checkpoint, tm
     rc = main(["infer", "--ckpt", str(checkpoint), "--sequence", str(seq_dir), "--out", str(out)])
     assert rc == 1
     assert "not finite (at byte offset 25)" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_infer_on_non_finite_checkpoint_is_single_line_error(
+    dataset, checkpoint, tmp_path, capsys, bad
+):
+    arrays, config, frozen = load_checkpoint(checkpoint)
+    arrays["decoder.fc2.b"][5] = bad
+    save_checkpoint(tmp_path / "bad.psc", arrays, config, frozen=frozen)
+    out = tmp_path / "p"
+    rc = main(
+        ["infer", "--ckpt", str(tmp_path / "bad.psc"), "--sequence", str(dataset / "seq_000"),
+         "--out", str(out)]
+    )
+    assert rc == 1
+    assert "tensor 'decoder.fc2.b' value" in _single_json_error(capsys)["error"]
     assert not out.exists()

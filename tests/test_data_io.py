@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sliceseg.data_io import (
@@ -26,7 +26,7 @@ from sliceseg.data_io import (
     write_raster,
 )
 from sliceseg.attention import estimate_distance
-from sliceseg.errors import ConfigError, FormatError, UnsupportedVersionError
+from sliceseg.errors import ConfigError, FormatError, SlicesegError, UnsupportedVersionError
 from sliceseg.model import MICRO_CONFIG, init_params, load_params, save_params
 
 
@@ -296,6 +296,88 @@ def test_checkpoint_huge_shape_is_truncation_not_overflow(tmp_path):
     _with_manifest(p, lambda e: e[0].update(shape=[2**40, 2**40]))
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_payload_is_format_error_at_its_offset(tmp_path, bad):
+    name = "encoder.block1.mlp.fc1.W"
+    params = init_params(MICRO_CONFIG, seed=0)
+    params[name].data[2, 3] = bad
+    params["lambda"].data = np.array(np.nan)  # later in the file: not the one reported
+    p = tmp_path / "p.psc"
+    save_params(p, params)
+    blob = p.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    [entry] = [e for e in json.loads(blob[12 : 12 + header_len])["tensors"] if e["name"] == name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=f"'{name}' value .* is not finite") as err:
+            load_params(p)
+    element = 2 * MICRO_CONFIG.d_model + 3  # [2, 3], row-major
+    assert err.value.offset == 12 + header_len + entry["offset"] + 4 * element
+
+
+def test_checkpoint_zero_patch_size_is_config_error(tmp_path):
+    save_params(tmp_path / "p.psc", init_params(MICRO_CONFIG, seed=0))
+    arrays, config, frozen = load_checkpoint(tmp_path / "p.psc")
+    save_checkpoint(tmp_path / "p.psc", arrays, {**config, "patch_size": 0}, frozen=frozen)
+    with pytest.raises(ConfigError, match=">= 1"):
+        load_params(tmp_path / "p.psc")
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid f32 raster, u8 raster and MICRO_CONFIG checkpoint, by kind."""
+    root = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(0)
+    write_raster(root / "f32", rng.uniform(0, 1, (5, 4, 2)).astype(np.float32))
+    write_raster(root / "u8", rng.integers(0, 256, (5, 4, 1)).astype(np.uint8))
+    save_params(root / "psc", init_params(MICRO_CONFIG, seed=0))
+    return {kind: (root / kind).read_bytes() for kind in ("f32", "u8", "psc")}
+
+
+def _mutate(blob: bytes, edits) -> bytes:
+    """Apply (kind, position, bytes) edits; positions count modulo the length."""
+    for kind, pos, data in edits:
+        if kind == "insert":
+            at = pos % (len(blob) + 1)
+            blob = blob[:at] + data + blob[at:]
+        elif blob:
+            at = pos % len(blob)
+            if kind == "overwrite":
+                blob = blob[:at] + data + blob[at + len(data) :]
+            else:
+                blob = blob[:at] + blob[at + len(data) :]
+    return blob
+
+
+@given(
+    st.sampled_from(["f32", "u8", "psc"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["overwrite", "delete", "insert"]),
+            st.integers(-(2**16), 2**16),
+            st.binary(min_size=1, max_size=4),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example("psc", [("overwrite", -2, b"\x80\x7f")])  # the last lora B value becomes +Inf
+@settings(max_examples=1000, deadline=None)
+def test_mutated_file_is_a_typed_error_or_a_finite_load(tmp_path_factory, valid_files, kind, edits):
+    path = tmp_path_factory.getbasetemp() / f"mutated_{kind}"
+    path.write_bytes(_mutate(valid_files[kind], edits))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if kind == "psc":
+                values = [t.data for t in load_params(path).tensors.values()]
+            else:
+                values = [read_raster(path)]
+        except SlicesegError:
+            return
+    assert all(np.isfinite(v).all() for v in values)
 
 
 # ---------------------------------------------------------------- synthesis

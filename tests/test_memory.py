@@ -54,6 +54,11 @@ def test_confidence_rejects_out_of_range():
         prediction_confidence(np.array([[1.5]]))
 
 
+def test_confidence_rejects_nan():
+    with pytest.raises(DomainError):
+        prediction_confidence(np.array([[0.5, np.nan]]))
+
+
 # ------------------------------------------------------------ insertion
 
 

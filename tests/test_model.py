@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sliceseg import tensor as T
 from sliceseg.data_io import (
     SliceData,
     SliceSequence,
@@ -27,6 +28,7 @@ from sliceseg.model import (
     save_params,
 )
 from sliceseg.attention import fuse_memory
+from sliceseg.lora import lora_forward
 from sliceseg.losses import combined_loss
 from sliceseg.tensor import Tensor
 
@@ -59,6 +61,15 @@ def test_config_validation():
         ModelConfig(d_model=63)
     with pytest.raises(ConfigError):
         ModelConfig(lora_rank=0)
+
+
+@pytest.mark.parametrize(
+    "size", ["image_size", "patch_size", "channels", "d_model", "heads", "decoder_hidden"]
+)
+def test_zero_size_is_config_error(size):
+    # a zero patch_size or heads would otherwise divide by zero in the checks
+    with pytest.raises(ConfigError, match=">= 1"):
+        ModelConfig(**{size: 0})
 
 
 def test_encode_rejects_wrong_shape(micro_params):
@@ -285,6 +296,21 @@ def test_fresh_checkpoint_contains_lambda_at_point_one(tmp_path):
     )
 
 
+def test_init_gives_zero_lora_b_and_base_forward():
+    params = init_params(MICRO_CONFIG, seed=0)
+    d, r = MICRO_CONFIG.d_model, MICRO_CONFIG.lora_rank
+    x = Tensor(np.random.default_rng(2).standard_normal((4, d)))
+    for i in range(MICRO_CONFIG.encoder_blocks):
+        for proj in "qv":
+            W = params[f"encoder.block{i}.attn.{proj}.W"]
+            A, B = params[f"lora.block{i}.{proj}.A"], params[f"lora.block{i}.{proj}.B"]
+            assert (A.shape, B.shape) == ((r, d), (d, r))
+            assert A.requires_grad and B.requires_grad and not W.requires_grad
+            assert np.count_nonzero(B.data) == 0 and np.count_nonzero(A.data) == A.size
+            # bitwise, zero tolerance
+            assert np.array_equal(lora_forward(x, W, A, B).data, T.linear(x, W).data)
+
+
 def _tape_nodes(root: Tensor) -> int:
     """Non-leaf nodes reachable from root through _parents."""
     seen, stack, count = set(), [root], 0
@@ -310,4 +336,4 @@ def test_reference_train_step_tape_size(tmp_path):
         [Tensor(sl.mask.astype(np.float64)) for sl in seq.slices],
         [p.pooled_embedding for p in preds],
     )
-    assert _tape_nodes(loss) <= 600
+    assert _tape_nodes(loss) <= 558
