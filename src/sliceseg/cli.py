@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import SynthConfig, generate_dataset, load_sequence, write_raster
-from .errors import SlicesegError
+from .errors import ConfigError, SlicesegError
 from .model import forward_sequence, load_params
 from .training import (
     MASK_THRESHOLD,
@@ -78,7 +78,10 @@ def _cmd_gen_data(args) -> None:
 def _cmd_train(args) -> None:
     doc = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_bytes())
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ConfigError(f"config {args.config}: not a JSON document: {exc}") from None
     # replace() re-runs the config's checks on the flag values
     flags = {"steps": args.steps, "seed": args.seed}
     config = dataclasses.replace(
@@ -127,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         handlers[args.command](args)
-    except (SlicesegError, OSError, json.JSONDecodeError) as exc:
+    except (SlicesegError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     return 0

@@ -154,12 +154,17 @@ def save_checkpoint(
     config: dict,
     frozen: list[str] | None = None,
 ) -> None:
-    """Write named tensors plus a config document; payloads are f32 LE."""
+    """Write named tensors plus a config document; payloads are f32 LE.
+    A value that is not finite in f32 is a DomainError naming its tensor,
+    raised before the file is opened."""
     manifest = []
     offset = 0
     payloads = []
     for name, arr in tensors.items():
-        a = np.asarray(arr, dtype=np.float64).astype("<f4")  # astype copies contiguously
+        with np.errstate(over="ignore"):  # overflow is reported below, by name
+            a = np.asarray(arr, dtype=np.float64).astype("<f4")  # astype copies contiguously
+        if not np.isfinite(a).all():
+            raise DomainError(f"checkpoint tensor {name!r} has a value that is not finite in f32")
         manifest.append({"name": name, "shape": list(a.shape), "offset": offset})
         payloads.append(a.tobytes())
         offset += len(payloads[-1])
@@ -380,19 +385,9 @@ class SynthSlice:
     blobs: list[Ellipse]
 
 
-def ellipse_mask(blobs: list[Ellipse], size: int) -> np.ndarray:
-    """Exact per-pixel membership union of the ellipses (the oracle form)."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    inside = np.zeros((size, size), dtype=bool)
-    for b in blobs:
-        dx, dy = xx - b.cx, yy - b.cy
-        u = dx * np.cos(b.angle) + dy * np.sin(b.angle)
-        v = -dx * np.sin(b.angle) + dy * np.cos(b.angle)
-        inside |= (u / b.ax) ** 2 + (v / b.ay) ** 2 <= 1.0
-    return inside.astype(np.uint8)
-
-
-def _render_clean(blobs: list[Ellipse], size: int, jitter: float) -> np.ndarray:
+def _quadric_min(blobs: list[Ellipse], size: int) -> np.ndarray:
+    """Per pixel, the least (u/ax)^2 + (v/ay)^2 over the rotated ellipses:
+    at most 1 exactly inside one of them, inf when there are none."""
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     q_min = np.full((size, size), np.inf)
     for b in blobs:
@@ -400,6 +395,16 @@ def _render_clean(blobs: list[Ellipse], size: int, jitter: float) -> np.ndarray:
         u = dx * np.cos(b.angle) + dy * np.sin(b.angle)
         v = -dx * np.sin(b.angle) + dy * np.cos(b.angle)
         q_min = np.minimum(q_min, (u / b.ax) ** 2 + (v / b.ay) ** 2)
+    return q_min
+
+
+def ellipse_mask(blobs: list[Ellipse], size: int) -> np.ndarray:
+    """Exact per-pixel membership union of the ellipses."""
+    return (_quadric_min(blobs, size) <= 1.0).astype(np.uint8)
+
+
+def _render_clean(blobs: list[Ellipse], size: int, jitter: float) -> np.ndarray:
+    q_min = _quadric_min(blobs, size)
     # Soft-edged bright blobs on a darker background. Far from every blob
     # the exponent grows without bound; capped at 700, exp stays finite and
     # the blob term is already far below one ulp of the background.

@@ -21,25 +21,22 @@ REL_FLOOR = 1e-3
 def numeric_grad(
     loss_fn: Callable[[], Tensor],
     param: Tensor,
-    indices: Sequence[tuple[int, ...]] | None = None,
-    h: float = FD_STEP,
+    indices: Sequence[tuple[int, ...]],
 ) -> dict[tuple[int, ...], float]:
-    """Central differences of loss_fn with respect to entries of `param`.
+    """Central differences, step FD_STEP, of loss_fn with respect to the
+    entries of `param` at `indices`.
 
     Mutates param.data in place around each probe and restores it.
     """
-    flat_indices = indices
-    if flat_indices is None:
-        flat_indices = list(np.ndindex(param.data.shape))
     out: dict[tuple[int, ...], float] = {}
-    for idx in flat_indices:
+    for idx in indices:
         orig = param.data[idx]
-        param.data[idx] = orig + h
+        param.data[idx] = orig + FD_STEP
         up = loss_fn().item()
-        param.data[idx] = orig - h
+        param.data[idx] = orig - FD_STEP
         down = loss_fn().item()
         param.data[idx] = orig
-        out[idx] = (up - down) / (2.0 * h)
+        out[idx] = (up - down) / (2.0 * FD_STEP)
     return out
 
 
@@ -53,7 +50,6 @@ def max_rel_error(
     param: Tensor,
     max_checks: int | None = None,
     rng: np.random.Generator | None = None,
-    h: float = FD_STEP,
 ) -> float:
     """Worst relative disagreement between tape and numeric gradients.
 
@@ -69,7 +65,7 @@ def max_rel_error(
             rng = np.random.default_rng(0)
         chosen = rng.choice(len(all_indices), size=max_checks, replace=False)
         all_indices = [all_indices[i] for i in chosen]
-    numeric = numeric_grad(loss_fn, param, all_indices, h=h)
+    numeric = numeric_grad(loss_fn, param, all_indices)
     worst = 0.0
     for idx, num in numeric.items():
         worst = max(worst, rel_error(float(param.grad[idx]), num))

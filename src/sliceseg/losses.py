@@ -12,6 +12,7 @@ embedding similarity exceeds a threshold.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def consistency_loss(
         terms.append(T.mul(T.mean(T.mul(diff, diff)), sim))
     if not terms:
         return Tensor(0.0)
-    return T.div(sum(terms[1:], terms[0]), float(len(terms)))
+    return T.div(functools.reduce(T.add, terms), float(len(terms)))
 
 
 def combined_loss(
@@ -117,7 +118,7 @@ def combined_loss(
             T.mul(bce_loss(p, y), weights.w_bce),
         )
         per_slice.append(term)
-    total = T.div(sum(per_slice[1:], per_slice[0]), float(len(per_slice)))
+    total = T.div(functools.reduce(T.add, per_slice), float(len(per_slice)))
     cons = consistency_loss(predictions, embeddings, weights.similarity_threshold, pairs=pairs)
     return T.add(total, T.mul(cons, weights.w_consistency))
 

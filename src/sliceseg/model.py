@@ -53,6 +53,8 @@ class ModelConfig:
             raise ConfigError("d_model must be divisible by heads")
         if self.lora_rank < 1 or self.lora_rank > self.d_model:
             raise ConfigError(f"lora_rank {self.lora_rank} out of range for d_model {self.d_model}")
+        if self.encoder_blocks < 0:
+            raise ConfigError(f"encoder_blocks must be >= 0, got {self.encoder_blocks}")
         if self.k_memory < 0:
             raise ConfigError("k_memory must be >= 0 (0 disables the memory path)")
 

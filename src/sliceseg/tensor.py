@@ -6,12 +6,14 @@ to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
 ``requires_grad`` tensor (call ``zero_grad`` between steps).
 
-The op set is fixed and small: elementwise arithmetic, matmul, exp/log/
-sqrt/tanh/sigmoid, sum/mean, reshape/transpose/narrow/concatenate,
-softmax, layer normalization, clip and cosine similarity, plus fused
-primitives that each replace a whole op chain of the model with one node
-and a hand-written backward: ``linear``, ``multi_head_attention``,
-``cosine_sims`` (one query against many vectors) and ``weighted_sum``.
+The op set is exactly the 20 ops the model builds: ``add``, ``sub``,
+``mul``, ``div``, ``exp``, ``log``, ``tanh``, ``sigmoid``, ``clip``,
+``tensor_sum`` (op ``sum``), ``mean``, ``matmul``, ``reshape``,
+``transpose``, ``softmax`` and ``layer_norm``, plus fused primitives that
+each replace a whole op chain of the model with one node and a
+hand-written backward: ``linear``, ``multi_head_attention`` (op
+``attention``), ``cosine_sims`` (op ``cosine``; one query against many
+vectors) and ``weighted_sum``. ``Tensor`` has no operator overloads.
 ``cosines`` is the detached numpy kernel behind ``cosine_sims``; memory
 selection, consistency pairs and distance estimation use it directly.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
@@ -20,13 +22,15 @@ model is supported.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
 
 NORM_EPS = 1e-12
+# Added to the variance under layer_norm's square root.
+LN_EPS = 1e-5
 
 
 class Tensor:
@@ -54,10 +58,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """A view of the same data, cut off from the tape."""
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -113,36 +113,6 @@ class Tensor:
             else:
                 flowing[key] = pg
 
-    # ------------------------------------------------------------ operators
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -150,12 +120,10 @@ def as_tensor(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     out = Tensor(data)
+    out._op = op
     if any(p.requires_grad or p._parents for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
-        out._op = op
-    else:
-        out._op = op
     return out
 
 
@@ -245,18 +213,6 @@ def log(a) -> Tensor:
     return _node(np.log(a.data), (a,), backward, "log")
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data < 0.0):
-        raise DomainError("sqrt requires non-negative input")
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        return ((a, g * 0.5 / out_data),)
-
-    return _node(out_data, (a,), backward, "sqrt")
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
@@ -291,15 +247,14 @@ def clip(a, lo: float, hi: float) -> Tensor:
 # --------------------------------------------------------------- reductions
 
 
-def tensor_sum(a, axis: int | None = None) -> Tensor:
+def tensor_sum(a) -> Tensor:
+    """Sum of every entry, as a scalar."""
     a = as_tensor(a)
 
     def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.shape).copy()),)
-        return ((a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()),)
+        return ((a, np.broadcast_to(g, a.shape).copy()),)
 
-    return _node(a.data.sum(axis=axis), (a,), backward, "sum")
+    return _node(a.data.sum(), (a,), backward, "sum")
 
 
 def mean(a, axis: int | None = None) -> Tensor:
@@ -407,10 +362,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape), (a,), backward, "reshape")
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(a, axes: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
@@ -419,77 +372,34 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     return _node(a.data.transpose(axes), (a,), backward, "transpose")
 
 
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` entries along `axis`."""
-    a = as_tensor(a)
-    if start < 0 or start + length > a.shape[axis]:
-        raise ShapeError(
-            f"narrow: [{start}, {start + length}) out of range for axis {axis} of {a.shape}"
-        )
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-
-    def backward(g):
-        full = np.zeros(a.shape)
-        full[index] = g
-        return ((a, full),)
-
-    return _node(a.data[index], (a,), backward, "narrow")
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    if not parts:
-        raise ContractError("concatenate requires at least one tensor")
-    extents = [p.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + extents)
-
-    def backward(g):
-        grads = []
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            grads.append((p, g[tuple(index)]))
-        return tuple(grads)
-
-    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, backward, "concat")
-
-
-def stack_scalars(tensors: Sequence[Tensor]) -> Tensor:
-    """Pack scalar tensors into a length-n vector."""
-    return concatenate([reshape(t, (1,)) for t in tensors], axis=0)
-
-
 # ---------------------------------------------------------------- compound
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max-subtraction)."""
+def softmax(a) -> Tensor:
+    """Numerically stable softmax along the last axis (max-subtraction)."""
     a = as_tensor(a)
     if a.size == 0:
         raise DomainError("softmax of empty input")
     if not np.all(np.isfinite(a.data)):
         raise DomainError("softmax requires finite input")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         return ((a, out_data * (g - inner)),)
 
     return _node(out_data, (a,), backward, "softmax")
 
 
-def layer_norm(a, eps: float = 1e-5) -> Tensor:
+def layer_norm(a) -> Tensor:
     """Normalize over the last axis to zero mean, unit variance (no affine)."""
     a = as_tensor(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (a.data - mu) * inv
-    n = a.shape[-1]
 
     def backward(g):
         gm = g.mean(axis=-1, keepdims=True)
@@ -545,12 +455,6 @@ def cosine_sims(query, vectors: Sequence[Tensor]) -> Tensor:
         return grads
 
     return _node(sims, (query, *vectors), backward, "cosine")
-
-
-def cosine_sim(u, v) -> Tensor:
-    """Cosine similarity of two 1-D vectors, differentiable in both; the
-    degenerate-pair rule of ``cosine_sims`` applies."""
-    return reshape(cosine_sims(u, [v]), ())
 
 
 def weighted_sum(alpha, grids: Sequence[Tensor]) -> Tensor:

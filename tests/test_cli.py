@@ -3,14 +3,13 @@
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from sliceseg.cli import main
-from sliceseg.data_io import (
-    load_checkpoint, load_dataset, read_raster, save_checkpoint, write_raster,
-)
+from sliceseg.data_io import load_dataset, read_raster, write_raster
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +104,44 @@ def test_train_zero_steps_flag_fails_with_json_error(dataset, tmp_path, capsys):
     rc = main(["train", "--data", str(dataset), "--out", str(out), "--steps", "0"])
     assert rc == 1
     assert "steps must be >= 1" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "grad-check", "train", "train-config"])
+def test_negative_seed_is_single_line_error(dataset, tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": -1}))
+    argv = {
+        "gen-data": ["gen-data", "--seed", "-1", *out],
+        "grad-check": ["grad-check", "--seed", "-1"],
+        "train": ["train", "--data", str(dataset), "--seed", "-1", *out],
+        "train-config": ["train", "--data", str(dataset), "--config", str(cfg_path), *out],
+    }[command]
+    assert main(argv) == 1
+    assert "seed must be >= 0, got -1" in _single_json_error(capsys)["error"]
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x7b", b'{"steps": 5'], ids=["undecodable", "invalid_json"])
+def test_unreadable_config_is_single_line_error_naming_the_file(dataset, tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    out = tmp_path / "x.psc"
+    rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert f"config {cfg_path}: not a JSON document" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
+def test_train_to_values_not_finite_in_f32_writes_no_checkpoint(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"learning_rate": 1e308, "steps": 1}))
+    out = tmp_path / "x.psc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert "not finite in f32" in _single_json_error(capsys)["error"]
     assert not out.exists()
 
 
@@ -234,9 +271,14 @@ def test_infer_on_non_finite_raster_is_single_line_error(dataset, checkpoint, tm
 def test_infer_on_non_finite_checkpoint_is_single_line_error(
     dataset, checkpoint, tmp_path, capsys, bad
 ):
-    arrays, config, frozen = load_checkpoint(checkpoint)
-    arrays["decoder.fc2.b"][5] = bad
-    save_checkpoint(tmp_path / "bad.psc", arrays, config, frozen=frozen)
+    # written by hand: save_checkpoint refuses values that are not finite
+    blob = bytearray(checkpoint.read_bytes())
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    [entry] = [
+        e for e in json.loads(blob[12 : 12 + header_len])["tensors"] if e["name"] == "decoder.fc2.b"
+    ]
+    struct.pack_into("<f", blob, 12 + header_len + entry["offset"] + 4 * 5, bad)
+    (tmp_path / "bad.psc").write_bytes(bytes(blob))
     out = tmp_path / "p"
     rc = main(
         ["infer", "--ckpt", str(tmp_path / "bad.psc"), "--sequence", str(dataset / "seq_000"),

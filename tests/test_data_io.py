@@ -26,7 +26,9 @@ from sliceseg.data_io import (
     write_raster,
 )
 from sliceseg.attention import estimate_distance
-from sliceseg.errors import ConfigError, FormatError, SlicesegError, UnsupportedVersionError
+from sliceseg.errors import (
+    ConfigError, DomainError, FormatError, SlicesegError, UnsupportedVersionError,
+)
 from sliceseg.model import MICRO_CONFIG, init_params, load_params, save_params
 
 
@@ -228,8 +230,9 @@ def test_checkpoint_unknown_config_key_is_config_error(tmp_path):
         # checkpoints written while the LoRA scale was a setting carry this key
         ({"lora_alpha": None}, "unknown config key.*lora_alpha"),
         ({"d_model": "8"}, "'d_model' must be int, got '8'"),
+        ({"encoder_blocks": -1}, "encoder_blocks must be >= 0, got -1"),
     ],
-    ids=["lora_alpha", "string_d_model"],
+    ids=["lora_alpha", "string_d_model", "negative_encoder_blocks"],
 )
 def test_checkpoint_config_is_checked_like_a_train_config(tmp_path, edit, match):
     params = init_params(MICRO_CONFIG, seed=0)
@@ -298,23 +301,41 @@ def test_checkpoint_huge_shape_is_truncation_not_overflow(tmp_path):
         load_checkpoint(p)
 
 
+def _poke_payload(path: Path, name: str, element: int, value: float) -> int:
+    """Overwrite one f32 value of tensor `name` in a checkpoint file, which
+    save_checkpoint would refuse to write when it is not finite; returns
+    the value's byte offset."""
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    [entry] = [e for e in json.loads(blob[12 : 12 + header_len])["tensors"] if e["name"] == name]
+    at = 12 + header_len + entry["offset"] + 4 * element
+    struct.pack_into("<f", blob, at, value)
+    path.write_bytes(bytes(blob))
+    return at
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_checkpoint_non_finite_payload_is_format_error_at_its_offset(tmp_path, bad):
     name = "encoder.block1.mlp.fc1.W"
-    params = init_params(MICRO_CONFIG, seed=0)
-    params[name].data[2, 3] = bad
-    params["lambda"].data = np.array(np.nan)  # later in the file: not the one reported
     p = tmp_path / "p.psc"
-    save_params(p, params)
-    blob = p.read_bytes()
-    (header_len,) = struct.unpack_from("<I", blob, 8)
-    [entry] = [e for e in json.loads(blob[12 : 12 + header_len])["tensors"] if e["name"] == name]
+    save_params(p, init_params(MICRO_CONFIG, seed=0))
+    at = _poke_payload(p, name, 2 * MICRO_CONFIG.d_model + 3, bad)  # [2, 3], row-major
+    _poke_payload(p, "lambda", 0, np.nan)  # later in the file: not the one reported
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FormatError, match=f"'{name}' value .* is not finite") as err:
             load_params(p)
-    element = 2 * MICRO_CONFIG.d_model + 3  # [2, 3], row-major
-    assert err.value.offset == 12 + header_len + entry["offset"] + 4 * element
+    assert err.value.offset == at
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -3.5e38])
+def test_save_checkpoint_refuses_values_not_finite_in_f32(tmp_path, bad):
+    p = tmp_path / "p.psc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="tensor 'y' has a value that is not finite in f32"):
+            save_checkpoint(p, {"x": np.ones(2), "y": np.array([1.0, bad])}, {})
+    assert not p.exists()
 
 
 def test_checkpoint_zero_patch_size_is_config_error(tmp_path):

@@ -61,6 +61,8 @@ def test_config_validation():
         ModelConfig(d_model=63)
     with pytest.raises(ConfigError):
         ModelConfig(lora_rank=0)
+    with pytest.raises(ConfigError, match="encoder_blocks must be >= 0, got -1"):
+        ModelConfig(encoder_blocks=-1)
 
 
 @pytest.mark.parametrize(

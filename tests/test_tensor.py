@@ -1,13 +1,19 @@
 """Tensor core: forward semantics and tape gradients vs finite differences."""
 
+import ast
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sliceseg import tensor as T
+from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
 from sliceseg.errors import ContractError, DomainError, ShapeError
 from sliceseg.gradcheck import max_rel_error
+from sliceseg.losses import combined_loss
+from sliceseg.model import ModelConfig, forward_sequence, init_params
 from sliceseg.tensor import Tensor
 
 
@@ -79,24 +85,29 @@ def test_softmax_empty_is_domain_error():
         T.softmax(Tensor(np.zeros(0)))
 
 
+def _cosine_of_pair(u: Tensor, v: Tensor) -> Tensor:
+    """cosine_sims of one query against one vector, as a scalar."""
+    return T.reshape(T.cosine_sims(u, [v]), ())
+
+
 def test_cosine_sim_scale_invariance():
     u = Tensor([1.0, -2.0, 3.0])
-    assert T.cosine_sim(u, Tensor(2.0 * u.data)).item() == pytest.approx(1.0, abs=1e-12)
+    assert _cosine_of_pair(u, Tensor(2.0 * u.data)).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_sim_orthogonal():
-    assert T.cosine_sim(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+    assert _cosine_of_pair(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
 
 
 def test_cosine_sim_hand_value():
     # dot/(norm*norm) = 4/5 by hand
-    assert T.cosine_sim(Tensor([1.0, 2.0]), Tensor([2.0, 1.0])).item() == pytest.approx(0.8, abs=1e-12)
+    assert _cosine_of_pair(Tensor([1.0, 2.0]), Tensor([2.0, 1.0])).item() == pytest.approx(0.8, abs=1e-12)
 
 
 def test_cosine_sim_degenerate_zero_vector():
     u = Tensor(np.zeros(3), requires_grad=True)
     v = Tensor([1.0, 2.0, 3.0])
-    out = T.cosine_sim(u, v)
+    out = _cosine_of_pair(u, v)
     assert out.item() == 0.0
     out.backward()
     assert u.grad is None  # no gradient through the degenerate pair
@@ -129,13 +140,25 @@ def test_backward_accumulates_across_calls():
     assert x.grad is None
 
 
+def _columns(lo: int, hi: int, width: int) -> np.ndarray:
+    """(width, hi - lo) 0/1 matrix: a @ it is columns [lo, hi) of a, and
+    b @ it.T puts b's columns back there with zeros elsewhere, both exact."""
+    return np.eye(width)[:, lo:hi]
+
+
 def _composite(x: Tensor, c: Tensor) -> Tensor:
     """Exercises most of the op set in one scalar graph."""
-    a = T.sigmoid(T.matmul(x, T.transpose(c)))
+    a = T.sigmoid(T.matmul(x, T.transpose(c, (1, 0))))
     b = T.layer_norm(T.tanh(T.add(a, 0.3)))
     d = T.softmax(T.mul(b, 1.7))
-    e = T.concatenate([T.narrow(d, 1, 0, 2), T.exp(T.narrow(d, 1, 2, 2))], axis=1)
-    return T.add(T.mean(T.mul(e, e)), T.tensor_sum(T.sqrt(T.add(T.mul(x, x), 1.0))))
+    left, right = _columns(0, 2, 4), _columns(2, 4, 4)
+    e = T.add(
+        T.matmul(T.matmul(d, left), left.T),
+        T.matmul(T.exp(T.matmul(d, right)), right.T),
+    )
+    # sqrt(x^2 + 1) as exp(log(.) / 2)
+    root = T.exp(T.mul(T.log(T.add(T.mul(x, x), 1.0)), 0.5))
+    return T.add(T.mean(T.mul(e, e)), T.tensor_sum(root))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -160,13 +183,12 @@ def test_composite_graph_matches_finite_differences(seed):
         ("tanh", lambda x, c: T.tensor_sum(T.mul(T.tanh(x), c))),
         ("mean", lambda x, c: T.mean(T.mul(x, c))),
         ("mean_axis", lambda x, c: T.tensor_sum(T.mean(T.mul(x, c), axis=0))),
-        ("sum_axis", lambda x, c: T.tensor_sum(T.tensor_sum(T.mul(x, c), axis=1))),
         ("reshape", lambda x, c: T.tensor_sum(T.mul(T.reshape(x, (4, 3)), T.reshape(c, (4, 3))))),
-        ("transpose", lambda x, c: T.tensor_sum(T.mul(T.transpose(x), T.transpose(c)))),
+        ("transpose", lambda x, c: T.tensor_sum(T.mul(T.transpose(x, (1, 0)), T.transpose(c, (1, 0))))),
         ("layer_norm", lambda x, c: T.tensor_sum(T.mul(T.layer_norm(x), c))),
         ("softmax", lambda x, c: T.tensor_sum(T.mul(T.softmax(x), c))),
         ("clip", lambda x, c: T.tensor_sum(T.clip(T.mul(x, c), -0.5, 0.5))),
-        ("linear", lambda x, c: T.tensor_sum(T.tanh(T.linear(x, c, T.tensor_sum(c, axis=1))))),
+        ("linear", lambda x, c: T.tensor_sum(T.tanh(T.linear(x, c, T.mean(c, axis=1))))),
         (
             "attention",
             lambda x, c: T.tensor_sum(T.mul(T.multi_head_attention(x, T.mul(x, c), c, 2), c)),
@@ -175,7 +197,7 @@ def test_composite_graph_matches_finite_differences(seed):
             "cosine_sims",
             lambda x, c: T.tensor_sum(
                 T.mul(
-                    T.cosine_sims(T.tensor_sum(x, axis=0), [T.mean(T.mul(x, c), axis=0), c.data[0]]),
+                    T.cosine_sims(T.mean(x, axis=0), [T.mean(T.mul(x, c), axis=0), c.data[0]]),
                     [1.0, -2.0],
                 )
             ),
@@ -199,9 +221,9 @@ def test_cosine_sim_gradients():
     rng = np.random.default_rng(3)
     u = Tensor(rng.standard_normal(5), requires_grad=True)
     v = Tensor(rng.standard_normal(5), requires_grad=True)
-    T.cosine_sim(u, v).backward()
-    assert max_rel_error(lambda: T.cosine_sim(u, v), u) <= 1e-3
-    assert max_rel_error(lambda: T.cosine_sim(u, v), v) <= 1e-3
+    _cosine_of_pair(u, v).backward()
+    assert max_rel_error(lambda: _cosine_of_pair(u, v), u) <= 1e-3
+    assert max_rel_error(lambda: _cosine_of_pair(u, v), v) <= 1e-3
 
 
 def _assert_gradients_reach(build, parents):
@@ -238,14 +260,17 @@ def test_linear_shape_errors():
 
 
 def _per_head_attention(q, k, v, heads):
-    """The per-head narrow/softmax/concatenate chain, op by op on the tape."""
-    dh = q.shape[1] // heads
+    """The per-head slice/softmax/join chain, op by op on the tape; a
+    head's columns are cut out and put back by exact 0/1 matmuls."""
+    d = q.shape[1]
+    dh = d // heads
     outs = []
     for h in range(heads):
-        qh, kh, vh = (T.narrow(t, 1, h * dh, dh) for t in (q, k, v))
-        scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
-        outs.append(T.matmul(T.softmax(scores), vh))
-    return T.concatenate(outs, axis=1)
+        cols = _columns(h * dh, (h + 1) * dh, d)
+        qh, kh, vh = (T.matmul(t, cols) for t in (q, k, v))
+        scores = T.mul(T.matmul(qh, T.transpose(kh, (1, 0))), 1.0 / np.sqrt(dh))
+        outs.append(T.matmul(T.matmul(T.softmax(scores), vh), cols.T))
+    return functools.reduce(T.add, outs)
 
 
 @pytest.mark.parametrize("seed,heads", [(0, 1), (1, 2), (2, 4), (3, 4)])
@@ -282,7 +307,7 @@ def test_cosine_sims_gradients_reach_query_and_each_vector(seed):
     _assert_gradients_reach(
         lambda: T.tensor_sum(T.mul(T.cosine_sims(query, vectors), weights)), [query, *vectors]
     )
-    pairwise = [T.cosine_sim(query, v).item() for v in vectors]
+    pairwise = [_norm_formula_cosine(query.data, v.data) for v in vectors]
     assert np.abs(T.cosine_sims(query, vectors).data - pairwise).max() <= 1e-15
 
 
@@ -292,7 +317,7 @@ def test_cosine_sims_degenerate_vector_gets_zero_and_no_gradient():
     live = Tensor([3.0, -1.0, 0.5], requires_grad=True)
     out = T.cosine_sims(query, [zero, live])
     assert out.data[0] == 0.0
-    assert out.data[1] == pytest.approx(T.cosine_sim(query, live).item(), abs=1e-15)
+    assert out.data[1] == pytest.approx(_norm_formula_cosine(query.data, live.data), abs=1e-15)
     T.tensor_sum(out).backward()
     assert zero.grad is None
     assert live.grad is not None and query.grad is not None
@@ -381,3 +406,28 @@ def test_cosine_sims_forward_is_the_kernel_bitwise(seed):
     E[2] = 0.0
     out = T.cosine_sims(Tensor(q), [Tensor(e) for e in E])
     assert np.array_equal(out.data, T.cosines(q, E))
+
+
+def test_tensor_defines_exactly_the_ops_a_training_loss_builds(tmp_path):
+    tree = ast.parse(Path(T.__file__).read_text())
+    defined = {
+        call.args[-1].value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_node"
+    }
+    generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=3, seed=1), tmp_path)
+    [seq] = load_dataset(tmp_path)
+    preds = forward_sequence(seq, init_params(ModelConfig(), seed=1))
+    loss = combined_loss(
+        [p.probabilities for p in preds],
+        [Tensor(sl.mask.astype(np.float64)) for sl in seq.slices],
+        [p.pooled_embedding for p in preds],
+    )
+    on_tape, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            on_tape.add(node._op)
+            stack.extend(node._parents)
+    assert defined == on_tape - {"leaf"}
