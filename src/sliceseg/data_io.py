@@ -481,7 +481,8 @@ def generate_sequence(cfg: SynthConfig, index: int) -> tuple[str, list[SynthSlic
 def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
     """Write the full dataset directory; byte-identical per seed."""
     root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    # the first seq_dir.mkdir creates root, after that sequence is drawn,
+    # so a rejected seed leaves no directory behind
     for s in range(cfg.num_sequences):
         seq_id, slices = generate_sequence(cfg, s)
         seq_dir = root / seq_id

@@ -298,7 +298,11 @@ def save_params(path, params: ModelParams) -> None:
 
 def load_params(path) -> ModelParams:
     """Read a checkpoint whose tensors and frozen set are exactly those its
-    config implies; anything else is a FormatError."""
+    config implies; anything else is a FormatError.
+
+    Every tensor loads as a constant (no ``requires_grad``), so a forward
+    pass on the result records no tape. Training starts from
+    `init_params`; `train_step` refuses these params."""
     from .data_io import load_checkpoint
 
     arrays, config, frozen = load_checkpoint(path)
@@ -318,8 +322,5 @@ def load_params(path) -> ModelParams:
         raise FormatError(
             f"checkpoint {path} freezes {sorted(frozen_set)}, not the q/v bases", offset=12
         )
-    tensors = {
-        name: Tensor(arr, requires_grad=name not in frozen_set)
-        for name, arr in arrays.items()
-    }
+    tensors = {name: Tensor(arr) for name, arr in arrays.items()}
     return ModelParams(config=cfg, tensors=tensors, frozen=frozen_set)

@@ -117,7 +117,12 @@ def _sequence_targets(seq):
 
 def train_step(params: ModelParams, seq, state: AdamState, config: TrainConfig) -> float:
     """One Adam step on one sequence; a non-finite loss is a DomainError
-    raised before any parameter moves."""
+    raised before any parameter moves. A trainable tensor that does not
+    require grad (as in `load_params` output, which holds constants) is a
+    ContractError raised before the forward pass."""
+    for name, t in params.trainable().items():
+        if not t.requires_grad:
+            raise ContractError(f"trainable tensor {name} does not require grad; train from init_params")
     preds = forward_sequence(seq, params)
     loss = combined_loss(
         [p.probabilities for p in preds],
@@ -145,7 +150,8 @@ def train(
 
     Sequences are visited one per step in a per-epoch shuffled order
     drawn from the seed's "order" substream. The trace is written as one
-    JSON record per line to ``<out_checkpoint>.trace.jsonl``.
+    JSON record per line to ``<out_checkpoint>.trace.jsonl``; a run that
+    raises removes that file again.
     """
     sequences = load_dataset(dataset_dir)
     if not sequences:
@@ -155,17 +161,23 @@ def train(
     order_rng = substream(config.seed, "order")
     trace: list[float] = []
     schedule: list[int] = []
-    with open(f"{out_checkpoint}.trace.jsonl", "w") as tf:
-        for step in range(1, config.steps + 1):
-            if not schedule:
-                schedule = list(order_rng.permutation(len(sequences)))
-            seq = sequences[schedule.pop(0)]
-            loss = train_step(params, seq, state, config)
-            trace.append(loss)
-            tf.write(json.dumps({"step": step, "sequence": seq.sequence_id, "loss": loss}) + "\n")
-            if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
-                save_params(f"{out_checkpoint}.step{step}", params)
-    save_params(out_checkpoint, params)
+    trace_path = Path(f"{out_checkpoint}.trace.jsonl")
+    try:
+        with open(trace_path, "w") as tf:
+            for step in range(1, config.steps + 1):
+                if not schedule:
+                    schedule = list(order_rng.permutation(len(sequences)))
+                seq = sequences[schedule.pop(0)]
+                loss = train_step(params, seq, state, config)
+                trace.append(loss)
+                tf.write(json.dumps({"step": step, "sequence": seq.sequence_id, "loss": loss}) + "\n")
+                if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
+                    save_params(f"{out_checkpoint}.step{step}", params)
+        save_params(out_checkpoint, params)
+    except BaseException:
+        # no trace of steps that no checkpoint holds
+        trace_path.unlink(missing_ok=True)
+        raise
     return trace
 
 

@@ -120,6 +120,7 @@ def test_negative_seed_is_single_line_error(dataset, tmp_path, capsys, command):
     }[command]
     assert main(argv) == 1
     assert "seed must be >= 0, got -1" in _single_json_error(capsys)["error"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe\x7b", b'{"steps": 5'], ids=["undecodable", "invalid_json"])
@@ -143,6 +144,18 @@ def test_train_to_values_not_finite_in_f32_writes_no_checkpoint(dataset, tmp_pat
     assert rc == 1
     assert "not finite in f32" in _single_json_error(capsys)["error"]
     assert not out.exists()
+    assert not (tmp_path / "x.psc.trace.jsonl").exists()
+
+
+def test_train_stopped_by_a_non_finite_loss_leaves_no_trace(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"loss": {"w_dice": 1e308, "w_bce": 1e308}, "steps": 1}))
+    out = tmp_path / "x.psc"
+    with np.errstate(over="ignore"):
+        rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert "non-finite loss" in _single_json_error(capsys)["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_eval_writes_report(dataset, checkpoint, tmp_path):

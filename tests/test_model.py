@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +242,8 @@ def test_params_checkpoint_round_trip(tmp_path):
     assert back.frozen == params.frozen
     for name, t in params.tensors.items():
         assert np.array_equal(back.tensors[name].data, t.data)
-        assert back.tensors[name].requires_grad == t.requires_grad
+        # a checkpoint serves constants; the frozen set still round-trips above
+        assert not back.tensors[name].requires_grad
 
 
 @pytest.mark.parametrize(
@@ -339,3 +341,49 @@ def test_reference_train_step_tape_size(tmp_path):
         [p.pooled_embedding for p in preds],
     )
     assert _tape_nodes(loss) <= 558
+
+
+@pytest.fixture(scope="module")
+def stack64(tmp_path_factory):
+    """A 64-slice stack (data seed 3, 30 % corrupted) and the default model
+    at init seed 1, saved as a checkpoint."""
+    root = tmp_path_factory.mktemp("stack64")
+    synth = SynthConfig(num_sequences=1, slices_per_sequence=64, seed=3, corrupt_prob=0.3)
+    [seq] = load_dataset(generate_dataset(synth, root / "data"))
+    save_params(root / "m.psc", init_params(ModelConfig(), seed=1))
+    return seq, root / "m.psc"
+
+
+def test_forward_on_a_loaded_checkpoint_builds_no_tape(stack64):
+    seq, ckpt = stack64
+    preds = forward_sequence(seq, load_params(ckpt))
+    for p in preds:
+        for t in (p.logits, p.probabilities, p.pooled_embedding):
+            assert t._parents == () and not t.requires_grad
+
+
+def test_loaded_forward_equals_the_taped_forward_bitwise(stack64):
+    seq, ckpt = stack64
+    taped = init_params(ModelConfig(), seed=1)
+    for t in taped.tensors.values():
+        t.data = t.data.astype(np.float32).astype(np.float64)
+    expected = forward_sequence(seq, taped)
+    assert all(p.probabilities._parents for p in expected)
+    got = forward_sequence(seq, load_params(ckpt))
+    assert not any(p.probabilities._parents for p in got)
+    for e, g in zip(expected, got, strict=True):
+        assert np.array_equal(e.probabilities.data, g.probabilities.data)
+
+
+def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):
+    # the memory bank would keep every slice's taped features alive:
+    # about 119 MiB for this stack with a tape, under 7 MiB without
+    seq, ckpt = stack64
+    params = load_params(ckpt)
+    tracemalloc.start()
+    try:
+        forward_sequence(seq, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20

@@ -8,7 +8,7 @@ import pytest
 
 from sliceseg.attention import fuse_memory
 from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
-from sliceseg.errors import ConfigError, DomainError
+from sliceseg.errors import ConfigError, ContractError, DomainError
 from sliceseg.losses import LossWeights, dice_score
 from sliceseg.model import (
     MICRO_CONFIG,
@@ -188,6 +188,20 @@ def test_non_finite_loss_raises_before_adam_moves(tiny_dataset):
     assert state.step == 0
     for n, t in params.tensors.items():
         assert np.array_equal(t.data, before[n]), n
+
+
+def test_train_step_refuses_loaded_params_before_anything_moves(tiny_dataset, tmp_path):
+    cfg = TrainConfig(steps=1, seed=0, model=small_model_config())
+    train(cfg, tiny_dataset, tmp_path / "m.psc")
+    params = load_params(tmp_path / "m.psc")
+    before = {n: (t.data.copy(), t.grad) for n, t in params.tensors.items()}
+    state = AdamState()
+    seq = load_dataset(tiny_dataset)[0]
+    with pytest.raises(ContractError, match=r"trainable tensor decoder\.fc1\.W does not require grad"):
+        train_step(params, seq, state, cfg)
+    assert (state.step, state.m, state.v) == (0, {}, {})
+    for n, t in params.tensors.items():
+        assert np.array_equal(t.data, before[n][0]) and t.grad is before[n][1], n
 
 
 def test_single_step_training(tiny_dataset, tmp_path):
