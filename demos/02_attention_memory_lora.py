@@ -9,7 +9,8 @@ import numpy as np
 
 from sliceseg.attention import AttentionContext, cross_slice_weights, distance_modulation
 from sliceseg.lora import lora_forward
-from sliceseg.memory import MemoryBank, MemoryEntry, select_memory
+from sliceseg.memory import select_memory
+from sliceseg.model import SlicePrediction
 from sliceseg.tensor import Tensor
 
 # --- distance-aware attention -------------------------------------------
@@ -26,14 +27,15 @@ alpha = cross_slice_weights(ctx, lam).data
 print("equal similarity, distances 2 vs 30 um -> weights", np.round(alpha, 4))
 
 # --- memory selection -----------------------------------------------------
-# Entries are scored by cosine similarity times prediction confidence;
-# ties break toward the more recent slice.
-bank = MemoryBank()
-for i, (sim, conf) in enumerate([(0.9, 0.5), (0.5, 0.9), (0.9, 0.5), (0.2, 1.0)]):
-    emb = Tensor([sim, math.sqrt(1 - sim * sim)])
-    bank.insert(MemoryEntry(i, emb, Tensor(np.zeros((1, 2))), conf))
-chosen = select_memory(bank, query, k=2)
-print("top-2 slices by sim*confidence:", [e.slice_index for e in chosen])
+# The memory bank is the list of earlier slices' predictions. Each is
+# scored by cosine similarity times its confidence; ties break toward the
+# more recent slice. Selection returns positions, i.e. slice indices.
+grid = Tensor(np.zeros((1, 2)))
+bank = [
+    SlicePrediction(grid, grid, conf, Tensor([sim, math.sqrt(1 - sim * sim)]))
+    for sim, conf in [(0.9, 0.5), (0.5, 0.9), (0.9, 0.5), (0.2, 1.0)]
+]
+print("top-2 slices by sim*confidence:", select_memory(bank, query, k=2))
 
 # --- low-rank adapters ----------------------------------------------------
 # An adapted projection is three tensors: the frozen base W and the rank-r

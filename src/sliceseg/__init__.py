@@ -17,7 +17,7 @@ from .data_io import (
 )
 from .lora import lora_forward, merge
 from .losses import LossWeights, bce_loss, combined_loss, consistency_loss, dice_loss, dice_score
-from .memory import MemoryBank, MemoryEntry, prediction_confidence, select_memory
+from .memory import prediction_confidence, select_memory
 from .model import (
     ModelConfig,
     ModelParams,

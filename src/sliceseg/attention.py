@@ -37,8 +37,8 @@ DISTANCE_SCALE_UM = 10.0
 class AttentionContext:
     """Query embedding plus the memory slots it attends over.
 
-    distances[j] is the physical gap (micrometers, >= 0) between the
-    query slice and memory slot j; lists must be the same length.
+    distances[j] is the physical gap (micrometers, finite, >= 0) between
+    the query slice and memory slot j; lists must be the same length.
     """
 
     query: Tensor
@@ -51,9 +51,6 @@ class AttentionContext:
                 f"context has {len(self.memory_embeddings)} embeddings "
                 f"but {len(self.distances)} distances"
             )
-        for d in self.distances:
-            if not (d >= 0.0 and d == d and d != float("inf")):
-                raise DomainError(f"distance must be finite and >= 0, got {d}")
 
 
 def estimate_distance(f_i: np.ndarray, f_j: np.ndarray) -> float:
@@ -69,8 +66,8 @@ def distance_modulation(d, lam: Tensor) -> Tensor:
     """exp(-lambda * d^2) for a distance or an array of them, differentiable
     in lambda."""
     d = np.asarray(d, dtype=np.float64)
-    if np.any(d < 0.0):
-        raise DomainError(f"distance must be >= 0, got {d}")
+    if not np.all(np.isfinite(d) & (d >= 0.0)):
+        raise DomainError(f"distance must be finite and >= 0, got {d}")
     if float(lam.data) < 0.0:
         raise DomainError(f"lambda must be >= 0, got {float(lam.data)}")
     return T.exp(T.mul(lam, -(d * d)))

@@ -129,7 +129,9 @@ def main(argv: list[str] | None = None) -> int:
         "grad-check": _cmd_grad_check,
     }
     try:
-        handlers[args.command](args)
+        # non-finite values end in typed errors; numpy warnings would add stderr lines
+        with np.errstate(all="ignore"):
+            handlers[args.command](args)
     except (SlicesegError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from .attention import (
 from .data_io import SliceSequence, dataclass_from_dict
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .lora import lora_forward
-from .memory import MemoryBank, MemoryEntry, prediction_confidence, select_memory
+from .memory import prediction_confidence, select_memory
 from .rng import substream
 from .tensor import Tensor
 
@@ -232,54 +232,41 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     A memory slot's distance is the z gap when both slices have a z
     position, and is estimated from the embeddings otherwise.
 
+    The memory bank is the list of this call's earlier predictions, so a
+    chosen position is a slice index and no state leaks across sequences.
     The config's k_memory=0 bypasses the memory path entirely (the
-    independent per-slice baseline); the bank is fresh per call, so no
-    state leaks across sequences.
+    independent per-slice baseline).
     """
     if not seq.slices:
         raise ContractError("forward_sequence on an empty sequence")
     k = params.config.k_memory
     lam = params["lambda"]
-    bank = MemoryBank()
-    predictions: list[SlicePrediction] = []
-    for t, sl in enumerate(seq.slices):
+    predictions: list[SlicePrediction] = []  # the memory bank
+    grids: list[Tensor] = []
+    for sl in seq.slices:
         patch_feats, pooled = encode_slice(sl.image, params)
-        selected: list[MemoryEntry] = []
-        if k >= 1 and len(bank) > 0:
-            selected = select_memory(bank, pooled, k)
-        if selected:
+        chosen = select_memory(predictions, pooled, k) if k >= 1 and predictions else []
+        if chosen:
             distances = [0.0]
-            for e in selected:
-                if sl.z_position_um is not None and e.z_position_um is not None:
-                    distances.append(abs(sl.z_position_um - e.z_position_um))
+            for j in chosen:
+                z = seq.slices[j].z_position_um
+                if sl.z_position_um is not None and z is not None:
+                    distances.append(abs(sl.z_position_um - z))
                 else:
-                    distances.append(estimate_distance(pooled.data, e.pooled_embedding.data))
-            ctx = AttentionContext(
-                query=pooled,
-                memory_embeddings=[pooled] + [e.pooled_embedding for e in selected],
-                distances=distances,
-            )
-            alpha = cross_slice_weights(ctx, lam)
-            fused = fuse_memory(patch_feats, [e.patch_features for e in selected], alpha)
+                    distances.append(estimate_distance(pooled.data, predictions[j].pooled_embedding.data))
+            embeddings = [pooled] + [predictions[j].pooled_embedding for j in chosen]
+            alpha = cross_slice_weights(AttentionContext(pooled, embeddings, distances), lam)
+            fused = fuse_memory(patch_feats, [grids[j] for j in chosen], alpha)
         else:
             fused = fuse_memory(patch_feats, [], Tensor([1.0]))
         logits = decode_mask(fused, params)
         probabilities = T.sigmoid(logits)
-        confidence = prediction_confidence(probabilities.data)
-        bank.insert(
-            MemoryEntry(
-                slice_index=t,
-                pooled_embedding=pooled,
-                patch_features=patch_feats,
-                confidence=confidence,
-                z_position_um=sl.z_position_um,
-            )
-        )
+        grids.append(patch_feats)
         predictions.append(
             SlicePrediction(
                 logits=logits,
                 probabilities=probabilities,
-                confidence=confidence,
+                confidence=prediction_confidence(probabilities.data),
                 pooled_embedding=pooled,
             )
         )

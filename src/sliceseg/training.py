@@ -149,9 +149,9 @@ def train(
     """Train from scratch on a dataset directory; returns the loss trace.
 
     Sequences are visited one per step in a per-epoch shuffled order
-    drawn from the seed's "order" substream. The trace is written as one
-    JSON record per line to ``<out_checkpoint>.trace.jsonl``; a run that
-    raises removes that file again.
+    drawn from the seed's "order" substream. The trace, one JSON record
+    per line, replaces ``<out_checkpoint>.trace.jsonl`` only once the
+    checkpoint is saved.
     """
     sequences = load_dataset(dataset_dir)
     if not sequences:
@@ -162,8 +162,9 @@ def train(
     trace: list[float] = []
     schedule: list[int] = []
     trace_path = Path(f"{out_checkpoint}.trace.jsonl")
+    partial = trace_path.with_name(f"{trace_path.name}.partial")
     try:
-        with open(trace_path, "w") as tf:
+        with open(partial, "w") as tf:
             for step in range(1, config.steps + 1):
                 if not schedule:
                     schedule = list(order_rng.permutation(len(sequences)))
@@ -174,9 +175,10 @@ def train(
                 if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
                     save_params(f"{out_checkpoint}.step{step}", params)
         save_params(out_checkpoint, params)
+        partial.replace(trace_path)
     except BaseException:
-        # no trace of steps that no checkpoint holds
-        trace_path.unlink(missing_ok=True)
+        # no trace of steps no checkpoint holds; an earlier run keeps its own
+        partial.unlink(missing_ok=True)
         raise
     return trace
 

@@ -34,8 +34,8 @@ from sliceseg.losses import (
     dice_loss,
     dice_score,
 )
-from sliceseg.memory import MemoryBank, MemoryEntry, select_memory
-from sliceseg.model import MICRO_CONFIG, ModelConfig, forward_sequence, init_params
+from sliceseg.memory import select_memory
+from sliceseg.model import MICRO_CONFIG, ModelConfig, SlicePrediction, forward_sequence, init_params
 from sliceseg.tensor import Tensor
 from sliceseg.training import AdamState, TrainConfig, evaluate, grad_check, train_step
 
@@ -116,37 +116,36 @@ def test_criterion_attention_invariants(verdict):
 # --------------------------------------------------- Eq. 2 oracle parity
 
 
-def _subset_oracle(entries, query, k):
-    def score(e):
-        emb = e.pooled_embedding.data
+def _subset_oracle(bank, query, k):
+    def score(i):
+        emb = bank[i].pooled_embedding.data
         nq, ne = np.linalg.norm(query), np.linalg.norm(emb)
         sim = 0.0 if nq <= 1e-12 or ne <= 1e-12 else float(emb @ query) / (ne * nq)
-        return sim * e.confidence
+        return sim * bank[i].confidence
 
-    m = min(k, len(entries))
+    m = min(k, len(bank))
     best_key, best = None, None
-    for subset in itertools.combinations(range(len(entries)), m):
-        key = sorted(((score(entries[i]), entries[i].slice_index) for i in subset), reverse=True)
+    for subset in itertools.combinations(range(len(bank)), m):
+        key = sorted(((score(i), i) for i in subset), reverse=True)
         if best_key is None or key > best_key:
             best_key, best = key, subset
-    ordered = sorted((entries[i] for i in best), key=lambda e: (score(e), e.slice_index), reverse=True)
-    return [e.slice_index for e in ordered]
+    return sorted(best, key=lambda i: (score(i), i), reverse=True)
 
 
 def test_criterion_memory_selection_oracle(verdict):
     rng = np.random.default_rng(1)
     mismatches = 0
+    grid = Tensor(np.zeros((1, 2)))
     for _ in range(200):
         n, k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        bank = MemoryBank()
-        for i in range(n):
+        bank = []
+        for _ in range(n):
             sim = float(rng.choice([-0.5, 0.0, 0.3, 0.6, 0.6, 1.0]))
             conf = float(rng.choice([0.0, 0.25, 0.5, 0.5, 1.0]))
             emb = Tensor([sim, float(np.sqrt(max(0.0, 1 - sim * sim)))])
-            bank.insert(MemoryEntry(i, emb, Tensor(np.zeros((1, 2))), conf))
+            bank.append(SlicePrediction(grid, grid, conf, emb))
         query = Tensor([1.0, 0.0])
-        got = [e.slice_index for e in select_memory(bank, query, k)]
-        if got != _subset_oracle(bank.entries, query.data, k):
+        if select_memory(bank, query, k) != _subset_oracle(bank, query.data, k):
             mismatches += 1
     verdict("memory selection vs exhaustive oracle", mismatches == 0, f"{mismatches} mismatches/200")
 

@@ -1,6 +1,7 @@
 """Distance modulation, cross-slice weights and memory fusion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ def test_modulation_rejects_negative_inputs():
         distance_modulation(-1.0, Tensor(0.1))
     with pytest.raises(DomainError):
         distance_modulation(1.0, Tensor(-0.1))
+    # NaN and +-Inf are rejected, not turned into a NaN weight and a RuntimeWarning
+    for bad in (math.nan, math.inf, -math.inf, [2.0, math.nan]):
+        for lam in (Tensor(0.1), Tensor(0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="finite"):
+                    distance_modulation(bad, lam)
 
 
 def test_modulation_monotone_in_distance():
@@ -98,8 +106,11 @@ def test_weights_empty_context_is_contract_error():
 def test_context_validates_lengths_and_distances():
     with pytest.raises(ContractError):
         AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[])
-    with pytest.raises(DomainError):
-        AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[-2.0])
+    # distances are checked once, by the modulation the weights apply
+    for bad in (-2.0, math.nan, math.inf):
+        ctx = AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[bad])
+        with pytest.raises(DomainError):
+            cross_slice_weights(ctx, Tensor(0.1))
 
 
 @pytest.mark.parametrize("seed", range(20))

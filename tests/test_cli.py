@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, config handling, error reporting."""
 
+import contextlib
+import io
 import json
 import shutil
 import struct
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sliceseg.cli import main
 from sliceseg.data_io import load_dataset, read_raster, write_raster
@@ -158,6 +162,21 @@ def test_train_stopped_by_a_non_finite_loss_leaves_no_trace(dataset, tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_failed_rerun_keeps_the_earlier_checkpoint_and_its_trace(dataset, tmp_path, capsys):
+    out = tmp_path / "m.psc"
+    trace = tmp_path / "m.psc.trace.jsonl"
+    assert main(["train", "--data", str(dataset), "--out", str(out), "--steps", "1"]) == 0
+    before = out.read_bytes(), trace.read_bytes()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"learning_rate": 1e308, "steps": 2}))
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1  # at step 2, once the first step has made the parameters non-finite
+    _single_json_error(capsys)
+    assert (out.read_bytes(), trace.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "m.psc", "m.psc.trace.jsonl"]
+
+
 def test_eval_writes_report(dataset, checkpoint, tmp_path):
     report_path = tmp_path / "report.json"
     rc = main(["eval", "--data", str(dataset), "--ckpt", str(checkpoint), "--report", str(report_path)])
@@ -300,3 +319,166 @@ def test_infer_on_non_finite_checkpoint_is_single_line_error(
     assert rc == 1
     assert "tensor 'decoder.fc2.b' value" in _single_json_error(capsys)["error"]
     assert not out.exists()
+
+
+# ------------------------------------------------------- drawn command lines
+# Every run of a drawn argv exits 0, or exits 1 with exactly one JSON line
+# on stderr. Values sit at and past their edges; training never runs more
+# than 2 steps. The only valid `grad-check` run (seconds long) is
+# test_grad_check_command's.
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A 1x3-slice dataset, a 2-step checkpoint trained on it, and files of
+    the wrong kind to pass where either is expected."""
+    root = tmp_path_factory.mktemp("drawn")
+    data = root / "data"
+    assert main(["gen-data", "--out", str(data), "--sequences", "1", "--slices", "3"]) == 0
+    ckpt = root / "m.psc"
+    assert main(["train", "--data", str(data), "--out", str(ckpt), "--steps", "2"]) == 0
+    (root / "empty").mkdir()
+    (root / "cut.psc").write_bytes(ckpt.read_bytes()[:100])
+    return {
+        "data": data, "seq": data / "seq_000", "ckpt": ckpt, "empty": root / "empty",
+        "cut": root / "cut.psc", "raster": data / "seq_000" / "slice_0.psr",
+        "json": data / "seq_000" / "sequence.json", "missing": root / "missing",
+    }
+
+
+def _assert_clean_exit(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse usage errors exit 2
+            rc = exc.code
+    if rc == 0:
+        return
+    # the console script would print each warning as more lines on stderr
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert rc == 1 and len(lines) == 1, (argv, rc, lines)
+    assert isinstance(json.loads(lines[0])["error"], str)
+
+
+def _fresh(tmp_path_factory, kind: str):
+    """An output path that does not exist yet, sits under a missing
+    directory, is an existing directory, or lies under a file."""
+    root = tmp_path_factory.mktemp("out")
+    (root / "file").write_text("x")
+    return {"new": root / "o", "orphan": root / "no" / "o", "dir": root, "under_file": root / "file" / "o"}[kind]
+
+
+OUT_KINDS = st.sampled_from(["new", "new", "orphan", "dir", "under_file"])
+SEEDS = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 2**32 - 1, 2**32, 2**64]))
+
+
+def _flag_args(flags: dict) -> list[str]:
+    # --name=value, so that argparse takes "-inf" as a value, not a flag
+    return [f"{name}={value}" for name, value in flags.items() if value is not None]
+
+
+@given(
+    out=OUT_KINDS,
+    flags=st.fixed_dictionaries({}, optional={
+        "--sequences": st.sampled_from([-1, 0, 1]),
+        "--slices": st.sampled_from([-1, 0, 1, 3]),
+        "--seed": SEEDS,
+        "--corrupt-prob": st.sampled_from(["-0.1", "0", "0.3", "1", "1.5", "nan", "inf", "-inf", "5e-324"]),
+    }),
+)
+@settings(max_examples=40, deadline=None)
+def test_drawn_gen_data_argv_exits_cleanly(tmp_path_factory, out, flags):
+    _assert_clean_exit(["gen-data", "--out", _fresh(tmp_path_factory, out), *_flag_args(flags)])
+
+
+def _numbers(*edges, wrong="1"):
+    """The edges of a config value, or one value of the wrong type."""
+    return st.sampled_from([*edges, wrong])
+
+
+CONFIG_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        # steps is always set, so a run never falls back to the 500-step default
+        {"steps": _numbers(-1, 0, 1, 2, 2, 2.0)},
+        optional={
+            "learning_rate": _numbers(-1.0, 0.0, 1e-3, 1.0, 1e308, float("nan"), float("inf"), wrong=None),
+            "seed": _numbers(-1, 0, 2**64, wrong=1.5),
+            "checkpoint_every": _numbers(-1, 0, 1, 2, None, wrong=True),
+            "loss": st.fixed_dictionaries({}, optional={
+                key: _numbers(-1.0, 0.0, 0.5, 1e308, -1e308, float("inf"), wrong=[1])
+                for key in ("w_dice", "w_bce", "w_consistency", "smooth", "similarity_threshold")
+            }),
+            "model": st.fixed_dictionaries({}, optional={
+                "image_size": _numbers(-1, 0, 8, 64, 64, 65),
+                "patch_size": _numbers(-1, 0, 3, 8, 8, 64),
+                "channels": _numbers(0, 1, 1, 2),
+                "d_model": _numbers(-1, 0, 1, 8, 8),
+                "heads": _numbers(0, 1, 3, 4, wrong=4.0),
+                "encoder_blocks": _numbers(-1, 0, 1),
+                "lora_rank": _numbers(0, 1, 8, 9),
+                "k_memory": _numbers(-1, 0, 1, 5, wrong=None),
+                "decoder_hidden": _numbers(0, 1, 8),
+            }),
+        },
+    ),
+    st.sampled_from([[], 1, "steps", None, {"stepz": 1}, {"steps": 1, "model": []}]),
+)
+
+
+@given(
+    data=st.sampled_from(["data", "data", "data", "empty", "missing", "raster"]),
+    out=OUT_KINDS,
+    steps=st.sampled_from([-1, 0, 1, 2]),
+    seed=st.one_of(st.none(), SEEDS),
+)
+@settings(max_examples=40, deadline=None)
+def test_drawn_train_argv_exits_cleanly(tmp_path_factory, small, data, out, steps, seed):
+    out = _fresh(tmp_path_factory, out)
+    _assert_clean_exit(["train", "--data", small[data], "--out", out, *_flag_args({"--steps": steps, "--seed": seed})])
+
+
+@given(doc=CONFIG_DOCS, steps=st.sampled_from([None, None, None, 0, 2]))
+# step 1 overflows the parameters, so step 2's forward meets non-finite values
+@example(doc={"steps": 2, "learning_rate": 1e308}, steps=None)
+@settings(max_examples=100, deadline=None)
+def test_drawn_train_config_exits_cleanly(tmp_path_factory, small, doc, steps):
+    root = tmp_path_factory.mktemp("cfg")
+    (root / "cfg.json").write_text(json.dumps(doc))
+    argv = ["train", "--data", small["data"], "--out", root / "m.psc", "--config", root / "cfg.json"]
+    _assert_clean_exit([*argv, *_flag_args({"--steps": steps})])
+
+
+CHECKPOINTS = st.sampled_from(["ckpt", "ckpt", "ckpt", "cut", "raster", "json", "empty", "missing"])
+
+
+@given(
+    data=st.sampled_from(["data", "data", "empty", "missing", "raster", "seq"]),
+    ckpt=CHECKPOINTS,
+    report=OUT_KINDS,
+)
+@settings(max_examples=40, deadline=None)
+def test_drawn_eval_argv_exits_cleanly(tmp_path_factory, small, data, ckpt, report):
+    _assert_clean_exit(
+        ["eval", "--data", small[data], "--ckpt", small[ckpt], "--report", _fresh(tmp_path_factory, report)]
+    )
+
+
+@given(
+    ckpt=CHECKPOINTS,
+    seq=st.sampled_from(["seq", "seq", "data", "empty", "missing", "raster"]),
+    out=OUT_KINDS,
+)
+@settings(max_examples=40, deadline=None)
+def test_drawn_infer_argv_exits_cleanly(tmp_path_factory, small, ckpt, seq, out):
+    _assert_clean_exit(
+        ["infer", "--ckpt", small[ckpt], "--sequence", small[seq], "--out", _fresh(tmp_path_factory, out)]
+    )
+
+
+@given(seed=st.one_of(st.integers(max_value=-1), st.just(-(2**64))))
+@settings(max_examples=10, deadline=None)
+def test_drawn_grad_check_argv_exits_cleanly(seed):
+    _assert_clean_exit(["grad-check", *_flag_args({"--seed": seed})])

@@ -1,5 +1,5 @@
-"""Memory bank: confidence, insertion ordering and top-K selection
-against an exhaustive subset-enumeration oracle."""
+"""Memory bank: confidence and top-K selection over the list of earlier
+predictions, against an exhaustive subset-enumeration oracle."""
 
 import itertools
 
@@ -7,24 +7,17 @@ import numpy as np
 import pytest
 
 from sliceseg.errors import ContractError, DomainError
-from sliceseg.memory import (
-    MemoryBank,
-    MemoryEntry,
-    prediction_confidence,
-    select_memory,
-)
+from sliceseg.memory import prediction_confidence, select_memory
+from sliceseg.model import SlicePrediction
 from sliceseg.tensor import Tensor
 
 
-def entry(index: int, sim: float, conf: float) -> MemoryEntry:
-    """Entry whose cosine against the unit-x query is exactly `sim`."""
-    emb = Tensor([sim, np.sqrt(max(0.0, 1.0 - sim * sim))])
-    return MemoryEntry(
-        slice_index=index,
-        pooled_embedding=emb,
-        patch_features=Tensor(np.zeros((2, 2))),
-        confidence=conf,
-    )
+def prediction(sim: float, conf: float, embedding: Tensor | None = None) -> SlicePrediction:
+    """Prediction whose embedding's cosine against the unit-x query is exactly `sim`."""
+    if embedding is None:
+        embedding = Tensor([sim, np.sqrt(max(0.0, 1.0 - sim * sim))])
+    grid = Tensor(np.zeros((2, 2)))
+    return SlicePrediction(logits=grid, probabilities=grid, confidence=conf, pooled_embedding=embedding)
 
 
 QUERY = Tensor([1.0, 0.0])
@@ -59,92 +52,51 @@ def test_confidence_rejects_nan():
         prediction_confidence(np.array([[0.5, np.nan]]))
 
 
-# ------------------------------------------------------------ insertion
-
-
-def test_insert_into_empty_bank():
-    bank = MemoryBank()
-    bank.insert(entry(0, 0.5, 0.5))
-    assert len(bank) == 1
-
-
-def test_sequential_inserts_stay_sorted():
-    bank = MemoryBank()
-    for i in range(3):
-        bank.insert(entry(i, 0.5, 0.5))
-    assert [e.slice_index for e in bank.entries] == [0, 1, 2]
-
-
-def test_duplicate_index_rejected():
-    bank = MemoryBank()
-    bank.insert(entry(1, 0.5, 0.5))
-    with pytest.raises(ContractError):
-        bank.insert(entry(1, 0.5, 0.5))
-
-
-def test_entry_validates_confidence():
-    with pytest.raises(DomainError):
-        entry(0, 0.5, 1.2)
-
-
 # ------------------------------------------------------------ selection
 
 
 def test_select_from_empty_bank():
-    assert select_memory(MemoryBank(), QUERY, 5) == []
+    assert select_memory([], QUERY, 5) == []
 
 
 def test_select_fewer_candidates_than_k():
-    bank = MemoryBank()
-    for i in range(3):
-        bank.insert(entry(i, 0.5, 0.5))
+    bank = [prediction(0.5, 0.5) for _ in range(3)]
     assert len(select_memory(bank, QUERY, 5)) == 3
 
 
 def test_select_k_below_one_rejected():
     with pytest.raises(ContractError):
-        select_memory(MemoryBank(), QUERY, 0)
+        select_memory([], QUERY, 0)
 
 
 def test_select_derived_tie_case():
-    # scores 0.9, 0.1, 0.85, 0.85, 0.2, 0.7, 0.3 at indices 0..6, K=5:
-    # tie at 0.85 resolves toward index 3; output in descending-score order.
+    # scores 0.9, 0.1, 0.85, 0.85, 0.2, 0.7, 0.3 at positions 0..6, K=5:
+    # tie at 0.85 resolves toward position 3; output in descending-score order.
     scores = [0.9, 0.1, 0.85, 0.85, 0.2, 0.7, 0.3]
-    bank = MemoryBank()
-    for i, s in enumerate(scores):
-        bank.insert(entry(i, 1.0, s))
-    chosen = select_memory(bank, QUERY, 5)
-    assert [e.slice_index for e in chosen] == [0, 3, 2, 5, 6]
+    bank = [prediction(1.0, s) for s in scores]
+    assert select_memory(bank, QUERY, 5) == [0, 3, 2, 5, 6]
 
 
-def oracle_select(bank: MemoryBank, query: np.ndarray, k: int) -> list[int]:
+def oracle_select(bank: list[SlicePrediction], query: np.ndarray, k: int) -> list[int]:
     """Enumerate all subsets of size min(k, n), pick the max-score subset
-    under the recency tie rule, return its indices in output order."""
+    under the recency tie rule, return its positions in output order."""
 
-    def score(e: MemoryEntry) -> float:
-        emb = e.pooled_embedding.data
+    def score(i: int) -> float:
+        emb = bank[i].pooled_embedding.data
         nq, ne = np.linalg.norm(query), np.linalg.norm(emb)
         sim = 0.0 if nq <= 1e-12 or ne <= 1e-12 else float(emb @ query) / (ne * nq)
-        return sim * e.confidence
+        return sim * bank[i].confidence
 
-    n = len(bank.entries)
+    n = len(bank)
     m = min(k, n)
     best_key = None
     best_subset = None
     for subset in itertools.combinations(range(n), m):
-        key = sorted(
-            ((score(bank.entries[i]), bank.entries[i].slice_index) for i in subset),
-            reverse=True,
-        )
+        key = sorted(((score(i), i) for i in subset), reverse=True)
         if best_key is None or key > best_key:
             best_key = key
             best_subset = subset
-    ordered = sorted(
-        (bank.entries[i] for i in best_subset),
-        key=lambda e: (score(e), e.slice_index),
-        reverse=True,
-    )
-    return [e.slice_index for e in ordered]
+    return sorted(best_subset, key=lambda i: (score(i), i), reverse=True)
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -152,31 +104,24 @@ def test_select_matches_exhaustive_oracle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     k = int(rng.integers(1, 9))
-    bank = MemoryBank()
-    for i in range(n):
+    bank = []
+    for _ in range(n):
         # quantized scores force frequent ties
         sim = float(rng.choice([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0]))
         conf = float(rng.choice([0.0, 0.2, 0.5, 0.8, 1.0]))
-        bank.insert(entry(i, sim, conf))
-    got = [e.slice_index for e in select_memory(bank, QUERY, k)]
-    assert got == oracle_select(bank, QUERY.data, k)
+        bank.append(prediction(sim, conf))
+    assert select_memory(bank, QUERY, k) == oracle_select(bank, QUERY.data, k)
 
 
 def test_selected_indices_all_precede_current_slice():
     rng = np.random.default_rng(42)
-    bank = MemoryBank()
     t = 6
-    for i in range(t):
-        bank.insert(entry(i, float(rng.uniform(-1, 1)), float(rng.uniform(0, 1))))
-    for e in select_memory(bank, QUERY, 4):
-        assert e.slice_index < t
+    bank = [prediction(float(rng.uniform(-1, 1)), float(rng.uniform(0, 1))) for _ in range(t)]
+    for i in select_memory(bank, QUERY, 4):
+        assert 0 <= i < t
 
 
 def test_selection_scores_use_detached_embeddings():
     emb = Tensor([1.0, 0.0], requires_grad=True)
-    bank = MemoryBank()
-    bank.insert(
-        MemoryEntry(0, pooled_embedding=emb, patch_features=Tensor(np.zeros((2, 2))), confidence=0.9)
-    )
-    select_memory(bank, QUERY, 1)
+    select_memory([prediction(1.0, 0.9, embedding=emb)], QUERY, 1)
     assert emb.grad is None  # selection is gradient-free

@@ -375,6 +375,16 @@ def test_loaded_forward_equals_the_taped_forward_bitwise(stack64):
         assert np.array_equal(e.probabilities.data, g.probabilities.data)
 
 
+def test_stack_probabilities_are_pinned(stack64):
+    # 64 slices with k=5: top-k truncation and the tie rule pick the slots
+    seq, ckpt = stack64
+    preds = forward_sequence(seq, load_params(ckpt))
+    h = hashlib.sha256()
+    for p in preds:
+        h.update(p.probabilities.data.tobytes())
+    assert h.hexdigest()[:16] == "502eca44f3595d86"
+
+
 def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):
     # the memory bank would keep every slice's taped features alive:
     # about 119 MiB for this stack with a tape, under 7 MiB without
