@@ -28,8 +28,16 @@ from .training import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors; its
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sliceseg",
         description="Sequential slice segmentation with distance-aware cross-slice attention.",
     )
@@ -120,7 +128,6 @@ def _cmd_grad_check(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "gen-data": _cmd_gen_data,
         "train": _cmd_train,
@@ -129,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         "grad-check": _cmd_grad_check,
     }
     try:
+        args = _build_parser().parse_args(argv)
         # non-finite values end in typed errors; numpy warnings would add stderr lines
         with np.errstate(all="ignore"):
             handlers[args.command](args)

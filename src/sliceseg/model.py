@@ -177,8 +177,8 @@ def _extract_patches(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 
 def _add_norm(x: Tensor, y: Tensor, params: ModelParams, ln: str) -> Tensor:
-    """Residual add, layer norm, then the `ln` gain and bias."""
-    return T.add(T.mul(T.layer_norm(T.add(x, y)), params[f"{ln}.gamma"]), params[f"{ln}.beta"])
+    """Residual add, then layer norm with the `ln` gain and bias."""
+    return T.layer_norm(T.add(x, y), params[f"{ln}.gamma"], params[f"{ln}.beta"])
 
 
 def encode_slice(image: np.ndarray, params: ModelParams) -> tuple[Tensor, Tensor]:

@@ -9,7 +9,9 @@ topological order and accumulates gradients additively into every
 The op set is exactly the 20 ops the model builds: ``add``, ``sub``,
 ``mul``, ``div``, ``exp``, ``log``, ``tanh``, ``sigmoid``, ``clip``,
 ``tensor_sum`` (op ``sum``), ``mean``, ``matmul``, ``reshape``,
-``transpose``, ``softmax`` and ``layer_norm``, plus fused primitives that
+``transpose``, ``softmax`` and ``layer_norm`` (which optionally folds the
+affine gain and bias, ``gamma`` and ``beta``, both or neither, each as
+wide as the last axis, into its one node), plus fused primitives that
 each replace a whole op chain of the model with one node and a
 hand-written backward: ``linear``, ``multi_head_attention`` (op
 ``attention``), ``cosine_sims`` (op ``cosine``; one query against many
@@ -121,9 +123,11 @@ def as_tensor(x) -> Tensor:
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     out = Tensor(data)
     out._op = op
-    if any(p.requires_grad or p._parents for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad or p._parents:
+            out._parents = tuple(parents)
+            out._backward = backward
+            break
     return out
 
 
@@ -297,7 +301,7 @@ def linear(x, W, b=None) -> Tensor:
         parents += (b,)
         if b.shape != (W.shape[0],):
             raise ShapeError(f"linear: bias {b.shape} does not match weight {W.shape}")
-        out_data = out_data + b.data
+        out_data += b.data
 
     def backward(g):
         grads = [(x, g @ W.data), (W, (x.data.T @ g).T)]
@@ -393,20 +397,41 @@ def softmax(a) -> Tensor:
     return _node(out_data, (a,), backward, "softmax")
 
 
-def layer_norm(a) -> Tensor:
-    """Normalize over the last axis to zero mean, unit variance (no affine)."""
+def layer_norm(a, gamma=None, beta=None) -> Tensor:
+    """Normalize over the last axis to zero mean, unit variance, then
+    (given both) scale by gamma and shift by beta, each of shape
+    (a.shape[-1],); their gradients sum over every leading axis."""
     a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (a.data - mu) * inv
+    if (gamma is None) != (beta is None):
+        raise ContractError("layer_norm takes gamma and beta together or neither")
+    # np.var's exact arithmetic, without its second pass for the mean
+    centred = a.data - a.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = centred * inv
+    if gamma is None:
+        parents, out_data = (a,), xhat
+    else:
+        gamma, beta = as_tensor(gamma), as_tensor(beta)
+        width = a.shape[-1:]
+        if gamma.shape != width or beta.shape != width:
+            raise ShapeError(
+                f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must both be {width} "
+                f"for input {a.shape}"
+            )
+        parents = (a, gamma, beta)
+        out_data = xhat * gamma.data
+        out_data += beta.data
 
     def backward(g):
+        grads = []
+        if gamma is not None:
+            grads += [(gamma, _unbroadcast(g * xhat, width)), (beta, _unbroadcast(g, width))]
+            g = g * gamma.data
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return ((a, inv * (g - gm - xhat * gx)),)
+        return [(a, inv * (g - gm - xhat * gx)), *grads]
 
-    return _node(xhat, (a,), backward, "layer_norm")
+    return _node(out_data, parents, backward, "layer_norm")
 
 
 def _norms(q: np.ndarray, E: np.ndarray):
@@ -470,7 +495,7 @@ def weighted_sum(alpha, grids: Sequence[Tensor]) -> Tensor:
     a = alpha.data
     out = a[0] * grids[0].data
     for w, m in zip(a[1:], grids[1:]):
-        out = out + w * m.data
+        out += w * m.data
 
     def backward(g):
         ga = np.array([(g * m.data).sum() for m in grids])

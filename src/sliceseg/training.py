@@ -116,10 +116,10 @@ def _sequence_targets(seq):
 
 
 def train_step(params: ModelParams, seq, state: AdamState, config: TrainConfig) -> float:
-    """One Adam step on one sequence; a non-finite loss is a DomainError
-    raised before any parameter moves. A trainable tensor that does not
-    require grad (as in `load_params` output, which holds constants) is a
-    ContractError raised before the forward pass."""
+    """One Adam step on one sequence; a non-finite loss or gradient is a
+    DomainError raised before any parameter moves. A trainable tensor that
+    does not require grad (as in `load_params` output, which holds
+    constants) is a ContractError raised before the forward pass."""
     for name, t in params.trainable().items():
         if not t.requires_grad:
             raise ContractError(f"trainable tensor {name} does not require grad; train from init_params")
@@ -137,6 +137,12 @@ def train_step(params: ModelParams, seq, state: AdamState, config: TrainConfig) 
         )
     params.zero_grad()
     loss.backward()
+    for name, t in params.trainable().items():
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            raise DomainError(
+                f"non-finite gradient of {name} at step {state.step + 1} "
+                f"on sequence {seq.sequence_id!r}"
+            )
     adam_step(params, state, config)
     return loss.item()
 

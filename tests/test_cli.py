@@ -214,6 +214,32 @@ def test_missing_dataset_is_single_line_error(tmp_path, capsys):
     json.loads(err_lines[0])
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen-data", "--out", "{tmp}/d", "--bogus"], "unrecognized arguments: --bogus"),
+        (["train", "--data", "{tmp}/d"], "sliceseg train: the following arguments are required: --out"),
+        (["gen-data", "--out", "{tmp}/d", "--corrupt-prob", "-inf"], "--corrupt-prob: expected one argument"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown_flag", "missing_out", "negative_inf_value", "no_subcommand"],
+)
+def test_usage_error_is_single_line_error(tmp_path, capsys, argv, message):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert message in json.loads(err)["error"]
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: sliceseg" in capsys.readouterr().out
+
+
 def _single_json_error(capsys) -> dict:
     err_lines = [l for l in capsys.readouterr().err.strip().splitlines() if l]
     assert len(err_lines) == 1
@@ -351,10 +377,7 @@ def _assert_clean_exit(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            rc = main([str(a) for a in argv])
-        except SystemExit as exc:  # argparse usage errors exit 2
-            rc = exc.code
+        rc = main([str(a) for a in argv])
     if rc == 0:
         return
     # the console script would print each warning as more lines on stderr

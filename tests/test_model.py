@@ -340,7 +340,7 @@ def test_reference_train_step_tape_size(tmp_path):
         [Tensor(sl.mask.astype(np.float64)) for sl in seq.slices],
         [p.pooled_embedding for p in preds],
     )
-    assert _tape_nodes(loss) <= 558
+    assert _tape_nodes(loss) <= 510
 
 
 @pytest.fixture(scope="module")

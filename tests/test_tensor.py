@@ -352,6 +352,77 @@ def test_weighted_sum_shape_errors():
         T.weighted_sum(Tensor([0.5, 0.5]), [Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))])
 
 
+def _layer_norm_chain_oracle(a, gamma, beta, g):
+    """numpy of the old chain add(mul(layer_norm(a), gamma), beta), with
+    layer_norm's variance from np.var: (output, grad a, grad gamma, grad
+    beta) for an upstream gradient g."""
+    mu = a.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(a.var(axis=-1, keepdims=True) + T.LN_EPS)
+    xhat = (a - mu) * inv
+    out = xhat * gamma + beta
+    g_gamma, g_beta = g * xhat, g
+    while g_gamma.ndim > 1:  # the leading axes, one at a time
+        g_gamma, g_beta = g_gamma.sum(axis=0), g_beta.sum(axis=0)
+    gn = g * gamma
+    gm = gn.mean(axis=-1, keepdims=True)
+    gx = (gn * xhat).mean(axis=-1, keepdims=True)
+    return out, inv * (gn - gm - xhat * gx), g_gamma, g_beta
+
+
+@pytest.mark.parametrize("shape", [(5,), (7, 6), (2, 3, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_affine_layer_norm_is_the_old_chain_bitwise(seed, shape):
+    rng = np.random.default_rng(seed)
+    a, gamma, beta = _leaves(rng, shape, shape[-1:], shape[-1:])
+    a.data = a.data * 3.0 + 1.5
+    c = Tensor(rng.standard_normal(shape))
+    out = T.layer_norm(a, gamma, beta)
+    T.tensor_sum(T.mul(out, c)).backward()  # upstream gradient is exactly c
+    expected = _layer_norm_chain_oracle(a.data, gamma.data, beta.data, c.data)
+    for got, want in zip((out.data, a.grad, gamma.grad, beta.grad), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert out._op == "layer_norm"
+    plain = T.layer_norm(a)
+    assert np.array_equal(plain.data, T.layer_norm(a, np.ones(shape[-1]), np.zeros(shape[-1])).data)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_affine_layer_norm_gradients_reach_every_input(seed):
+    rng = np.random.default_rng(seed)
+    a, gamma, beta = _leaves(rng, (4, 5), (5,), (5,))
+    c = Tensor(rng.standard_normal((4, 5)))
+    _assert_gradients_reach(
+        lambda: T.tensor_sum(T.mul(T.tanh(T.layer_norm(a, gamma, beta)), c)), [a, gamma, beta]
+    )
+
+
+def test_affine_layer_norm_argument_errors():
+    a, w = Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+    with pytest.raises(ContractError, match="together"):
+        T.layer_norm(a, w)
+    with pytest.raises(ContractError, match="together"):
+        T.layer_norm(a, beta=w)
+    for gamma, beta in [(np.ones(3), w), (w, np.ones((1, 4))), (np.ones((3, 4)), np.ones((3, 4)))]:
+        with pytest.raises(ShapeError, match=r"layer_norm: gamma .* \(4,\) for input \(3, 4\)"):
+            T.layer_norm(a, gamma, beta)
+
+
+def test_accumulating_kernels_leave_their_inputs_unmodified():
+    rng = np.random.default_rng(4)
+    x, W, b, a, gamma, beta, alpha, g0, g1, g2 = _leaves(
+        rng, (5, 4), (3, 4), (3,), (5, 4), (4,), (4,), (3,), (2, 2), (2, 2), (2, 2)
+    )
+    inputs = [x, W, b, a, gamma, beta, alpha, g0, g1, g2]
+    before = [t.data.copy() for t in inputs]
+    loss = T.add(
+        T.add(T.tensor_sum(T.linear(x, W, b)), T.tensor_sum(T.layer_norm(a, gamma, beta))),
+        T.add(T.tensor_sum(T.layer_norm(a)), T.tensor_sum(T.weighted_sum(alpha, [g0, g1, g2]))),
+    )
+    loss.backward()
+    for t, data in zip(inputs, before):
+        assert np.array_equal(t.data, data)
+
+
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
 def test_elementwise_shape_error_names_both_shapes(op):
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4,\)"):

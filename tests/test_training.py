@@ -190,6 +190,30 @@ def test_non_finite_loss_raises_before_adam_moves(tiny_dataset):
         assert np.array_equal(t.data, before[n]), n
 
 
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_with_finite_loss_raises_before_adam_moves(tiny_dataset, monkeypatch, poison):
+    cfg = TrainConfig(steps=1, seed=0, model=small_model_config())
+    params = init_params(cfg.model, seed=0)
+    before = {n: t.data.copy() for n, t in params.tensors.items()}
+    state = AdamState()
+    seq = load_dataset(tiny_dataset)[1]
+    backward = Tensor.backward
+
+    def poisoned_backward(self):
+        backward(self)
+        params["encoder.block0.mlp.fc1.b"].grad[3] = poison
+
+    monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+    with pytest.raises(
+        DomainError,
+        match=r"non-finite gradient of encoder\.block0\.mlp\.fc1\.b at step 1 on sequence 'seq_001'",
+    ):
+        train_step(params, seq, state, cfg)
+    assert (state.step, state.m, state.v) == (0, {}, {})
+    for n, t in params.tensors.items():
+        assert np.array_equal(t.data, before[n]), n
+
+
 def test_train_step_refuses_loaded_params_before_anything_moves(tiny_dataset, tmp_path):
     cfg = TrainConfig(steps=1, seed=0, model=small_model_config())
     train(cfg, tiny_dataset, tmp_path / "m.psc")
