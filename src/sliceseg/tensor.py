@@ -6,18 +6,20 @@ to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
 ``requires_grad`` tensor (call ``zero_grad`` between steps).
 
-The op set is exactly the 20 ops the model builds: ``add``, ``sub``,
+The op set is exactly the 21 ops the model builds: ``add``, ``sub``,
 ``mul``, ``div``, ``exp``, ``log``, ``tanh``, ``sigmoid``, ``clip``,
 ``tensor_sum`` (op ``sum``), ``mean``, ``matmul``, ``reshape``,
-``transpose``, ``softmax`` and ``layer_norm`` (which optionally folds the
-affine gain and bias, ``gamma`` and ``beta``, both or neither, each as
-wide as the last axis, into its one node), plus fused primitives that
-each replace a whole op chain of the model with one node and a
-hand-written backward: ``linear``, ``multi_head_attention`` (op
-``attention``), ``cosine_sims`` (op ``cosine``; one query against many
-vectors) and ``weighted_sum``. ``Tensor`` has no operator overloads.
-``cosines`` is the detached numpy kernel behind ``cosine_sims``; memory
-selection, consistency pairs and distance estimation use it directly.
+``transpose``, ``take`` (row i of the first axis), ``softmax`` and
+``layer_norm`` (which optionally folds the affine gain and bias,
+``gamma`` and ``beta``, both or neither, each as wide as the last axis,
+into its one node), plus fused primitives that each replace a whole op
+chain of the model with one node and a hand-written backward: ``linear``
+and ``multi_head_attention`` (op ``attention``), which both take any
+leading axes so one node serves a chunk of slices, ``cosine_sims`` (op
+``cosine``; one query against many vectors) and ``weighted_sum``.
+``Tensor`` has no operator overloads. ``cosines`` is the detached numpy
+kernel behind ``cosine_sims``; memory selection, consistency pairs and
+distance estimation use it directly.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported.
 """
@@ -290,12 +292,14 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, W, b=None) -> Tensor:
-    """x @ W.T (+ b) as one node: x (N, d_in), W (d_out, d_in), b (d_out,)."""
+    """x @ W.T (+ b) as one node: x (..., d_in), W (d_out, d_in), b (d_out,).
+    Leading axes of x are flattened into the rows of one 2-D product."""
     x, W = as_tensor(x), as_tensor(W)
     parents = (x, W)
-    if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[1]:
+    if W.data.ndim != 2 or x.shape[-1:] != W.shape[1:]:
         raise ShapeError(f"linear: input {x.shape} incompatible with weight {W.shape}")
-    out_data = x.data @ W.data.T
+    rows = x.data.reshape(-1, W.shape[1])
+    out_data = rows @ W.data.T
     if b is not None:
         b = as_tensor(b)
         parents += (b,)
@@ -304,49 +308,53 @@ def linear(x, W, b=None) -> Tensor:
         out_data += b.data
 
     def backward(g):
-        grads = [(x, g @ W.data), (W, (x.data.T @ g).T)]
+        g = g.reshape(out_data.shape)
+        grads = [(x, (g @ W.data).reshape(x.shape)), (W, (rows.T @ g).T)]
         if b is not None:
             grads.append((b, g.sum(axis=0)))
         return grads
 
-    return _node(out_data, parents, backward, "linear")
+    return _node(out_data.reshape(x.shape[:-1] + W.shape[:1]), parents, backward, "linear")
 
 
 def multi_head_attention(q, k, v, heads: int) -> Tensor:
     """Scaled dot-product self-attention over `heads` column groups, one node.
 
-    q, k, v are (N, d) with d divisible by heads; head h reads columns
+    q, k, v are (..., N, d) with d divisible by heads; each leading index
+    attends within its own N rows. Head h reads columns
     [h*d/heads, (h+1)*d/heads) of each, and the head outputs are laid
-    side by side in the same columns of the (N, d) result.
+    side by side in the same columns of the (..., N, d) result.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"attention expects equal 2-D q/k/v, got {q.shape}, {k.shape}, {v.shape}")
-    n, d = q.shape
+    if q.data.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(
+            f"attention expects equal (..., N, d) q/k/v, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    d = q.shape[-1]
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
 
-    def split(a: np.ndarray) -> np.ndarray:  # (N, d) -> (heads, N, dh)
-        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+    def split(a: np.ndarray) -> np.ndarray:  # (..., N, d) -> (..., heads, N, dh)
+        return a.reshape(q.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
 
-    def join(a: np.ndarray) -> np.ndarray:  # (heads, N, dh) -> (N, d)
-        return a.transpose(1, 0, 2).reshape(n, d)
+    def join(a: np.ndarray) -> np.ndarray:  # (..., heads, N, dh) -> (..., N, d)
+        return a.swapaxes(-3, -2).reshape(q.shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         gh = split(g)
-        gp = gh @ vh.transpose(0, 2, 1)
+        gp = gh @ vh.swapaxes(-1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
         return (
             (q, join(gs @ kh)),
-            (k, join(gs.transpose(0, 2, 1) @ qh)),
-            (v, join(p.transpose(0, 2, 1) @ gh)),
+            (k, join(gs.swapaxes(-1, -2) @ qh)),
+            (v, join(p.swapaxes(-1, -2) @ gh)),
         )
 
     return _node(join(p @ vh), (q, k, v), backward, "attention")
@@ -374,6 +382,21 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
         return ((a, g.transpose(inverse)),)
 
     return _node(a.data.transpose(axes), (a,), backward, "transpose")
+
+
+def take(a, i: int) -> Tensor:
+    """a[i] along the first axis, as one node; its gradient is g in row i
+    of zeros shaped like a."""
+    a = as_tensor(a)
+    if a.data.ndim == 0 or not 0 <= i < a.shape[0]:
+        raise ShapeError(f"take: index {i} out of range for shape {a.shape}")
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[i] = g
+        return ((a, ga),)
+
+    return _node(a.data[i], (a,), backward, "take")
 
 
 # ---------------------------------------------------------------- compound

@@ -116,33 +116,33 @@ def _sequence_targets(seq):
 
 
 def train_step(params: ModelParams, seq, state: AdamState, config: TrainConfig) -> float:
-    """One Adam step on one sequence; a non-finite loss or gradient is a
-    DomainError raised before any parameter moves. A trainable tensor that
-    does not require grad (as in `load_params` output, which holds
-    constants) is a ContractError raised before the forward pass."""
+    """One Adam step on one sequence. A non-finite loss or gradient, or a
+    DomainError from the forward pass or the loss, is a DomainError naming
+    the step and the sequence, raised before any parameter moves. A
+    trainable tensor that does not require grad (as in `load_params`
+    output, which holds constants) is a ContractError raised before the
+    forward pass."""
     for name, t in params.trainable().items():
         if not t.requires_grad:
             raise ContractError(f"trainable tensor {name} does not require grad; train from init_params")
-    preds = forward_sequence(seq, params)
-    loss = combined_loss(
-        [p.probabilities for p in preds],
-        _sequence_targets(seq),
-        [p.pooled_embedding for p in preds],
-        config.loss,
-    )
-    if not math.isfinite(loss.item()):
-        raise DomainError(
-            f"non-finite loss {loss.item()} at step {state.step + 1} "
-            f"on sequence {seq.sequence_id!r}"
+    where = f"at step {state.step + 1} on sequence {seq.sequence_id!r}"
+    try:
+        preds = forward_sequence(seq, params)
+        loss = combined_loss(
+            [p.probabilities for p in preds],
+            _sequence_targets(seq),
+            [p.pooled_embedding for p in preds],
+            config.loss,
         )
+    except DomainError as exc:
+        raise DomainError(f"{exc} {where}") from exc
+    if not math.isfinite(loss.item()):
+        raise DomainError(f"non-finite loss {loss.item()} {where}")
     params.zero_grad()
     loss.backward()
     for name, t in params.trainable().items():
         if t.grad is not None and not np.isfinite(t.grad).all():
-            raise DomainError(
-                f"non-finite gradient of {name} at step {state.step + 1} "
-                f"on sequence {seq.sequence_id!r}"
-            )
+            raise DomainError(f"non-finite gradient of {name} {where}")
     adam_step(params, state, config)
     return loss.item()
 

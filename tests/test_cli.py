@@ -172,7 +172,7 @@ def test_failed_rerun_keeps_the_earlier_checkpoint_and_its_trace(dataset, tmp_pa
     with np.errstate(all="ignore"):
         rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out)])
     assert rc == 1  # at step 2, once the first step has made the parameters non-finite
-    _single_json_error(capsys)
+    assert "at step 2 on sequence 'seq_" in _single_json_error(capsys)["error"]
     assert (out.read_bytes(), trace.read_bytes()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "m.psc", "m.psc.trace.jsonl"]
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sliceseg import model
 from sliceseg import tensor as T
 from sliceseg.data_io import (
     SliceData,
@@ -76,30 +77,27 @@ def test_zero_size_is_config_error(size):
 
 
 def test_encode_rejects_wrong_shape(micro_params):
-    with pytest.raises(ShapeError):
-        encode_slice(np.zeros((4, 4, 1)), micro_params)
+    with pytest.raises(ShapeError, match=r"image shape \(4, 4, 1\)"):
+        encode_slice(np.zeros((1, 4, 4, 1)), micro_params)
 
 
 def test_encode_deterministic(micro_params):
     rng = np.random.default_rng(0)
-    img = rng.uniform(0, 1, (8, 8, 1))
-    f1, p1 = encode_slice(img, micro_params)
-    f2, p2 = encode_slice(img, micro_params)
+    images = rng.uniform(0, 1, (3, 8, 8, 1))
+    f1 = encode_slice(images, micro_params)
+    f2 = encode_slice(images, micro_params)
     assert np.array_equal(f1.data, f2.data)
-    assert np.array_equal(p1.data, p2.data)
 
 
 def test_encode_zero_image_depends_only_on_positions(micro_params):
-    f1, _ = encode_slice(np.zeros((8, 8, 1)), micro_params)
-    f2, _ = encode_slice(np.zeros((8, 8, 1)), micro_params)
-    assert np.array_equal(f1.data, f2.data)
-    assert np.isfinite(f1.data).all()
+    feats = encode_slice(np.zeros((2, 8, 8, 1)), micro_params).data
+    assert np.array_equal(feats[0], feats[1])
+    assert np.isfinite(feats).all()
 
 
 def test_encode_output_shapes(micro_params):
-    feats, pooled = encode_slice(np.zeros((8, 8, 1)), micro_params)
-    assert feats.shape == (MICRO_CONFIG.num_patches, MICRO_CONFIG.d_model)
-    assert pooled.shape == (MICRO_CONFIG.d_model,)
+    feats = encode_slice(np.zeros((3, 8, 8, 1)), micro_params)
+    assert feats.shape == (3, MICRO_CONFIG.num_patches, MICRO_CONFIG.d_model)
 
 
 def test_decode_zero_weights_gives_half_probabilities(micro_params):
@@ -139,7 +137,7 @@ def test_single_slice_equals_memoryless_path(micro_params):
     rng = np.random.default_rng(1)
     seq = make_sequence(rng, MICRO_CONFIG, 1)
     [pred] = forward_sequence(seq, micro_params)
-    feats, _ = encode_slice(seq.slices[0].image, micro_params)
+    feats = T.take(encode_slice([seq.slices[0].image], micro_params), 0)
     fused = fuse_memory(feats, [], Tensor([1.0]))
     direct = decode_mask(fused, micro_params)
     assert np.array_equal(pred.logits.data, direct.data)
@@ -178,6 +176,50 @@ def test_missing_z_is_estimated(micro_params):
     assert len(forward_sequence(seq, micro_params)) == 3
 
 
+def _sequence_loss(seq, params):
+    preds = forward_sequence(seq, params)
+    loss = combined_loss(
+        [p.probabilities for p in preds],
+        [Tensor(sl.mask.astype(np.float64)) for sl in seq.slices],
+        [p.pooled_embedding for p in preds],
+    )
+    return preds, loss
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_chunked_encoding_equals_one_slice_chunks(n, monkeypatch):
+    # chunks of ENCODE_CHUNK = 8: one partial, one full, full plus one, and three chunks
+    params = init_params(ModelConfig(), seed=1)
+    seq = make_sequence(np.random.default_rng(n), ModelConfig(), n)
+    preds, loss = _sequence_loss(seq, params)
+    params.zero_grad()
+    loss.backward()
+    grads = {name: t.grad for name, t in params.trainable().items()}
+    monkeypatch.setattr(model, "ENCODE_CHUNK", 1)
+    solo, solo_loss = _sequence_loss(seq, params)
+    for p, q in zip(preds, solo, strict=True):
+        for a, b in [(p.logits, q.logits), (p.pooled_embedding, q.pooled_embedding)]:
+            assert np.array_equal(a.data, b.data)
+        assert p.confidence == q.confidence
+    assert loss.item() == solo_loss.item()
+    # one product over the chunk's rows sums weight gradients in another order
+    params.zero_grad()
+    solo_loss.backward()
+    for name, t in params.trainable().items():
+        if t.grad is None:  # lambda, with no memory slot to weigh
+            assert grads[name] is None, name
+            continue
+        assert np.abs(grads[name] - t.grad).max() <= 1e-12 * np.abs(t.grad).max(), name
+
+
+@pytest.mark.parametrize("bad", [3, 9])
+def test_a_mis_sized_slice_is_a_shape_error(bad, micro_params):
+    seq = make_sequence(np.random.default_rng(8), MICRO_CONFIG, 10)
+    seq.slices[bad].image = np.zeros((4, 4, 1))
+    with pytest.raises(ShapeError, match=r"image shape \(4, 4, 1\) != expected \(8, 8, 1\)"):
+        forward_sequence(seq, micro_params)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_causality_prediction_ignores_future_slices(seed, micro_params):
     rng = np.random.default_rng(seed)
@@ -196,7 +238,7 @@ def test_k_zero_equals_independent_per_slice():
     seq = make_sequence(rng, MICRO_CONFIG, 4)
     preds = forward_sequence(seq, params)
     for sl, pred in zip(seq.slices, preds):
-        feats, _ = encode_slice(sl.image, params)
+        feats = T.take(encode_slice([sl.image], params), 0)
         solo = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
         assert np.array_equal(pred.logits.data, solo.data)
 
@@ -333,14 +375,8 @@ def test_reference_train_step_tape_size(tmp_path):
     # read back so the images carry the on-disk f32 rounding
     generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=6, seed=1), tmp_path)
     [seq] = load_dataset(tmp_path)
-    params = init_params(ModelConfig(), seed=1)
-    preds = forward_sequence(seq, params)
-    loss = combined_loss(
-        [p.probabilities for p in preds],
-        [Tensor(sl.mask.astype(np.float64)) for sl in seq.slices],
-        [p.pooled_embedding for p in preds],
-    )
-    assert _tape_nodes(loss) <= 510
+    _, loss = _sequence_loss(seq, init_params(ModelConfig(), seed=1))
+    assert _tape_nodes(loss) <= 346
 
 
 @pytest.fixture(scope="module")

@@ -206,6 +206,7 @@ def test_composite_graph_matches_finite_differences(seed):
             "weighted_sum",
             lambda x, c: T.tensor_sum(T.mul(T.weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
         ),
+        ("take", lambda x, c: T.tensor_sum(T.mul(T.take(T.tanh(x), 1), c.data[2]))),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -252,9 +253,23 @@ def test_linear_gradients_reach_every_parent(seed):
     assert np.array_equal(T.linear(x, W).data, x.data @ W.data.T)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_linear_over_leading_axes_is_the_2d_op_per_index(seed):
+    rng = np.random.default_rng(seed)
+    x, W, b = _leaves(rng, (3, 5, 4), (6, 4), (6,))
+    c = Tensor(rng.standard_normal((3, 5, 6)))
+    out = T.linear(x, W, b)
+    assert out.shape == (3, 5, 6)
+    for s in range(3):
+        assert np.array_equal(out.data[s], T.linear(x.data[s], W, b).data)
+    _assert_gradients_reach(lambda: T.tensor_sum(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b])
+
+
 def test_linear_shape_errors():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    with pytest.raises(ShapeError, match=r"\(\).*\(4, 2\)"):
+        T.linear(Tensor(1.0), Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError, match="bias"):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
 
@@ -290,9 +305,25 @@ def test_multi_head_attention_matches_per_head_oracle(seed, heads):
         assert np.abs(t.grad - g).max() <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_multi_head_attention_over_leading_axes_is_the_2d_op_per_index(seed):
+    rng = np.random.default_rng(seed)
+    q, k, v = _leaves(rng, (3, 6, 8), (3, 6, 8), (3, 6, 8))
+    c = Tensor(rng.standard_normal((3, 6, 8)))
+    out = T.multi_head_attention(q, k, v, 4)
+    assert out.shape == (3, 6, 8)
+    for s in range(3):
+        assert np.array_equal(out.data[s], T.multi_head_attention(q.data[s], k.data[s], v.data[s], 4).data)
+    _assert_gradients_reach(
+        lambda: T.tensor_sum(T.mul(T.multi_head_attention(q, k, v, 4), c)), [q, k, v]
+    )
+
+
 def test_multi_head_attention_shape_errors():
     with pytest.raises(ShapeError):
         T.multi_head_attention(*(Tensor(np.zeros((4, 6))) for _ in range(3)), heads=4)
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(*(Tensor(np.zeros(6)) for _ in range(3)), heads=2)
     with pytest.raises(ShapeError):
         T.multi_head_attention(
             Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), Tensor(np.zeros((4, 6))), heads=2
@@ -421,6 +452,16 @@ def test_accumulating_kernels_leave_their_inputs_unmodified():
     loss.backward()
     for t, data in zip(inputs, before):
         assert np.array_equal(t.data, data)
+
+
+def test_take_is_a_row_and_rejects_an_index_out_of_range():
+    a = Tensor(np.arange(12.0).reshape(3, 4))
+    assert np.array_equal(T.take(a, 2).data, a.data[2])
+    for i in (-1, 3):
+        with pytest.raises(ShapeError, match=rf"take: index {i} out of range for shape \(3, 4\)"):
+            T.take(a, i)
+    with pytest.raises(ShapeError, match=r"shape \(\)"):
+        T.take(Tensor(1.0), 0)
 
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])

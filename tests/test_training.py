@@ -19,6 +19,7 @@ from sliceseg.model import (
     init_params,
     load_params,
 )
+from sliceseg import tensor as T
 from sliceseg.tensor import Tensor
 from sliceseg.training import (
     ADAM_EPS,
@@ -190,6 +191,23 @@ def test_non_finite_loss_raises_before_adam_moves(tiny_dataset):
         assert np.array_equal(t.data, before[n]), n
 
 
+def test_forward_domain_error_names_the_step_and_sequence(tiny_dataset):
+    # a NaN bias makes NaN probabilities, which the memory's confidence refuses
+    cfg = TrainConfig(steps=1, seed=0, model=small_model_config())
+    params = init_params(cfg.model, seed=0)
+    params["decoder.fc2.b"].data[0] = np.nan
+    before = {n: t.data.copy() for n, t in params.tensors.items()}
+    state = AdamState()
+    seq = load_dataset(tiny_dataset)[1]
+    with pytest.raises(
+        DomainError, match=r"probabilities must lie in \[0, 1\] at step 1 on sequence 'seq_001'"
+    ):
+        train_step(params, seq, state, cfg)
+    assert (state.step, state.m, state.v) == (0, {}, {})
+    for n, t in params.tensors.items():
+        assert np.array_equal(t.data, before[n], equal_nan=True), n
+
+
 @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
 def test_non_finite_gradient_with_finite_loss_raises_before_adam_moves(tiny_dataset, monkeypatch, poison):
     cfg = TrainConfig(steps=1, seed=0, model=small_model_config())
@@ -319,7 +337,7 @@ def test_k_zero_training_is_served_without_memory(tiny_dataset, tmp_path):
     for seq, entry in zip(load_dataset(tiny_dataset), report.sequences):
         preds = forward_sequence(seq, params)
         for sl, pred in zip(seq.slices, preds):
-            feats, _ = encode_slice(sl.image, params)
+            feats = T.take(encode_slice([sl.image], params), 0)
             solo = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
             assert np.array_equal(pred.logits.data, solo.data)
         expected = [
