@@ -64,13 +64,16 @@ def estimate_distance(f_i: np.ndarray, f_j: np.ndarray) -> float:
 
 def distance_modulation(d, lam: Tensor) -> Tensor:
     """exp(-lambda * d^2) for a distance or an array of them, differentiable
-    in lambda."""
+    in lambda. A distance whose square overflows is a DomainError naming
+    it: the modulation would be 0 and lambda's gradient NaN."""
     d = np.asarray(d, dtype=np.float64)
-    if not np.all(np.isfinite(d) & (d >= 0.0)):
-        raise DomainError(f"distance must be finite and >= 0, got {d}")
+    with np.errstate(over="ignore"):
+        square = d * d
+    if not np.all(np.isfinite(square) & (d >= 0.0)):
+        raise DomainError(f"distance must be >= 0 with a finite square, got {d}")
     if float(lam.data) < 0.0:
         raise DomainError(f"lambda must be >= 0, got {float(lam.data)}")
-    return T.exp(T.mul(lam, -(d * d)))
+    return T.exp(T.mul(lam, -square))
 
 
 def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:

@@ -108,9 +108,9 @@ def _cmd_eval(args) -> None:
 def _cmd_infer(args) -> None:
     params = load_params(args.ckpt)
     seq = load_sequence(args.sequence)
+    preds = forward_sequence(seq, params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    preds = forward_sequence(seq, params)
     for t, pred in enumerate(preds):
         mask = (pred.probabilities.data >= MASK_THRESHOLD).astype(np.uint8)
         write_raster(out_dir / f"pred_{t}.psr", mask)

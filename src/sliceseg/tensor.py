@@ -6,9 +6,8 @@ to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
 ``requires_grad`` tensor (call ``zero_grad`` between steps).
 
-The op set is exactly the 21 ops the model builds: ``add``, ``sub``,
-``mul``, ``div``, ``exp``, ``log``, ``tanh``, ``sigmoid``, ``clip``,
-``tensor_sum`` (op ``sum``), ``mean``, ``matmul``, ``reshape``,
+The op set is 16 of the 17 ops the model builds: ``add``, ``mul``,
+``exp``, ``tanh``, ``sigmoid``, ``mean``, ``matmul``, ``reshape``,
 ``transpose``, ``take`` (row i of the first axis), ``softmax`` and
 ``layer_norm`` (which optionally folds the affine gain and bias,
 ``gamma`` and ``beta``, both or neither, each as wide as the last axis,
@@ -16,10 +15,11 @@ into its one node), plus fused primitives that each replace a whole op
 chain of the model with one node and a hand-written backward: ``linear``
 and ``multi_head_attention`` (op ``attention``), which both take any
 leading axes so one node serves a chunk of slices, ``cosine_sims`` (op
-``cosine``; one query against many vectors) and ``weighted_sum``.
-``Tensor`` has no operator overloads. ``cosines`` is the detached numpy
-kernel behind ``cosine_sims``; memory selection, consistency pairs and
-distance estimation use it directly.
+``cosine``; one query against many vectors) and ``weighted_sum``. The
+17th, ``sequence_loss``, is the training objective's one node and lives
+in ``losses``. ``Tensor`` has no operator overloads. ``cosines`` is the
+detached numpy kernel behind ``cosine_sims``; memory selection,
+consistency pairs and distance estimation use it directly.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported.
 """
@@ -165,15 +165,6 @@ def add(a, b) -> Tensor:
     return _node(_broadcasting(np.add, a, b, "add"), (a, b), backward, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-
-    return _node(_broadcasting(np.subtract, a, b, "sub"), (a, b), backward, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
@@ -186,18 +177,6 @@ def mul(a, b) -> Tensor:
     return _node(_broadcasting(np.multiply, a, b, "mul"), (a, b), backward, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        return (
-            (a, _unbroadcast(g / b.data, a.shape)),
-            (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-        )
-
-    return _node(_broadcasting(np.divide, a, b, "div"), (a, b), backward, "div")
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
@@ -206,17 +185,6 @@ def exp(a) -> Tensor:
         return ((a, g * out_data),)
 
     return _node(out_data, (a,), backward, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log requires strictly positive input")
-
-    def backward(g):
-        return ((a, g / a.data),)
-
-    return _node(np.log(a.data), (a,), backward, "log")
 
 
 def tanh(a) -> Tensor:
@@ -239,28 +207,7 @@ def sigmoid(a) -> Tensor:
     return _node(out_data, (a,), backward, "sigmoid")
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes only through the interior."""
-    a = as_tensor(a)
-    mask = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        return ((a, g * mask),)
-
-    return _node(np.clip(a.data, lo, hi), (a,), backward, "clip")
-
-
 # --------------------------------------------------------------- reductions
-
-
-def tensor_sum(a) -> Tensor:
-    """Sum of every entry, as a scalar."""
-    a = as_tensor(a)
-
-    def backward(g):
-        return ((a, np.broadcast_to(g, a.shape).copy()),)
-
-    return _node(a.data.sum(), (a,), backward, "sum")
 
 
 def mean(a, axis: int | None = None) -> Tensor:

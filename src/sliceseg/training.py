@@ -305,13 +305,21 @@ def grad_check(seed: int = 0, max_checks_per_tensor: int = 24) -> dict:
 
     pick = substream(seed, "gradcheck-pick")
     groups: dict[str, dict] = {}
-    for name, tensor in sorted(params.trainable().items()):
-        group = params.group_of(name)
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
-        err = max_rel_error(loss_fn, tensor, max_checks=max_checks_per_tensor, rng=pick)
-        entry = groups.setdefault(group, {"max_rel_err": 0.0, "tensors": 0})
-        entry["max_rel_err"] = max(entry["max_rel_err"], err)
-        entry["tensors"] += 1
+    trainable = params.trainable()
+    # The probes only read loss values: they run on constants, building no tape.
+    for tensor in trainable.values():
+        tensor.requires_grad = False
+    try:
+        for name, tensor in sorted(trainable.items()):
+            group = params.group_of(name)
+            if tensor.grad is None:
+                tensor.grad = np.zeros_like(tensor.data)
+            err = max_rel_error(loss_fn, tensor, max_checks=max_checks_per_tensor, rng=pick)
+            entry = groups.setdefault(group, {"max_rel_err": 0.0, "tensors": 0})
+            entry["max_rel_err"] = max(entry["max_rel_err"], err)
+            entry["tensors"] += 1
+    finally:
+        for tensor in trainable.values():
+            tensor.requires_grad = True
     passed = all(g["max_rel_err"] <= 1e-3 for g in groups.values())
     return {"seed": seed, "pass": passed, "groups": groups, "tolerance": 1e-3}

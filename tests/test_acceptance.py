@@ -390,18 +390,17 @@ def test_criterion_loss_identities(verdict):
         expected = float(
             np.mean(
                 [
-                    w.w_dice * dice_loss(p, y).item() + w.w_bce * bce_loss(p, y).item()
+                    w.w_dice * dice_loss(p.data, y.data) + w.w_bce * bce_loss(p.data, y.data)
                     for p, y in zip(preds, targets)
                 ]
             )
-            + w.w_consistency * consistency_loss(preds, embs, w.similarity_threshold).item()
+            + w.w_consistency
+            * consistency_loss([p.data for p in preds], embs, w.similarity_threshold)
         )
         sum_ok &= abs(total - expected) <= 1e-12
 
-    p = Tensor(rng.uniform(0, 1, (5, 5)))
-    identical_zero = (
-        consistency_loss([p, Tensor(p.data.copy())], [Tensor(np.ones(3))] * 2).item() == 0.0
-    )
+    p = rng.uniform(0, 1, (5, 5))
+    identical_zero = consistency_loss([p, p.copy()], [Tensor(np.ones(3))] * 2) == 0.0
 
     dice_ok = True
     for _ in range(50):

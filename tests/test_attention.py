@@ -57,6 +57,20 @@ def test_modulation_rejects_negative_inputs():
                     distance_modulation(bad, lam)
 
 
+def test_distance_whose_square_overflows_is_a_domain_error_naming_it():
+    # exp(-lambda * inf) would be 0 and lambda's gradient NaN, blamed on lambda
+    lam = Tensor(LAMBDA_INIT, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"distance .*finite square.*1\.?e\+200"):
+            distance_modulation([0.0, 1e200], lam)
+        with pytest.raises(DomainError, match="finite square"):
+            distance_modulation(1.4e154, lam)
+    # the largest distances whose square is finite still modulate to 0 with a finite gradient
+    T.mean(distance_modulation([0.0, 1.3e154], lam)).backward()
+    assert np.isfinite(lam.grad)
+
+
 def test_modulation_monotone_in_distance():
     lam = Tensor(0.05)
     values = [distance_modulation(d, lam).item() for d in np.linspace(0, 30, 40)]
@@ -161,7 +175,7 @@ def test_lambda_gradient_matches_finite_differences():
 
     def loss():
         w = cross_slice_weights(ctx, lam)
-        return T.tensor_sum(T.mul(w, Tensor([2.0, -1.0])))
+        return T.mean(T.mul(w, Tensor([2.0, -1.0])))
 
     loss().backward()
     assert lam.grad is not None

@@ -312,6 +312,22 @@ def test_infer_on_malformed_sequence_json_is_single_line_error(
     assert "sequence.json" in _single_json_error(capsys)["error"]
 
 
+def test_infer_on_a_z_gap_whose_square_overflows_is_single_line_error(
+    dataset, checkpoint, tmp_path, capsys
+):
+    seq_dir = tmp_path / "seq"
+    shutil.copytree(dataset / "seq_000", seq_dir)
+    meta_path = seq_dir / "sequence.json"
+    meta = json.loads(meta_path.read_text())
+    meta["slices"][1]["z_position_um"] = 1e200
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "p"
+    rc = main(["infer", "--ckpt", str(checkpoint), "--sequence", str(seq_dir), "--out", str(out)])
+    assert rc == 1
+    assert "finite square" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
 def test_infer_on_non_finite_raster_is_single_line_error(dataset, checkpoint, tmp_path, capsys):
     seq_dir = tmp_path / "seq"
     shutil.copytree(dataset / "seq_000", seq_dir)

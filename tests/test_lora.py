@@ -91,7 +91,7 @@ def test_gradients_reach_adapters_only():
     x = Tensor(np.random.default_rng(6).standard_normal((2, 4)))
 
     def loss():
-        return T.tensor_sum(T.mul(lora_forward(x, W, A, B), lora_forward(x, W, A, B)))
+        return T.mean(T.mul(lora_forward(x, W, A, B), lora_forward(x, W, A, B)))
 
     loss().backward()
     assert A.grad is not None and B.grad is not None

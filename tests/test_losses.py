@@ -21,8 +21,7 @@ from sliceseg.tensor import Tensor
 
 def test_dice_loss_perfect_match():
     # 16 ones of 16 pixels: 1 - 33/33 = 0
-    ones = Tensor(np.ones((4, 4)))
-    assert dice_loss(ones, Tensor(np.ones((4, 4)))).item() == pytest.approx(0.0, abs=1e-15)
+    assert dice_loss(np.ones((4, 4)), np.ones((4, 4))) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dice_loss_disjoint_halves_hand_value():
@@ -31,78 +30,83 @@ def test_dice_loss_disjoint_halves_hand_value():
     p[:, :2] = 1.0
     y = np.zeros((4, 4))
     y[:, 2:] = 1.0
-    out = dice_loss(Tensor(p), Tensor(y)).item()
+    out = dice_loss(p, y)
     assert out == pytest.approx(1.0 - 1.0 / 17.0, abs=1e-12)
     assert out == pytest.approx(0.941176, abs=1e-6)
 
 
 def test_dice_loss_empty_masks_smoothing_convention():
-    z = Tensor(np.zeros((4, 4)))
-    assert dice_loss(z, Tensor(np.zeros((4, 4)))).item() == 0.0
+    assert dice_loss(np.zeros((4, 4)), np.zeros((4, 4))) == 0.0
 
 
 def test_dice_loss_shape_mismatch():
     with pytest.raises(ShapeError):
-        dice_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3))))
+        dice_loss(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_bce_uniform_uncertainty():
-    p = Tensor(np.full((4, 4), 0.5))
-    y = Tensor((np.arange(16).reshape(4, 4) % 2).astype(float))
-    assert bce_loss(p, y).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    p = np.full((4, 4), 0.5)
+    y = (np.arange(16).reshape(4, 4) % 2).astype(float)
+    assert bce_loss(p, y) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_bce_near_zero_floor_on_perfect_prediction():
     y = (np.arange(16).reshape(4, 4) % 2).astype(float)
-    assert bce_loss(Tensor(y), Tensor(y)).item() <= 1e-6
+    assert bce_loss(y, y) <= 1e-6
 
 
 def test_bce_single_pixel_derived():
-    assert bce_loss(Tensor([[0.9]]), Tensor([[1.0]])).item() == pytest.approx(
+    assert bce_loss(np.array([[0.9]]), np.array([[1.0]])) == pytest.approx(
         -math.log(0.9), abs=1e-12
     )
 
 
 def test_consistency_identical_predictions_is_exactly_zero():
-    p = Tensor(np.random.default_rng(0).uniform(0, 1, (4, 4)))
+    p = np.random.default_rng(0).uniform(0, 1, (4, 4))
     e = Tensor(np.ones(3))
-    out = consistency_loss([p, Tensor(p.data.copy())], [e, e])
-    assert out.item() == 0.0
+    assert consistency_loss([p, p.copy()], [e, e]) == 0.0
 
 
 def test_consistency_single_slice_has_no_pairs():
-    assert consistency_loss([Tensor(np.ones((2, 2)))], [Tensor(np.ones(3))]).item() == 0.0
+    assert consistency_loss([np.ones((2, 2))], [Tensor(np.ones(3))]) == 0.0
 
 
 def test_consistency_hand_value():
     # sim = 0.9 > tau, p1 all ones, p2 all zeros -> 0.9 * 1
     e1 = Tensor([1.0, 0.0])
     e2 = Tensor([0.9, math.sqrt(1 - 0.81)])
-    out = consistency_loss(
-        [Tensor(np.ones((3, 3))), Tensor(np.zeros((3, 3)))], [e1, e2]
-    )
-    assert out.item() == pytest.approx(0.9, abs=1e-12)
+    out = consistency_loss([np.ones((3, 3)), np.zeros((3, 3))], [e1, e2])
+    assert out == pytest.approx(0.9, abs=1e-12)
 
 
 def test_consistency_below_threshold_pairs_drop_out():
     e1 = Tensor([1.0, 0.0])
     e2 = Tensor([0.0, 1.0])  # sim 0 < 0.7
-    out = consistency_loss([Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2)))], [e1, e2])
-    assert out.item() == 0.0
+    assert consistency_loss([np.ones((2, 2)), np.zeros((2, 2))], [e1, e2]) == 0.0
 
 
 def test_consistency_length_mismatch():
     with pytest.raises(ContractError):
-        consistency_loss([Tensor(np.ones((2, 2)))], [])
+        consistency_loss([np.ones((2, 2))], [])
+
+
+def test_argument_errors_are_typed():
+    one = [Tensor(np.ones((2, 2)))]
+    with pytest.raises(ContractError, match="1 predictions vs 0 targets"):
+        combined_loss(one, [], one)
+    with pytest.raises(ContractError, match="empty sequence"):
+        combined_loss([], [], [])
+    with pytest.raises(ShapeError, match=r"consistency_loss: .*\(1, 2\).*\(2, 2\)"):
+        consistency_loss([np.ones((1, 2)), np.ones((2, 2))], [Tensor(np.ones(3))] * 2)
 
 
 def test_consistency_invariant_to_slice_reordering():
     rng = np.random.default_rng(5)
-    preds = [Tensor(rng.uniform(0, 1, (3, 3))) for _ in range(4)]
+    preds = [rng.uniform(0, 1, (3, 3)) for _ in range(4)]
     embs = [Tensor(rng.standard_normal(4) + 2.0) for _ in range(4)]
-    base = consistency_loss(preds, embs).item()
+    base = consistency_loss(preds, embs)
     perm = rng.permutation(4)
-    shuffled = consistency_loss([preds[i] for i in perm], [embs[i] for i in perm]).item()
+    shuffled = consistency_loss([preds[i] for i in perm], [embs[i] for i in perm])
     assert shuffled == pytest.approx(base, abs=1e-12)
 
 
@@ -116,11 +120,11 @@ def test_combined_matches_component_sum():
     total = combined_loss(preds, targets, embs, w).item()
     per_slice = np.mean(
         [
-            w.w_dice * dice_loss(p, y, w.smooth).item() + w.w_bce * bce_loss(p, y).item()
+            w.w_dice * dice_loss(p.data, y.data, w.smooth) + w.w_bce * bce_loss(p.data, y.data)
             for p, y in zip(preds, targets)
         ]
     )
-    cons = consistency_loss(preds, embs, w.similarity_threshold).item()
+    cons = consistency_loss([p.data for p in preds], embs, w.similarity_threshold)
     assert abs(total - (per_slice + w.w_consistency * cons)) <= 1e-12
 
 
@@ -133,7 +137,7 @@ def test_combined_zero_consistency_weight_reduces_to_slice_mean():
     total = combined_loss(preds, targets, embs, w).item()
     expected = np.mean(
         [
-            w.w_dice * dice_loss(p, y).item() + w.w_bce * bce_loss(p, y).item()
+            w.w_dice * dice_loss(p.data, y.data) + w.w_bce * bce_loss(p.data, y.data)
             for p, y in zip(preds, targets)
         ]
     )
@@ -158,19 +162,19 @@ def test_loss_ranges_and_gradients(seed):
     rng = np.random.default_rng(seed)
     p = Tensor(rng.uniform(0.05, 0.95, (4, 4)), requires_grad=True)
     y = Tensor((rng.random((4, 4)) < 0.5).astype(float))
-    dl = dice_loss(p, y)
-    assert 0.0 <= dl.item() < 1.0
-    assert bce_loss(p, y).item() >= 0.0
-    dl.backward()
-    assert max_rel_error(lambda: dice_loss(p, y), p) <= 1e-3
-    p.zero_grad()
-    bce_loss(p, y).backward()
-    assert max_rel_error(lambda: bce_loss(p, y), p) <= 1e-3
-    p.zero_grad()
+    assert 0.0 <= dice_loss(p.data, y.data) < 1.0
+    assert bce_loss(p.data, y.data) >= 0.0
     other = Tensor(rng.uniform(0.05, 0.95, (4, 4)))
     embs = [Tensor(np.ones(3)), Tensor(np.ones(3))]
-    consistency_loss([p, other], embs).backward()
-    assert max_rel_error(lambda: consistency_loss([p, other], embs), p) <= 1e-3
+    # each term alone, through the one sequence_loss node
+    for w in (
+        LossWeights(w_bce=0.0, w_consistency=0.0),
+        LossWeights(w_dice=0.0, w_consistency=0.0),
+        LossWeights(w_dice=0.0, w_bce=0.0, w_consistency=1.0),
+    ):
+        p.zero_grad()
+        combined_loss([p, other], [y, y], embs, w).backward()
+        assert max_rel_error(lambda: combined_loss([p, other], [y, y], embs, w), p) <= 1e-3
 
 
 def test_dice_score_identical_masks():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -357,15 +358,16 @@ def test_init_gives_zero_lora_b_and_base_forward():
             assert np.array_equal(lora_forward(x, W, A, B).data, T.linear(x, W).data)
 
 
-def _tape_nodes(root: Tensor) -> int:
-    """Non-leaf nodes reachable from root through _parents."""
-    seen, stack, count = set(), [root], 0
+def _tape_nodes(root: Tensor) -> Counter:
+    """Non-leaf nodes reachable from root through _parents, per op."""
+    seen, stack, count = set(), [root], Counter()
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        count += node._op != "leaf"
+        if node._op != "leaf":
+            count[node._op] += 1
         stack.extend(node._parents)
     return count
 
@@ -376,7 +378,13 @@ def test_reference_train_step_tape_size(tmp_path):
     generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=6, seed=1), tmp_path)
     [seq] = load_dataset(tmp_path)
     _, loss = _sequence_loss(seq, init_params(ModelConfig(), seed=1))
-    assert _tape_nodes(loss) <= 346
+    nodes = _tape_nodes(loss)
+    assert nodes == Counter(
+        add=9, attention=2, cosine=5, exp=5, layer_norm=10, linear=25, matmul=4, mean=6, mul=10,
+        reshape=12, sequence_loss=1, sigmoid=6, softmax=5, take=6, tanh=8, transpose=6,
+        weighted_sum=6,
+    )
+    assert sum(nodes.values()) == 126
 
 
 @pytest.fixture(scope="module")

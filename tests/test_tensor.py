@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sliceseg import losses
 from sliceseg import tensor as T
 from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
 from sliceseg.errors import ContractError, DomainError, ShapeError
 from sliceseg.gradcheck import max_rel_error
-from sliceseg.losses import combined_loss
+from sliceseg.losses import BCE_CLIP, LossWeights, combined_loss, consistency_pairs
 from sliceseg.model import ModelConfig, forward_sequence, init_params
 from sliceseg.tensor import Tensor
 
@@ -121,8 +122,8 @@ def test_backward_requires_scalar():
 
 def test_backward_linear_case():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    T.tensor_sum(x).backward()
-    assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
+    T.mean(x).backward()
+    assert np.array_equal(x.grad, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_backward_square():
@@ -133,11 +134,90 @@ def test_backward_square():
 
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    T.tensor_sum(x).backward()
-    T.tensor_sum(x).backward()
-    assert np.array_equal(x.grad, [2.0, 2.0])
+    T.mean(x).backward()
+    T.mean(x).backward()
+    assert np.array_equal(x.grad, [1.0, 1.0])
     x.zero_grad()
     assert x.grad is None
+
+
+# The old training loss's ops. sub, div, log, clip and tensor_sum were tape
+# ops until the objective became the one sequence_loss node; they stay here
+# as the reference chain that node is checked against, with their own
+# gradient cases in test_each_op_gradient.
+
+
+def sub(a, b) -> Tensor:
+    a, b = T.as_tensor(a), T.as_tensor(b)
+
+    def backward(g):
+        return ((a, T._unbroadcast(g, a.shape)), (b, T._unbroadcast(-g, b.shape)))
+
+    return T._node(a.data - b.data, (a, b), backward, "sub")
+
+
+def div(a, b) -> Tensor:
+    a, b = T.as_tensor(a), T.as_tensor(b)
+
+    def backward(g):
+        return (
+            (a, T._unbroadcast(g / b.data, a.shape)),
+            (b, T._unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
+        )
+
+    return T._node(a.data / b.data, (a, b), backward, "div")
+
+
+def log(a) -> Tensor:
+    a = T.as_tensor(a)
+    return T._node(np.log(a.data), (a,), lambda g: ((a, g / a.data),), "log")
+
+
+def clip(a, lo: float, hi: float) -> Tensor:
+    a = T.as_tensor(a)
+    mask = (a.data > lo) & (a.data < hi)
+    return T._node(np.clip(a.data, lo, hi), (a,), lambda g: ((a, g * mask),), "clip")
+
+
+def tensor_sum(a) -> Tensor:
+    a = T.as_tensor(a)
+    return T._node(a.data.sum(), (a,), lambda g: ((a, np.broadcast_to(g, a.shape).copy()),), "sum")
+
+
+def _old_combined_loss(predictions, targets, pairs, w: LossWeights) -> Tensor:
+    """The sequence loss as the op chain it was built from before it
+    became one node, arithmetic for arithmetic."""
+    per_slice = []
+    for p, y in zip(predictions, targets):
+        overlap = tensor_sum(T.mul(p, y))
+        total = T.add(tensor_sum(p), tensor_sum(y))
+        dice = sub(1.0, div(T.add(T.mul(overlap, 2.0), w.smooth), T.add(total, w.smooth)))
+        pc = clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
+        pos = T.mul(y, log(pc))
+        neg = T.mul(sub(1.0, y), log(sub(1.0, pc)))
+        bce = T.mul(T.mean(T.add(pos, neg)), -1.0)
+        per_slice.append(T.add(T.mul(dice, w.w_dice), T.mul(bce, w.w_bce)))
+    total = div(functools.reduce(T.add, per_slice), float(len(per_slice)))
+    terms = []
+    for i, j, sim in pairs:
+        diff = sub(predictions[i], predictions[j])
+        terms.append(T.mul(T.mean(T.mul(diff, diff)), sim))
+    cons = div(functools.reduce(T.add, terms), float(len(terms))) if terms else Tensor(0.0)
+    return T.add(total, T.mul(cons, w.w_consistency))
+
+
+# sigmoid(x + offset) puts these pixels inside BCE's clip band (within 1e-7
+# of 1 or of 0) or at exactly 1; a zero of _KEEP makes a pixel exactly 0.
+_OFFSETS = np.zeros((3, 4))
+_OFFSETS[0, 1], _OFFSETS[1, 2], _OFFSETS[2, 0] = 18.5, -18.5, 45.0
+_KEEP = np.ones((3, 4))
+_KEEP[1, 3] = 0.0
+
+
+def _probability_rows(x: Tensor) -> list[Tensor]:
+    """The rows of sigmoid(x + _OFFSETS) * _KEEP, as three probability maps."""
+    probs = T.mul(T.sigmoid(T.add(x, _OFFSETS)), _KEEP)
+    return [T.take(probs, t) for t in range(3)]
 
 
 def _columns(lo: int, hi: int, width: int) -> np.ndarray:
@@ -157,8 +237,8 @@ def _composite(x: Tensor, c: Tensor) -> Tensor:
         T.matmul(T.exp(T.matmul(d, right)), right.T),
     )
     # sqrt(x^2 + 1) as exp(log(.) / 2)
-    root = T.exp(T.mul(T.log(T.add(T.mul(x, x), 1.0)), 0.5))
-    return T.add(T.mean(T.mul(e, e)), T.tensor_sum(root))
+    root = T.exp(T.mul(log(T.add(T.mul(x, x), 1.0)), 0.5))
+    return T.add(T.mean(T.mul(e, e)), T.mean(root))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -174,28 +254,28 @@ def test_composite_graph_matches_finite_differences(seed):
 @pytest.mark.parametrize(
     "name,build",
     [
-        ("add", lambda x, c: T.tensor_sum(T.mul(T.add(x, c), c))),
-        ("sub", lambda x, c: T.tensor_sum(T.mul(T.sub(c, x), c))),
-        ("mul", lambda x, c: T.tensor_sum(T.mul(T.mul(x, c), c))),
-        ("div", lambda x, c: T.tensor_sum(T.div(c, T.add(T.mul(x, x), 1.0)))),
-        ("exp", lambda x, c: T.tensor_sum(T.exp(x))),
-        ("sigmoid", lambda x, c: T.tensor_sum(T.mul(T.sigmoid(x), c))),
-        ("tanh", lambda x, c: T.tensor_sum(T.mul(T.tanh(x), c))),
+        ("add", lambda x, c: T.mean(T.mul(T.add(x, c), c))),
+        ("sub", lambda x, c: T.mean(T.mul(sub(c, x), c))),
+        ("mul", lambda x, c: T.mean(T.mul(T.mul(x, c), c))),
+        ("div", lambda x, c: T.mean(div(c, T.add(T.mul(x, x), 1.0)))),
+        ("exp", lambda x, c: T.mean(T.exp(x))),
+        ("sigmoid", lambda x, c: T.mean(T.mul(T.sigmoid(x), c))),
+        ("tanh", lambda x, c: T.mean(T.mul(T.tanh(x), c))),
         ("mean", lambda x, c: T.mean(T.mul(x, c))),
-        ("mean_axis", lambda x, c: T.tensor_sum(T.mean(T.mul(x, c), axis=0))),
-        ("reshape", lambda x, c: T.tensor_sum(T.mul(T.reshape(x, (4, 3)), T.reshape(c, (4, 3))))),
-        ("transpose", lambda x, c: T.tensor_sum(T.mul(T.transpose(x, (1, 0)), T.transpose(c, (1, 0))))),
-        ("layer_norm", lambda x, c: T.tensor_sum(T.mul(T.layer_norm(x), c))),
-        ("softmax", lambda x, c: T.tensor_sum(T.mul(T.softmax(x), c))),
-        ("clip", lambda x, c: T.tensor_sum(T.clip(T.mul(x, c), -0.5, 0.5))),
-        ("linear", lambda x, c: T.tensor_sum(T.tanh(T.linear(x, c, T.mean(c, axis=1))))),
+        ("mean_axis", lambda x, c: T.mean(T.mean(T.mul(x, c), axis=0))),
+        ("reshape", lambda x, c: T.mean(T.mul(T.reshape(x, (4, 3)), T.reshape(c, (4, 3))))),
+        ("transpose", lambda x, c: T.mean(T.mul(T.transpose(x, (1, 0)), T.transpose(c, (1, 0))))),
+        ("layer_norm", lambda x, c: T.mean(T.mul(T.layer_norm(x), c))),
+        ("softmax", lambda x, c: T.mean(T.mul(T.softmax(x), c))),
+        ("clip", lambda x, c: T.mean(clip(T.mul(x, c), -0.5, 0.5))),
+        ("linear", lambda x, c: T.mean(T.tanh(T.linear(x, c, T.mean(c, axis=1))))),
         (
             "attention",
-            lambda x, c: T.tensor_sum(T.mul(T.multi_head_attention(x, T.mul(x, c), c, 2), c)),
+            lambda x, c: T.mean(T.mul(T.multi_head_attention(x, T.mul(x, c), c, 2), c)),
         ),
         (
             "cosine_sims",
-            lambda x, c: T.tensor_sum(
+            lambda x, c: T.mean(
                 T.mul(
                     T.cosine_sims(T.mean(x, axis=0), [T.mean(T.mul(x, c), axis=0), c.data[0]]),
                     [1.0, -2.0],
@@ -204,9 +284,18 @@ def test_composite_graph_matches_finite_differences(seed):
         ),
         (
             "weighted_sum",
-            lambda x, c: T.tensor_sum(T.mul(T.weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
+            lambda x, c: T.mean(T.mul(T.weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
         ),
-        ("take", lambda x, c: T.tensor_sum(T.mul(T.take(T.tanh(x), 1), c.data[2]))),
+        ("take", lambda x, c: T.mean(T.mul(T.take(T.tanh(x), 1), c.data[2]))),
+        (
+            "sequence_loss",
+            lambda x, c: combined_loss(
+                _probability_rows(x),
+                [Tensor((row > 0.0).astype(float)) for row in c.data],
+                [Tensor(np.ones(2))] * 3,
+                pairs=[(0, 1, 0.9), (0, 2, 0.8), (1, 2, 0.75)],
+            ),
+        ),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -247,7 +336,7 @@ def test_linear_gradients_reach_every_parent(seed):
     x, W, b = _leaves(rng, (5, 4), (3, 4), (3,))
     c = Tensor(rng.standard_normal((5, 3)))
     _assert_gradients_reach(
-        lambda: T.tensor_sum(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b]
+        lambda: T.mean(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b]
     )
     assert np.array_equal(T.linear(x, W, b).data, x.data @ W.data.T + b.data)
     assert np.array_equal(T.linear(x, W).data, x.data @ W.data.T)
@@ -262,7 +351,7 @@ def test_linear_over_leading_axes_is_the_2d_op_per_index(seed):
     assert out.shape == (3, 5, 6)
     for s in range(3):
         assert np.array_equal(out.data[s], T.linear(x.data[s], W, b).data)
-    _assert_gradients_reach(lambda: T.tensor_sum(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b])
+    _assert_gradients_reach(lambda: T.mean(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b])
 
 
 def test_linear_shape_errors():
@@ -296,10 +385,10 @@ def test_multi_head_attention_matches_per_head_oracle(seed, heads):
     fused = T.multi_head_attention(q, k, v, heads)
     oracle = _per_head_attention(q, k, v, heads)
     assert np.abs(fused.data - oracle.data).max() <= 1e-12
-    T.tensor_sum(T.mul(oracle, c)).backward()
+    T.mean(T.mul(oracle, c)).backward()
     oracle_grads = [t.grad for t in (q, k, v)]
     _assert_gradients_reach(
-        lambda: T.tensor_sum(T.mul(T.multi_head_attention(q, k, v, heads), c)), [q, k, v]
+        lambda: T.mean(T.mul(T.multi_head_attention(q, k, v, heads), c)), [q, k, v]
     )
     for t, g in zip((q, k, v), oracle_grads):
         assert np.abs(t.grad - g).max() <= 1e-12
@@ -315,7 +404,7 @@ def test_multi_head_attention_over_leading_axes_is_the_2d_op_per_index(seed):
     for s in range(3):
         assert np.array_equal(out.data[s], T.multi_head_attention(q.data[s], k.data[s], v.data[s], 4).data)
     _assert_gradients_reach(
-        lambda: T.tensor_sum(T.mul(T.multi_head_attention(q, k, v, 4), c)), [q, k, v]
+        lambda: T.mean(T.mul(T.multi_head_attention(q, k, v, 4), c)), [q, k, v]
     )
 
 
@@ -336,7 +425,7 @@ def test_cosine_sims_gradients_reach_query_and_each_vector(seed):
     query, *vectors = _leaves(rng, (5,), (5,), (5,), (5,))
     weights = Tensor(rng.standard_normal(3))
     _assert_gradients_reach(
-        lambda: T.tensor_sum(T.mul(T.cosine_sims(query, vectors), weights)), [query, *vectors]
+        lambda: T.mean(T.mul(T.cosine_sims(query, vectors), weights)), [query, *vectors]
     )
     pairwise = [_norm_formula_cosine(query.data, v.data) for v in vectors]
     assert np.abs(T.cosine_sims(query, vectors).data - pairwise).max() <= 1e-15
@@ -349,7 +438,7 @@ def test_cosine_sims_degenerate_vector_gets_zero_and_no_gradient():
     out = T.cosine_sims(query, [zero, live])
     assert out.data[0] == 0.0
     assert out.data[1] == pytest.approx(_norm_formula_cosine(query.data, live.data), abs=1e-15)
-    T.tensor_sum(out).backward()
+    T.mean(out).backward()
     assert zero.grad is None
     assert live.grad is not None and query.grad is not None
 
@@ -359,7 +448,7 @@ def test_cosine_sims_degenerate_query_gets_zeros_and_no_gradient():
     vectors = [Tensor(v, requires_grad=True) for v in ([1.0, 2.0, 3.0], [0.5, 0.0, 1.0])]
     out = T.cosine_sims(query, vectors)
     assert np.array_equal(out.data, [0.0, 0.0])
-    T.tensor_sum(out).backward()
+    T.mean(out).backward()
     assert query.grad is None
     assert all(v.grad is None for v in vectors)
 
@@ -370,7 +459,7 @@ def test_weighted_sum_gradients_reach_alpha_and_each_grid(seed):
     alpha, *grids = _leaves(rng, (3,), (4, 2), (4, 2), (4, 2))
     c = Tensor(rng.standard_normal((4, 2)))
     _assert_gradients_reach(
-        lambda: T.tensor_sum(T.mul(T.weighted_sum(alpha, grids), c)), [alpha, *grids]
+        lambda: T.mean(T.mul(T.weighted_sum(alpha, grids), c)), [alpha, *grids]
     )
     expected = sum(a * g.data for a, g in zip(alpha.data, grids))
     assert np.abs(T.weighted_sum(alpha, grids).data - expected).max() <= 1e-15
@@ -408,8 +497,8 @@ def test_affine_layer_norm_is_the_old_chain_bitwise(seed, shape):
     a.data = a.data * 3.0 + 1.5
     c = Tensor(rng.standard_normal(shape))
     out = T.layer_norm(a, gamma, beta)
-    T.tensor_sum(T.mul(out, c)).backward()  # upstream gradient is exactly c
-    expected = _layer_norm_chain_oracle(a.data, gamma.data, beta.data, c.data)
+    T.mean(T.mul(out, c)).backward()  # upstream gradient is exactly c / c.size
+    expected = _layer_norm_chain_oracle(a.data, gamma.data, beta.data, (1.0 / c.size) * c.data)
     for got, want in zip((out.data, a.grad, gamma.grad, beta.grad), expected):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert out._op == "layer_norm"
@@ -423,7 +512,7 @@ def test_affine_layer_norm_gradients_reach_every_input(seed):
     a, gamma, beta = _leaves(rng, (4, 5), (5,), (5,))
     c = Tensor(rng.standard_normal((4, 5)))
     _assert_gradients_reach(
-        lambda: T.tensor_sum(T.mul(T.tanh(T.layer_norm(a, gamma, beta)), c)), [a, gamma, beta]
+        lambda: T.mean(T.mul(T.tanh(T.layer_norm(a, gamma, beta)), c)), [a, gamma, beta]
     )
 
 
@@ -446,8 +535,8 @@ def test_accumulating_kernels_leave_their_inputs_unmodified():
     inputs = [x, W, b, a, gamma, beta, alpha, g0, g1, g2]
     before = [t.data.copy() for t in inputs]
     loss = T.add(
-        T.add(T.tensor_sum(T.linear(x, W, b)), T.tensor_sum(T.layer_norm(a, gamma, beta))),
-        T.add(T.tensor_sum(T.layer_norm(a)), T.tensor_sum(T.weighted_sum(alpha, [g0, g1, g2]))),
+        T.add(T.mean(T.linear(x, W, b)), T.mean(T.layer_norm(a, gamma, beta))),
+        T.add(T.mean(T.layer_norm(a)), T.mean(T.weighted_sum(alpha, [g0, g1, g2]))),
     )
     loss.backward()
     for t, data in zip(inputs, before):
@@ -464,7 +553,7 @@ def test_take_is_a_row_and_rejects_an_index_out_of_range():
         T.take(Tensor(1.0), 0)
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+@pytest.mark.parametrize("op", [T.add, T.mul])
 def test_elementwise_shape_error_names_both_shapes(op):
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4,\)"):
         op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
@@ -484,7 +573,7 @@ def test_reshape_size_mismatch():
 
 def test_grad_shape_matches_data():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    T.tensor_sum(T.mul(x, x)).backward()
+    T.mean(T.mul(x, x)).backward()
     assert x.grad.shape == x.data.shape
 
 
@@ -521,10 +610,10 @@ def test_cosine_sims_forward_is_the_kernel_bitwise(seed):
 
 
 def test_tensor_defines_exactly_the_ops_a_training_loss_builds(tmp_path):
-    tree = ast.parse(Path(T.__file__).read_text())
     defined = {
         call.args[-1].value
-        for call in ast.walk(tree)
+        for module in (T, losses)
+        for call in ast.walk(ast.parse(Path(module.__file__).read_text()))
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_node"
     }
     generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=3, seed=1), tmp_path)
@@ -543,3 +632,43 @@ def test_tensor_defines_exactly_the_ops_a_training_loss_builds(tmp_path):
             on_tape.add(node._op)
             stack.extend(node._parents)
     assert defined == on_tape - {"leaf"}
+    assert len(defined) == 17
+
+
+def _loss_case(seed: int, n: int, similar: bool):
+    """n 5x5 probability maps with pixels at exactly 0 and 1 and inside
+    the clip band, binary targets, and embeddings that are near copies of
+    one direction (pairs clear the threshold) or orthogonal (none do)."""
+    rng = np.random.default_rng(seed)
+    maps = rng.uniform(0.0, 1.0, (n, 5, 5))
+    maps[:, 0, :4] = [0.0, 1.0, 0.5 * BCE_CLIP, 1.0 - 0.5 * BCE_CLIP]
+    preds = [Tensor(m, requires_grad=True) for m in maps]
+    targets = [Tensor((rng.random((5, 5)) < 0.4).astype(float)) for _ in range(n)]
+    if similar:
+        base = rng.standard_normal(6)
+        embs = [Tensor(base + rng.normal(0.0, 0.1, 6)) for _ in range(n)]
+    else:
+        embs = [Tensor(np.eye(6)[t]) for t in range(n)]
+    return preds, targets, embs
+
+
+@pytest.mark.parametrize(
+    "weights", [LossWeights(), LossWeights(w_dice=0.7, w_bce=1.3, w_consistency=0.4, smooth=0.5)]
+)
+@pytest.mark.parametrize("n,similar", [(4, True), (3, False), (1, True)], ids=["pairs", "no_pairs", "one_slice"])
+@pytest.mark.parametrize("seed", range(2))
+def test_sequence_loss_is_the_old_op_chain(seed, n, similar, weights):
+    preds, targets, embs = _loss_case(seed, n, similar)
+    pairs = consistency_pairs(embs, weights.similarity_threshold)
+    assert bool(pairs) == (similar and n > 1)
+    old = _old_combined_loss(preds, targets, pairs, weights)
+    old.backward()
+    old_grads = [p.grad for p in preds]
+    for p in preds:
+        p.zero_grad()
+    new = combined_loss(preds, targets, embs, weights)
+    assert new._op == "sequence_loss" and new._parents == tuple(preds)
+    new.backward()
+    assert new.item().hex() == old.item().hex()
+    for p, g in zip(preds, old_grads):
+        assert np.abs(p.grad - g).max() <= 1e-12 * np.abs(g).max()

@@ -20,6 +20,7 @@ from sliceseg.model import (
     load_params,
 )
 from sliceseg import tensor as T
+from sliceseg import training
 from sliceseg.tensor import Tensor
 from sliceseg.training import (
     ADAM_EPS,
@@ -365,6 +366,32 @@ def test_grad_check_passes_and_covers_lambda():
     assert set(report["groups"]) == {"encoder", "decoder", "lambda", "lora_A", "lora_B"}
     for group, entry in report["groups"].items():
         assert entry["max_rel_err"] <= 1e-3, group
+
+
+def test_grad_check_probes_run_on_constants_and_restore_the_flags(monkeypatch):
+    made, probe_parents = [], []
+
+    def capture(config, seed):
+        made.append(init_params(config, seed=seed))
+        return made[-1]
+
+    def probe(loss_fn, tensor, **kwargs):
+        probe_parents.append(loss_fn()._parents)
+        return 0.0
+
+    monkeypatch.setattr(training, "init_params", capture)
+    monkeypatch.setattr(training, "max_rel_error", probe)
+    assert grad_check(seed=0, max_checks_per_tensor=1)["pass"]
+    assert probe_parents and all(parents == () for parents in probe_parents)
+    assert all(t.requires_grad for t in made[-1].trainable().values())
+
+    def failing(loss_fn, tensor, **kwargs):
+        raise DomainError("probe failed")
+
+    monkeypatch.setattr(training, "max_rel_error", failing)
+    with pytest.raises(DomainError, match="probe failed"):
+        grad_check(seed=0, max_checks_per_tensor=1)
+    assert all(t.requires_grad for t in made[-1].trainable().values())
 
 
 def test_grad_check_deterministic_per_seed():
