@@ -66,10 +66,12 @@ def consistency_pairs(
     Similarities are computed on detached values: the consistency term
     shapes predictions, not features, so these act as fixed weights.
     """
-    data = [e.data for e in embeddings]
+    if not embeddings:
+        return []
+    E = np.stack([e.data for e in embeddings])
     pairs = []
-    for i in range(len(data) - 1):
-        sims = T.cosines(data[i], np.stack(data[i + 1 :]))
+    for i in range(len(E) - 1):
+        sims = T.cosines(E[i], E[i + 1 :])
         pairs.extend((i, i + 1 + j, float(s)) for j, s in enumerate(sims) if s > threshold)
     return pairs
 

@@ -21,11 +21,13 @@ in ``losses``. ``Tensor`` has no operator overloads. ``cosines`` is the
 detached numpy kernel behind ``cosine_sims``; memory selection,
 consistency pairs and distance estimation use it directly.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
-model is supported.
+model is supported. Kernels compute in place only in arrays they allocated,
+never in an input's ``data`` or in the upstream gradient.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,7 +201,10 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    out_data = np.negative(a.data, out=np.empty_like(a.data))
+    np.exp(out_data, out=out_data)
+    out_data += 1.0
+    np.divide(1.0, out_data, out=out_data)
 
     def backward(g):
         return ((a, g * out_data * (1.0 - out_data)),)
@@ -290,14 +295,18 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
         return a.swapaxes(-3, -2).reshape(q.shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = qh @ kh.swapaxes(-1, -2)  # scores, then the softmax, in this one buffer
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
         gh = split(g)
-        gp = gh @ vh.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        gs = gh @ vh.swapaxes(-1, -2)  # d(loss)/dp, then d(loss)/d(scores)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
         return (
             (q, join(gs @ kh)),
             (k, join(gs.swapaxes(-1, -2) @ qh)),
@@ -312,7 +321,7 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
 
     def backward(g):
@@ -323,7 +332,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def backward(g):
         return ((a, g.transpose(inverse)),)
@@ -375,9 +384,9 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
     if (gamma is None) != (beta is None):
         raise ContractError("layer_norm takes gamma and beta together or neither")
     # np.var's exact arithmetic, without its second pass for the mean
-    centred = a.data - a.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + LN_EPS)
-    xhat = centred * inv
+    xhat = a.data - a.data.mean(axis=-1, keepdims=True)  # centred, then scaled in place
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
     if gamma is None:
         parents, out_data = (a,), xhat
     else:
@@ -399,7 +408,10 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
             g = g * gamma.data
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return [(a, inv * (g - gm - xhat * gx)), *grads]
+        ga = g - gm
+        ga -= xhat * gx
+        ga *= inv
+        return [(a, ga), *grads]
 
     return _node(out_data, parents, backward, "layer_norm")
 

@@ -408,6 +408,55 @@ def test_multi_head_attention_over_leading_axes_is_the_2d_op_per_index(seed):
     )
 
 
+def _attention_oracle(q, k, v, heads, g):
+    """numpy of attention's earlier expressions, one new array per step:
+    (output, grad q, grad k, grad v) for an upstream gradient g."""
+    dh = q.shape[-1] // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a):
+        return a.reshape(q.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
+
+    def join(a):
+        return a.swapaxes(-3, -2).reshape(q.shape)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    gp = gh @ vh.swapaxes(-1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    return join(p @ vh), join(gs @ kh), join(gs.swapaxes(-1, -2) @ qh), join(p.swapaxes(-1, -2) @ gh)
+
+
+@pytest.mark.parametrize("shape,heads", [((6, 8), 1), ((6, 8), 2), ((6, 8), 4), ((3, 6, 8), 4)])
+@pytest.mark.parametrize("seed", range(2))
+def test_multi_head_attention_is_the_old_expression_bitwise(seed, shape, heads):
+    rng = np.random.default_rng(seed)
+    q, k, v = _leaves(rng, shape, shape, shape)
+    c = Tensor(rng.standard_normal(shape))
+    out = T.multi_head_attention(q, k, v, heads)
+    T.mean(T.mul(out, c)).backward()  # upstream gradient is exactly c / c.size
+    expected = _attention_oracle(q.data, k.data, v.data, heads, (1.0 / c.size) * c.data)
+    for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 6, 8)])
+@pytest.mark.parametrize("seed", range(2))
+def test_sigmoid_is_the_old_expression_bitwise(seed, shape):
+    rng = np.random.default_rng(seed)
+    (a,) = _leaves(rng, shape)
+    a.data = a.data * 8.0
+    c = Tensor(rng.standard_normal(shape))
+    out = T.sigmoid(a)
+    T.mean(T.mul(out, c)).backward()
+    want = 1.0 / (1.0 + np.exp(-a.data))
+    want_grad = (1.0 / c.size) * c.data * want * (1.0 - want)
+    assert out.shape == shape and out.data.tobytes() == want.tobytes()
+    assert a.grad.shape == shape and a.grad.tobytes() == want_grad.tobytes()
+
+
 def test_multi_head_attention_shape_errors():
     with pytest.raises(ShapeError):
         T.multi_head_attention(*(Tensor(np.zeros((4, 6))) for _ in range(3)), heads=4)
@@ -528,19 +577,30 @@ def test_affine_layer_norm_argument_errors():
 
 
 def test_accumulating_kernels_leave_their_inputs_unmodified():
+    """Kernels write only into arrays they allocated: neither the forward
+    nor the backward touches an input's data or the upstream gradient."""
     rng = np.random.default_rng(4)
-    x, W, b, a, gamma, beta, alpha, g0, g1, g2 = _leaves(
-        rng, (5, 4), (3, 4), (3,), (5, 4), (4,), (4,), (3,), (2, 2), (2, 2), (2, 2)
+    x, W, b, a, gamma, beta, alpha, g0, g1, g2, q, k, v = _leaves(
+        rng, (5, 4), (3, 4), (3,), (5, 4), (4,), (4,), (3,), (2, 2), (2, 2), (2, 2),
+        (2, 6, 4), (2, 6, 4), (2, 6, 4),
     )
-    inputs = [x, W, b, a, gamma, beta, alpha, g0, g1, g2]
+    inputs = [x, W, b, a, gamma, beta, alpha, g0, g1, g2, q, k, v]
     before = [t.data.copy() for t in inputs]
-    loss = T.add(
-        T.add(T.mean(T.linear(x, W, b)), T.mean(T.layer_norm(a, gamma, beta))),
-        T.add(T.mean(T.layer_norm(a)), T.mean(T.weighted_sum(alpha, [g0, g1, g2]))),
-    )
-    loss.backward()
+    nodes = [
+        T.linear(x, W, b),
+        T.layer_norm(a, gamma, beta),
+        T.layer_norm(a),
+        T.weighted_sum(alpha, [g0, g1, g2]),
+        T.multi_head_attention(q, k, v, 2),
+        T.sigmoid(a),
+    ]
+    for node in nodes:
+        g = rng.standard_normal(node.shape)
+        snapshot = g.copy()
+        node._backward(g)
+        assert g.tobytes() == snapshot.tobytes(), node._op
     for t, data in zip(inputs, before):
-        assert np.array_equal(t.data, data)
+        assert t.data.tobytes() == data.tobytes()
 
 
 def test_take_is_a_row_and_rejects_an_index_out_of_range():
