@@ -68,6 +68,8 @@ def consistency_pairs(
     """
     if not embeddings:
         return []
+    if len(shapes := sorted({e.shape for e in embeddings})) > 1:
+        raise ShapeError(f"consistency_pairs: embedding shapes differ: {shapes}")
     E = np.stack([e.data for e in embeddings])
     pairs = []
     for i in range(len(E) - 1):

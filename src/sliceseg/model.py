@@ -7,15 +7,17 @@ connections and layer norm. The query and value projections of block i
 are low-rank adapted: their weight is W + B @ A, with the base
 ``encoder.block<i>.attn.{q,v}.W`` frozen and the factors
 ``lora.block<i>.{q,v}.{A,B}`` trained (B starts at zero). The encoder
-sees each slice on its own, so a sequence is encoded in chunks of
-ENCODE_CHUNK slices, each by one batched pass. Then, slice by slice, the
-pooled embedding queries the memory bank, distance-aware attention
-weights fuse the retrieved patch grids with the current one, and a
-per-patch MLP decoder emits pixel logits reassembled to the full image.
+sees each slice on its own, so a sequence is first encoded in chunks of
+ENCODE_CHUNK slices (on two threads given two chunks and CPUs, to the same
+bits). Then, slice by slice, the pooled embedding queries the memory bank,
+distance-aware attention weights fuse the retrieved patch grids with the
+current one, and a per-patch MLP decoder emits the pixel logits.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -221,6 +223,34 @@ def encode_slice(images, params: ModelParams) -> Tensor:
     return x
 
 
+def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
+    """encode_slice per run of ENCODE_CHUNK images; given two chunks and CPUs, a helper thread
+    draws from the same iterator (numpy drops the GIL in its loops). Raises the earliest chunk's error."""
+    chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
+    order = iter(range(len(chunks)))
+    def work() -> None:
+        for c in order:
+            try:
+                chunks[c] = encode_slice(images[c * ENCODE_CHUNK : (c + 1) * ENCODE_CHUNK], params)
+            except Exception as exc:
+                chunks[c] = exc
+                for _ in order:  # drain: every chunk not yet taken comes after c
+                    pass
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helper = threading.Thread(target=work) if len(chunks) > 1 and (cpus or 1) > 1 else None
+    if helper is not None:
+        helper.start()
+    try:
+        work()
+    finally:
+        if helper is not None:
+            helper.join()
+    for chunk in chunks:  # every chunk before the first failure was encoded
+        if isinstance(chunk, Exception):
+            raise chunk
+    return chunks
+
+
 def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
     """Per-patch MLP to patch logits, reassembled to an (H, W) map."""
     cfg = params.config
@@ -244,8 +274,7 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     A memory slot's distance is the z gap when both slices have a z
     position, and is estimated from the embeddings otherwise.
 
-    Slices are encoded ENCODE_CHUNK at a time (the encoder is per slice,
-    so this changes no value); only the memory path after it is causal.
+    All slices are encoded first; only the memory path after that is causal.
     The memory bank is the list of this call's earlier predictions, so a
     chosen position is a slice index and no state leaks across sequences.
     The config's k_memory=0 bypasses the memory path entirely (the
@@ -257,10 +286,9 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     lam = params["lambda"]
     predictions: list[SlicePrediction] = []  # the memory bank
     grids: list[Tensor] = []
+    chunks = _encode_chunks([sl.image for sl in seq.slices], params)
     for t, sl in enumerate(seq.slices):
-        if t % ENCODE_CHUNK == 0:
-            chunk = encode_slice([s.image for s in seq.slices[t : t + ENCODE_CHUNK]], params)
-        patch_feats = T.take(chunk, t % ENCODE_CHUNK)
+        patch_feats = T.take(chunks[t // ENCODE_CHUNK], t % ENCODE_CHUNK)
         pooled = T.mean(patch_feats, axis=0)
         chosen = select_memory(predictions, pooled, k) if k >= 1 and predictions else []
         if chosen:

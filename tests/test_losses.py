@@ -98,6 +98,12 @@ def test_argument_errors_are_typed():
         combined_loss([], [], [])
     with pytest.raises(ShapeError, match=r"consistency_loss: .*\(1, 2\).*\(2, 2\)"):
         consistency_loss([np.ones((1, 2)), np.ones((2, 2))], [Tensor(np.ones(3))] * 2)
+    two = [Tensor(np.ones((2, 2)))] * 2
+    widths = [Tensor(np.ones(3)), Tensor(np.ones(4))]
+    with pytest.raises(ShapeError, match=r"embedding shapes differ: \[\(3,\), \(4,\)\]"):
+        combined_loss(two, two, widths)
+    with pytest.raises(ShapeError, match="embedding shapes differ"):
+        consistency_pairs(widths[::-1])
 
 
 def test_consistency_invariant_to_slice_reordering():

@@ -2,6 +2,10 @@
 
 import dataclasses
 import hashlib
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -34,6 +38,7 @@ from sliceseg.attention import fuse_memory
 from sliceseg.lora import lora_forward
 from sliceseg.losses import combined_loss
 from sliceseg.tensor import Tensor
+from sliceseg.training import AdamState, TrainConfig, train_step
 
 
 def make_sequence(rng, config, n, with_z=True):
@@ -441,3 +446,120 @@ def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+# --------------------------------------------- chunks encoded on two threads
+
+
+def _cpus(monkeypatch, n):
+    """Make the affinity query report n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started while the test runs."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return threads
+
+
+def test_one_cpu_forward_equals_the_threaded_forward_bitwise(stack64, monkeypatch, started):
+    seq, ckpt = stack64
+    params = load_params(ckpt)
+    runs = {}
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        runs[n] = forward_sequence(seq, params)
+    assert len(started) == 1  # the two-CPU run only
+    for a, b in zip(runs[1], runs[2], strict=True):
+        for name in ("probabilities", "logits", "pooled_embedding"):
+            assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes(), name
+        assert a.confidence.hex() == b.confidence.hex()
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.01])
+def test_the_earliest_failing_chunk_is_reported(delay, micro_params, monkeypatch):
+    # slices 9 and 17 (indices 8 and 16) open chunks 1 and 2; delaying chunk 1
+    # lets the other thread take chunk 2 and fail first
+    _cpus(monkeypatch, 2)
+    seq = make_sequence(np.random.default_rng(9), MICRO_CONFIG, 17)
+    seq.slices[8].image = np.zeros((4, 4, 1))
+    seq.slices[16].image = np.zeros((5, 5, 1))
+    encode = model.encode_slice
+
+    def delayed(images, params):
+        if images[0] is seq.slices[8].image:
+            time.sleep(delay)
+        return encode(images, params)
+
+    monkeypatch.setattr(model, "encode_slice", delayed)
+    for _ in range(10):
+        with pytest.raises(ShapeError, match=r"image shape \(4, 4, 1\) != expected"):
+            forward_sequence(seq, micro_params)
+
+
+def test_every_chunk_is_encoded_once_under_fast_thread_switching(micro_params, monkeypatch):
+    # 200 slices make 25 chunks; a chunk index handed out twice or never would show here
+    seq = make_sequence(np.random.default_rng(13), MICRO_CONFIG, 200)
+    _cpus(monkeypatch, 1)
+    expected = forward_sequence(seq, micro_params)
+    _cpus(monkeypatch, 2)
+    firsts = []
+    encode = model.encode_slice
+
+    def recorded(images, params):
+        firsts.append(id(images[0]))
+        return encode(images, params)
+
+    monkeypatch.setattr(model, "encode_slice", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = forward_sequence(seq, micro_params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(firsts) == sorted(id(sl.image) for sl in seq.slices[::model.ENCODE_CHUNK])
+    for a, b in zip(expected, got, strict=True):
+        assert a.logits.data.tobytes() == b.logits.data.tobytes()
+
+
+def test_no_thread_outlives_a_multi_chunk_forward(micro_params, monkeypatch, started):
+    _cpus(monkeypatch, 2)
+    seq = make_sequence(np.random.default_rng(10), MICRO_CONFIG, 20)
+    before = threading.enumerate()
+    assert len(forward_sequence(seq, micro_params)) == 20
+    assert threading.enumerate() == before
+    seq.slices[19].image = np.zeros((4, 4, 1))
+    with pytest.raises(ShapeError):
+        forward_sequence(seq, micro_params)
+    assert threading.enumerate() == before
+    assert len(started) == 2
+
+
+def test_a_six_slice_forward_starts_no_thread(micro_params, monkeypatch, started):
+    _cpus(monkeypatch, 2)
+    seq = make_sequence(np.random.default_rng(11), MICRO_CONFIG, 6)
+    assert len(forward_sequence(seq, micro_params)) == 6
+    assert started == []
+
+
+def test_training_through_the_helper_thread_is_bitwise_the_same(monkeypatch, started):
+    # 19 slices: three chunks, so the helper runs in every forward
+    config = TrainConfig(seed=2)
+    seq = make_sequence(np.random.default_rng(12), config.model, 19)
+    trained = {}
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        params, state = init_params(config.model, seed=2), AdamState()
+        for _ in range(3):
+            train_step(params, seq, state, config)
+        trained[n] = {name: t.data.tobytes() for name, t in params.tensors.items()}
+    assert len(started) == 3
+    assert trained[1] == trained[2]
