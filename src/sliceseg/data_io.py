@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import dataclass, field
@@ -64,7 +65,8 @@ def write_raster(path: str | Path, array: np.ndarray) -> None:
 def read_raster(path: str | Path) -> np.ndarray:
     """Read a raster back as (H, W, C) float32 or uint8; a NaN or infinite
     f32 value is a FormatError at its byte offset."""
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        blob = f.read()
     if blob[:4] != RASTER_MAGIC:
         raise FormatError(f"bad raster magic {blob[:4]!r}", offset=0)
     if len(blob) < 17:
@@ -182,7 +184,8 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list[str]]:
     """Read back (tensors, config, frozen names); tensors come out float64.
     A NaN or infinite payload value is a FormatError naming its tensor."""
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}", offset=0)
     if len(blob) < 12:
@@ -283,12 +286,18 @@ class SliceSequence:
 
 
 def load_sequence(seq_dir: str | Path) -> SliceSequence:
-    """Read one sequence directory; a malformed ``sequence.json`` is a
-    FormatError naming the file and the field."""
-    seq_dir = Path(seq_dir)
-    path = seq_dir / "sequence.json"
+    """Read one sequence directory. A malformed ``sequence.json`` is a
+    FormatError naming the file and the field; a mask value other than 0 or
+    1 is one naming the mask file, at the value's byte offset."""
+    return _load_sequence(_dir_prefix(seq_dir))
+
+
+def _load_sequence(seq_dir: str) -> SliceSequence:
+    """`load_sequence` of a directory already spelled by `_dir_prefix`."""
+    path = os.path.join(seq_dir, "sequence.json")
     try:
-        meta = json.loads(path.read_bytes())
+        with open(path, "rb") as f:
+            meta = json.loads(f.read())
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise FormatError(f"{path}: not UTF-8 JSON: {exc}") from None
     if not isinstance(meta, dict) or not isinstance(meta.get("sequence_id"), str):
@@ -300,20 +309,46 @@ def load_sequence(seq_dir: str | Path) -> SliceSequence:
         problem = _record_problem(rec)
         if problem:
             raise FormatError(f"{path}: slices[{t}].{problem}")
-        image = read_raster(seq_dir / rec["image"]).astype(np.float64)
+        image = read_raster(os.path.join(seq_dir, rec["image"])).astype(np.float64)
         mask = None
         if rec.get("mask"):
-            m = read_raster(seq_dir / rec["mask"])
-            mask = m[:, :, 0].astype(np.uint8)
+            mask = _read_mask(os.path.join(seq_dir, rec["mask"]))
         slices.append(
             SliceData(
                 image=image,
                 mask=mask,
                 z_position_um=rec.get("z_position_um"),
-                corrupted=bool(rec.get("corrupted", False)),
+                corrupted=rec.get("corrupted", False),
             )
         )
     return SliceSequence(sequence_id=meta["sequence_id"], slices=slices)
+
+
+def _dir_prefix(directory: str | Path) -> str:
+    """`directory` as pathlib spells it, or "" for the current directory, so
+    that ``os.path.join(prefix, name)`` names a file exactly as
+    ``Path(directory) / name`` did (error messages included) without
+    building a Path per file."""
+    directory = Path(directory)
+    return str(directory) if directory.parts else ""
+
+
+def _read_mask(path: str) -> np.ndarray:
+    """Channel 0 of a mask raster as (H, W) uint8; a value other than 0 or 1
+    is a FormatError naming the file, at the byte offset of the first one."""
+    m = read_raster(path)
+    if m.shape[2] == 0:
+        raise FormatError(f"{path}: mask raster has no channel", offset=12)
+    mask = m[:, :, 0]
+    if mask.dtype == np.uint8 and (mask.size == 0 or mask.max() <= 1):
+        return mask  # the usual mask: one reduction, no copy
+    bad = np.flatnonzero((mask != 0) & (mask != 1))
+    if bad.size:
+        raise FormatError(
+            f"{path}: mask value {mask.flat[bad[0]]!s} is not 0 or 1",  # !s: 0.7, not 0.69999...
+            offset=17 + m.itemsize * m.shape[2] * int(bad[0]),
+        )
+    return mask.astype(np.uint8)
 
 
 def _record_problem(rec) -> str | None:
@@ -325,13 +360,20 @@ def _record_problem(rec) -> str | None:
         return "mask must be a file name or null"
     if z is not None and not _is_a(z, float):
         return f"z_position_um must be a finite number or null, got {z!r}"
+    corrupted = rec.get("corrupted", False)
+    if type(corrupted) is not bool:
+        return f"corrupted must be true or false, got {corrupted!r}"
     return None
 
 
 def load_dataset(root: str | Path) -> list[SliceSequence]:
-    root = Path(root)
-    seq_dirs = sorted(d for d in root.iterdir() if (d / "sequence.json").exists())
-    return [load_sequence(d) for d in seq_dirs]
+    """Every sequence directory under `root` (one holding a ``sequence.json``),
+    in name order."""
+    root = _dir_prefix(root)
+    with os.scandir(root or ".") as entries:
+        seq_dirs = sorted(os.path.join(root, e.name) for e in entries)
+    # scandir's names hold no separator, so these are spelled as _dir_prefix would
+    return [_load_sequence(d) for d in seq_dirs if os.path.exists(os.path.join(d, "sequence.json"))]
 
 
 # --------------------------------------------------------------- synthesis

@@ -341,6 +341,22 @@ def test_infer_on_non_finite_raster_is_single_line_error(dataset, checkpoint, tm
     assert not out.exists()
 
 
+def test_eval_on_a_255_mask_is_single_line_error_naming_the_file(
+    dataset, checkpoint, tmp_path, capsys
+):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    blob = bytearray((data / "seq_000" / "mask_0.psr").read_bytes())
+    blob[17] = 255
+    (data / "seq_000" / "mask_0.psr").write_bytes(bytes(blob))
+    report = tmp_path / "report.json"
+    rc = main(["eval", "--data", str(data), "--ckpt", str(checkpoint), "--report", str(report)])
+    assert rc == 1
+    error = _single_json_error(capsys)["error"]
+    assert "mask_0.psr: mask value 255 is not 0 or 1 (at byte offset 17)" in error
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_infer_on_non_finite_checkpoint_is_single_line_error(
     dataset, checkpoint, tmp_path, capsys, bad

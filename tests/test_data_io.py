@@ -516,6 +516,105 @@ def test_load_dataset_round_trip(tmp_path):
             assert set(np.unique(sl.mask)) <= {0, 1}
 
 
+def test_load_dataset_and_load_params_match_the_pathlib_decode(tmp_path, monkeypatch):
+    """Against an oracle of the decode as it was when files were read through
+    pathlib, byte for byte; `read_raster` and `load_checkpoint` run once per
+    file, through the module globals the benchmark's tracer wraps."""
+    import sliceseg.data_io as data_io
+
+    root = generate_dataset(SynthConfig(seed=5, corrupt_prob=0.5), tmp_path / "d")
+    ckpt = tmp_path / "m.psc"
+    save_params(ckpt, init_params(MICRO_CONFIG, seed=3))
+    calls = {"read_raster": [], "load_checkpoint": []}
+
+    def counted(name):
+        original = getattr(data_io, name)
+
+        def wrapper(path, *args, **kwargs):
+            calls[name].append(path)
+            return original(path, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(data_io, name, counted(name))
+    seqs = load_dataset(root)
+    params = load_params(ckpt)
+    assert len(calls["read_raster"]) == 4 * 6 * 2
+    assert sorted(Path(p).name for p in calls["read_raster"][:12]) == sorted(
+        [f"slice_{t}.psr" for t in range(6)] + [f"mask_{t}.psr" for t in range(6)]
+    )
+    assert [Path(p) for p in calls["load_checkpoint"]] == [ckpt]
+
+    seq_dirs = sorted(d for d in root.iterdir() if (d / "sequence.json").exists())
+    assert [s.sequence_id for s in seqs] == [d.name for d in seq_dirs]
+    for seq, seq_dir in zip(seqs, seq_dirs):
+        records = json.loads((seq_dir / "sequence.json").read_bytes())["slices"]
+        assert len(seq.slices) == len(records) == 6
+        for sl, rec in zip(seq.slices, records):
+            image = read_raster(Path(seq_dir / rec["image"])).astype(np.float64)
+            mask = read_raster(Path(seq_dir / rec["mask"]))[:, :, 0].astype(np.uint8)
+            for got, want in ((sl.image, image), (sl.mask, mask)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            assert (sl.z_position_um, sl.corrupted) == (rec["z_position_um"], rec["corrupted"])
+    assert any(sl.corrupted for seq in seqs for sl in seq.slices)
+
+    blob = ckpt.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    entries = json.loads(blob[12 : 12 + header_len])["tensors"]
+    assert sorted(params.tensors) == sorted(e["name"] for e in entries)
+    for e in entries:
+        want = np.frombuffer(
+            blob, "<f4", count=int(np.prod(e["shape"])), offset=12 + header_len + e["offset"]
+        ).reshape(e["shape"]).astype(np.float64)
+        got = params.tensors[e["name"]].data
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, bad, value",
+    [("u8", 255, "255"), ("u8", 2, "2"), ("f32", 0.7, "0.7"), ("f32", -1.0, "-1.0")],
+)
+def test_mask_value_other_than_0_or_1_is_format_error_naming_file_at_its_offset(
+    tmp_path, kind, bad, value
+):
+    root = generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=2, seed=2), tmp_path)
+    seq_dir = root / "seq_000"
+    dtype, itemsize = (np.uint8, 1) if kind == "u8" else (np.float32, 4)
+    mask = read_raster(seq_dir / "mask_1.psr")[:, :, 0].astype(dtype)
+    mask[3, 5] = bad
+    mask[40, 2] = bad
+    write_raster(seq_dir / "mask_1.psr", mask)
+    with pytest.raises(FormatError) as err:
+        load_sequence(seq_dir)
+    assert err.value.offset == 17 + itemsize * (3 * 64 + 5)
+    assert str(err.value).startswith(str(seq_dir / "mask_1.psr"))
+    assert f"mask value {value} is not 0 or 1" in str(err.value)
+
+
+def test_mask_channels_and_f32_binary_masks(tmp_path):
+    root = generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=1, seed=2), tmp_path)
+    seq_dir = root / "seq_000"
+    mask = read_raster(seq_dir / "mask_0.psr")
+    write_raster(seq_dir / "mask_0.psr", mask.astype(np.float32))
+    assert load_sequence(seq_dir).slices[0].mask.tobytes() == mask[:, :, 0].tobytes()
+    # channel 0 is the mask; a later channel may hold anything
+    three = np.concatenate([mask, mask + 7, mask + 9], axis=2)
+    write_raster(seq_dir / "mask_0.psr", three)
+    assert load_sequence(seq_dir).slices[0].mask.tobytes() == mask[:, :, 0].tobytes()
+    three[1, 2, 0] = 3
+    write_raster(seq_dir / "mask_0.psr", three)
+    with pytest.raises(FormatError, match="mask value 3 ") as err:
+        load_sequence(seq_dir)
+    assert err.value.offset == 17 + 3 * (1 * 64 + 2)
+    write_raster(seq_dir / "mask_0.psr", np.zeros((64, 64, 0), np.uint8))
+    with pytest.raises(FormatError, match="mask_0.psr: mask raster has no channel") as err:
+        load_sequence(seq_dir)
+    assert err.value.offset == 12
+
+
 def _edit_sequence_json(seq_dir: Path, edit) -> None:
     path = seq_dir / "sequence.json"
     meta = json.loads(path.read_text())
@@ -536,10 +635,14 @@ def _edit_sequence_json(seq_dir: Path, edit) -> None:
         (lambda m: m["slices"][2].update(z_position_um="12.5"), r"slices\[2\]\.z_position_um"),
         (lambda m: m["slices"][1].update(z_position_um=float("nan")), r"slices\[1\]\.z_position_um"),
         (lambda m: m["slices"][1].update(z_position_um=True), r"slices\[1\]\.z_position_um"),
+        (lambda m: m["slices"][0].update(corrupted="false"), r"slices\[0\]\.corrupted"),
+        (lambda m: m["slices"][2].update(corrupted=0.5), r"slices\[2\]\.corrupted"),
+        (lambda m: m["slices"][1].update(corrupted=None), r"slices\[1\]\.corrupted"),
     ],
     ids=[
         "no_slices", "slices_not_a_list", "no_sequence_id", "no_image", "int_image",
         "record_not_an_object", "list_mask", "string_z", "nan_z", "bool_z",
+        "string_corrupted", "float_corrupted", "null_corrupted",
     ],
 )
 def test_malformed_sequence_json_is_format_error_naming_file_and_field(tmp_path, edit, field):
