@@ -10,14 +10,13 @@ import numpy as np
 from sliceseg.attention import AttentionContext, cross_slice_weights, distance_modulation
 from sliceseg.lora import lora_forward
 from sliceseg.memory import select_memory
-from sliceseg.model import SlicePrediction
-from sliceseg.tensor import Tensor
+from sliceseg.tensor import Tensor, cosines
 
 # --- distance-aware attention -------------------------------------------
-# Weights come from similarity * exp(-lambda * d^2), softmax-normalized.
+# Weights come from similarity * exp(-lambda * d^2), softmax-normalized,
+# computed as one tape node.
 lam = Tensor(0.1)
-print("modulation at d=0, 5, 20 um:",
-      [round(distance_modulation(d, lam).item(), 4) for d in (0.0, 5.0, 20.0)])
+print("modulation at d=0, 5, 20 um:", np.round(distance_modulation([0.0, 5.0, 20.0], 0.1), 4))
 
 query = Tensor([1.0, 0.0])
 near_similar = Tensor([0.95, math.sqrt(1 - 0.95**2)])
@@ -27,15 +26,14 @@ alpha = cross_slice_weights(ctx, lam).data
 print("equal similarity, distances 2 vs 30 um -> weights", np.round(alpha, 4))
 
 # --- memory selection -----------------------------------------------------
-# The memory bank is the list of earlier slices' predictions. Each is
-# scored by cosine similarity times its confidence; ties break toward the
-# more recent slice. Selection returns positions, i.e. slice indices.
-grid = Tensor(np.zeros((1, 2)))
-bank = [
-    SlicePrediction(grid, grid, conf, Tensor([sim, math.sqrt(1 - sim * sim)]))
-    for sim, conf in [(0.9, 0.5), (0.5, 0.9), (0.9, 0.5), (0.2, 1.0)]
-]
-print("top-2 slices by sim*confidence:", select_memory(bank, query, k=2))
+# The memory bank holds the earlier slices' pooled embeddings and the
+# confidences of their predictions, one row per slice. A slice scores the
+# whole bank at once, cosine similarity times confidence, and keeps the
+# top-k rows; ties break toward the more recent slice. Rows are slice indices.
+embeddings = np.array([[sim, math.sqrt(1 - sim * sim)] for sim in (0.9, 0.6, 0.9, 0.2)])
+confidences = np.array([0.5, 0.9, 0.5, 1.0])
+scores = cosines(query.data, embeddings) * confidences
+print("scores:", np.round(scores, 3), "-> top-2 slices:", select_memory(scores, k=2))
 
 # --- low-rank adapters ----------------------------------------------------
 # An adapted projection is three tensors: the frozen base W and the rank-r

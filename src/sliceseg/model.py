@@ -24,14 +24,14 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (
-    LAMBDA_INIT, AttentionContext, cross_slice_weights, estimate_distance, fuse_memory,
+    DISTANCE_SCALE_UM, LAMBDA_INIT, AttentionContext, cross_slice_weights, fuse_memory,
 )
 from .data_io import SliceSequence, dataclass_from_dict
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .lora import lora_forward
 from .memory import prediction_confidence, select_memory
 from .rng import substream
-from .tensor import Tensor
+from .tensor import Tensor, cosines
 
 
 @dataclass
@@ -261,11 +261,7 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
         )
     h1 = T.tanh(T.linear(fused_features, params["decoder.fc1.W"], params["decoder.fc1.b"]))
     patch_logits = T.linear(h1, params["decoder.fc2.W"], params["decoder.fc2.b"])
-    g, ps = cfg.grid, cfg.patch_size
-    return T.reshape(
-        T.transpose(T.reshape(patch_logits, (g, g, ps, ps)), (0, 2, 1, 3)),
-        (cfg.image_size, cfg.image_size),
-    )
+    return T.unpatchify(patch_logits, cfg.grid, cfg.patch_size)
 
 
 def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePrediction]:
@@ -275,8 +271,10 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     position, and is estimated from the embeddings otherwise.
 
     All slices are encoded first; only the memory path after that is causal.
-    The memory bank is the list of this call's earlier predictions, so a
-    chosen position is a slice index and no state leaks across sequences.
+    The memory bank is two arrays this call fills as it goes, the earlier
+    slices' pooled embeddings and confidences, so a chosen position is a
+    slice index and no state leaks across sequences. A slice scores the
+    whole bank with one cosine row, which also gives the estimated distances.
     The config's k_memory=0 bypasses the memory path entirely (the
     independent per-slice baseline).
     """
@@ -284,21 +282,24 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
         raise ContractError("forward_sequence on an empty sequence")
     k = params.config.k_memory
     lam = params["lambda"]
-    predictions: list[SlicePrediction] = []  # the memory bank
+    predictions: list[SlicePrediction] = []
     grids: list[Tensor] = []
+    bank = np.empty((len(seq.slices), params.config.d_model))  # row t: slice t's pooled embedding
+    confidences = np.empty(len(seq.slices))
     chunks = _encode_chunks([sl.image for sl in seq.slices], params)
     for t, sl in enumerate(seq.slices):
         patch_feats = T.take(chunks[t // ENCODE_CHUNK], t % ENCODE_CHUNK)
         pooled = T.mean(patch_feats, axis=0)
-        chosen = select_memory(predictions, pooled, k) if k >= 1 and predictions else []
-        if chosen:
+        if k >= 1 and t:
+            sims = cosines(pooled.data, bank[:t])
+            chosen = select_memory(sims * confidences[:t], k)
             distances = [0.0]
             for j in chosen:
                 z = seq.slices[j].z_position_um
                 if sl.z_position_um is not None and z is not None:
                     distances.append(abs(sl.z_position_um - z))
-                else:
-                    distances.append(estimate_distance(pooled.data, predictions[j].pooled_embedding.data))
+                else:  # estimate_distance, from the cosine scored above
+                    distances.append(DISTANCE_SCALE_UM * (1.0 - sims[j]))
             embeddings = [pooled] + [predictions[j].pooled_embedding for j in chosen]
             alpha = cross_slice_weights(AttentionContext(pooled, embeddings, distances), lam)
             fused = fuse_memory(patch_feats, [grids[j] for j in chosen], alpha)
@@ -306,12 +307,14 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
             fused = fuse_memory(patch_feats, [], Tensor([1.0]))
         logits = decode_mask(fused, params)
         probabilities = T.sigmoid(logits)
+        confidence = prediction_confidence(probabilities.data)
         grids.append(patch_feats)
+        bank[t], confidences[t] = pooled.data, confidence
         predictions.append(
             SlicePrediction(
                 logits=logits,
                 probabilities=probabilities,
-                confidence=prediction_confidence(probabilities.data),
+                confidence=confidence,
                 pooled_embedding=pooled,
             )
         )

@@ -6,20 +6,19 @@ to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
 ``requires_grad`` tensor (call ``zero_grad`` between steps).
 
-The op set is 16 of the 17 ops the model builds: ``add``, ``mul``,
-``exp``, ``tanh``, ``sigmoid``, ``mean``, ``matmul``, ``reshape``,
-``transpose``, ``take`` (row i of the first axis), ``softmax`` and
+The op set is 11 of the 13 ops the model builds: ``add``, ``tanh``,
+``sigmoid``, ``mean``, ``matmul``, ``take`` (row i of the first axis) and
 ``layer_norm`` (which optionally folds the affine gain and bias,
 ``gamma`` and ``beta``, both or neither, each as wide as the last axis,
 into its one node), plus fused primitives that each replace a whole op
 chain of the model with one node and a hand-written backward: ``linear``
 and ``multi_head_attention`` (op ``attention``), which both take any
-leading axes so one node serves a chunk of slices, ``cosine_sims`` (op
-``cosine``; one query against many vectors) and ``weighted_sum``. The
-17th, ``sequence_loss``, is the training objective's one node and lives
-in ``losses``. ``Tensor`` has no operator overloads. ``cosines`` is the
-detached numpy kernel behind ``cosine_sims``; memory selection,
-consistency pairs and distance estimation use it directly.
+leading axes so one node serves a chunk of slices, ``weighted_sum`` and
+``unpatchify`` (patch rows back to an image). The other two are
+``cross_slice`` (the distance-aware memory weights, in ``attention``) and
+``sequence_loss`` (the training objective, in ``losses``). ``Tensor`` has
+no operator overloads. ``cosines`` is the detached numpy kernel of cosine
+similarity; memory scoring, cross-slice weights and consistency pairs use it.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported. Kernels compute in place only in arrays they allocated,
 never in an input's ``data`` or in the upstream gradient.
@@ -27,12 +26,11 @@ never in an input's ``data`` or in the upstream gradient.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 
 NORM_EPS = 1e-12
 # Added to the variance under layer_norm's square root.
@@ -167,28 +165,6 @@ def add(a, b) -> Tensor:
     return _node(_broadcasting(np.add, a, b, "add"), (a, b), backward, "add")
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        )
-
-    return _node(_broadcasting(np.multiply, a, b, "mul"), (a, b), backward, "mul")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        return ((a, g * out_data),)
-
-    return _node(out_data, (a,), backward, "exp")
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
@@ -261,7 +237,9 @@ def linear(x, W, b=None) -> Tensor:
 
     def backward(g):
         g = g.reshape(out_data.shape)
-        grads = [(x, (g @ W.data).reshape(x.shape)), (W, (rows.T @ g).T)]
+        # a constant input (the pixel rows) gets no gradient: one product fewer
+        gx = (g @ W.data).reshape(x.shape) if x.requires_grad or x._parents else None
+        grads = [(x, gx), (W, (rows.T @ g).T)]
         if b is not None:
             grads.append((b, g.sum(axis=0)))
         return grads
@@ -319,27 +297,6 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
 # -------------------------------------------------------------- structural
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    if math.prod(shape) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
-
-    def backward(g):
-        return ((a, g.reshape(a.shape)),)
-
-    return _node(a.data.reshape(shape), (a,), backward, "reshape")
-
-
-def transpose(a, axes: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-
-    def backward(g):
-        return ((a, g.transpose(inverse)),)
-
-    return _node(a.data.transpose(axes), (a,), backward, "transpose")
-
-
 def take(a, i: int) -> Tensor:
     """a[i] along the first axis, as one node; its gradient is g in row i
     of zeros shaped like a."""
@@ -355,25 +312,22 @@ def take(a, i: int) -> Tensor:
     return _node(a.data[i], (a,), backward, "take")
 
 
-# ---------------------------------------------------------------- compound
-
-
-def softmax(a) -> Tensor:
-    """Numerically stable softmax along the last axis (max-subtraction)."""
+def unpatchify(a, grid: int, patch: int) -> Tensor:
+    """(grid*grid, patch*patch) patch rows -> (grid*patch, grid*patch)
+    image, one node: row p of a fills the patch*patch window at grid
+    cell (p // grid, p % grid), in row-major order."""
     a = as_tensor(a)
-    if a.size == 0:
-        raise DomainError("softmax of empty input")
-    if not np.all(np.isfinite(a.data)):
-        raise DomainError("softmax requires finite input")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    if a.shape != (grid * grid, patch * patch):
+        raise ShapeError(f"unpatchify: {a.shape} is not {grid}x{grid} patches of {patch}x{patch}")
 
     def backward(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return ((a, out_data * (g - inner)),)
+        return ((a, g.reshape(grid, patch, grid, patch).transpose(0, 2, 1, 3).reshape(a.shape)),)
 
-    return _node(out_data, (a,), backward, "softmax")
+    out = a.data.reshape(grid, grid, patch, patch).transpose(0, 2, 1, 3)
+    return _node(out.reshape(grid * patch, grid * patch), (a,), backward, "unpatchify")
+
+
+# ---------------------------------------------------------------- compound
 
 
 def layer_norm(a, gamma=None, beta=None) -> Tensor:
@@ -431,39 +385,6 @@ def cosines(q: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.where(live, (E * q).sum(axis=1) / denom, 0.0)
 
 
-def cosine_sims(query, vectors: Sequence[Tensor]) -> Tensor:
-    """Cosine similarity of a 1-D query with each vector, as one (n,) node.
-
-    Forward values are ``cosines``: a degenerate pair (either norm at or
-    below 1e-12) yields a constant 0 with no gradient through it;
-    near-zero pooled features early in training must not poison the tape.
-    """
-    query = as_tensor(query)
-    vectors = [as_tensor(v) for v in vectors]
-    if not vectors:
-        raise ContractError("cosine_sims requires at least one vector")
-    if query.data.ndim != 1 or any(v.shape != query.shape for v in vectors):
-        raise ShapeError(
-            f"cosine_sims expects 1-D vectors matching the query {query.shape}, "
-            f"got {[v.shape for v in vectors]}"
-        )
-    q = query.data
-    E = np.stack([v.data for v in vectors])
-    sims = cosines(q, E)
-
-    def backward(g):
-        nq, ne, live, denom = _norms(q, E)
-        w = np.where(live, g / denom, 0.0)  # d(loss)/d(dot) per pair
-        gq = w @ E - (g * sims).sum() * q / (nq * nq) if live.any() else None
-        grads = [(query, gq)]
-        for j, vec in enumerate(vectors):
-            if live[j]:
-                grads.append((vec, w[j] * q - g[j] * sims[j] * E[j] / (ne[j] * ne[j])))
-        return grads
-
-    return _node(sims, (query, *vectors), backward, "cosine")
-
-
 def weighted_sum(alpha, grids: Sequence[Tensor]) -> Tensor:
     """sum_j alpha[j] * grids[j] as one node, for a (n,) weight vector and
     n tensors of one shape."""
@@ -476,11 +397,13 @@ def weighted_sum(alpha, grids: Sequence[Tensor]) -> Tensor:
             raise ShapeError(f"weighted_sum: tensor shape {m.shape} != {grids[0].shape}")
     a = alpha.data
     out = a[0] * grids[0].data
+    scratch = np.empty_like(out)  # every later product in turn, not a temporary each
     for w, m in zip(a[1:], grids[1:]):
-        out += w * m.data
+        out += np.multiply(w, m.data, out=scratch)
 
     def backward(g):
-        ga = np.array([(g * m.data).sum() for m in grids])
+        scratch = np.empty_like(g)
+        ga = np.array([np.multiply(g, m.data, out=scratch).sum() for m in grids])
         return [(alpha, ga)] + [(m, w * g) for w, m in zip(a, grids)]
 
     return _node(out, (alpha, *grids), backward, "weighted_sum")

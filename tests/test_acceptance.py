@@ -35,8 +35,8 @@ from sliceseg.losses import (
     dice_score,
 )
 from sliceseg.memory import select_memory
-from sliceseg.model import MICRO_CONFIG, ModelConfig, SlicePrediction, forward_sequence, init_params
-from sliceseg.tensor import Tensor
+from sliceseg.model import MICRO_CONFIG, ModelConfig, forward_sequence, init_params
+from sliceseg.tensor import Tensor, cosines
 from sliceseg.training import AdamState, TrainConfig, evaluate, grad_check, train_step
 
 
@@ -118,10 +118,10 @@ def test_criterion_attention_invariants(verdict):
 
 def _subset_oracle(bank, query, k):
     def score(i):
-        emb = bank[i].pooled_embedding.data
+        emb, conf = bank[i]
         nq, ne = np.linalg.norm(query), np.linalg.norm(emb)
         sim = 0.0 if nq <= 1e-12 or ne <= 1e-12 else float(emb @ query) / (ne * nq)
-        return sim * bank[i].confidence
+        return sim * conf
 
     m = min(k, len(bank))
     best_key, best = None, None
@@ -133,19 +133,19 @@ def _subset_oracle(bank, query, k):
 
 
 def test_criterion_memory_selection_oracle(verdict):
+    # the bank scored as forward_sequence scores it: cosine row times confidences
     rng = np.random.default_rng(1)
     mismatches = 0
-    grid = Tensor(np.zeros((1, 2)))
+    query = np.array([1.0, 0.0])
     for _ in range(200):
         n, k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         bank = []
         for _ in range(n):
             sim = float(rng.choice([-0.5, 0.0, 0.3, 0.6, 0.6, 1.0]))
             conf = float(rng.choice([0.0, 0.25, 0.5, 0.5, 1.0]))
-            emb = Tensor([sim, float(np.sqrt(max(0.0, 1 - sim * sim)))])
-            bank.append(SlicePrediction(grid, grid, conf, emb))
-        query = Tensor([1.0, 0.0])
-        if select_memory(bank, query, k) != _subset_oracle(bank, query.data, k):
+            bank.append((np.array([sim, float(np.sqrt(max(0.0, 1 - sim * sim)))]), conf))
+        scores = cosines(query, np.stack([e for e, _ in bank])) * np.array([c for _, c in bank])
+        if select_memory(scores, k) != _subset_oracle(bank, query, k):
             mismatches += 1
     verdict("memory selection vs exhaustive oracle", mismatches == 0, f"{mismatches} mismatches/200")
 

@@ -19,6 +19,8 @@ from sliceseg.gradcheck import max_rel_error
 from sliceseg.model import MICRO_CONFIG, init_params
 from sliceseg.tensor import Tensor
 
+from reference_ops import cosine_sims, exp, mul, softmax
+
 
 def embedding_with_sim(sim: float) -> Tensor:
     """2-D unit vector whose cosine against [1, 0] is exactly `sim`."""
@@ -29,28 +31,28 @@ QUERY = Tensor([1.0, 0.0])
 
 
 def test_modulation_at_zero_distance():
-    assert distance_modulation(0.0, Tensor(3.7)).item() == 1.0
+    assert distance_modulation(0.0, 3.7) == 1.0
 
 
 def test_modulation_with_lambda_zero():
-    assert distance_modulation(123.0, Tensor(0.0)).item() == 1.0
+    assert distance_modulation(123.0, 0.0) == 1.0
 
 
 def test_modulation_derived_value():
     # exp(-0.1 * 2^2) evaluated directly
-    out = distance_modulation(2.0, Tensor(0.1)).item()
+    out = float(distance_modulation(2.0, 0.1))
     assert out == pytest.approx(math.exp(-0.4), abs=1e-12)
     assert out == pytest.approx(0.670320, abs=1e-6)
 
 
 def test_modulation_rejects_negative_inputs():
     with pytest.raises(DomainError):
-        distance_modulation(-1.0, Tensor(0.1))
+        distance_modulation(-1.0, 0.1)
     with pytest.raises(DomainError):
-        distance_modulation(1.0, Tensor(-0.1))
+        distance_modulation(1.0, -0.1)
     # NaN and +-Inf are rejected, not turned into a NaN weight and a RuntimeWarning
     for bad in (math.nan, math.inf, -math.inf, [2.0, math.nan]):
-        for lam in (Tensor(0.1), Tensor(0.0)):
+        for lam in (0.1, 0.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="finite"):
@@ -63,17 +65,17 @@ def test_distance_whose_square_overflows_is_a_domain_error_naming_it():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"distance .*finite square.*1\.?e\+200"):
-            distance_modulation([0.0, 1e200], lam)
+            distance_modulation([0.0, 1e200], LAMBDA_INIT)
         with pytest.raises(DomainError, match="finite square"):
-            distance_modulation(1.4e154, lam)
+            cross_slice_weights(AttentionContext(QUERY, [QUERY], [1.4e154]), lam)
     # the largest distances whose square is finite still modulate to 0 with a finite gradient
-    T.mean(distance_modulation([0.0, 1.3e154], lam)).backward()
+    ctx = AttentionContext(QUERY, [QUERY, embedding_with_sim(0.5)], [0.0, 1.3e154])
+    T.mean(mul(cross_slice_weights(ctx, lam), [2.0, -1.0])).backward()
     assert np.isfinite(lam.grad)
 
 
 def test_modulation_monotone_in_distance():
-    lam = Tensor(0.05)
-    values = [distance_modulation(d, lam).item() for d in np.linspace(0, 30, 40)]
+    values = distance_modulation(np.linspace(0, 30, 40), 0.05)
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -94,7 +96,7 @@ def test_weights_lambda_zero_reduces_to_softmax_of_sims():
         distances=[3.0, 17.0],
     )
     out = cross_slice_weights(ctx, Tensor(0.0)).data
-    expected = T.softmax(Tensor([0.2, 0.9])).data
+    expected = softmax(Tensor([0.2, 0.9])).data
     assert np.abs(out - expected).max() <= 1e-12
     assert np.allclose(out, [0.331812, 0.668188], atol=1e-6)
 
@@ -107,7 +109,7 @@ def test_weights_derived_distance_case():
         distances=[0.0, 10.0],
     )
     out = cross_slice_weights(ctx, Tensor(0.1)).data
-    expected = T.softmax(Tensor([1.0, math.exp(-10.0)])).data
+    expected = softmax(Tensor([1.0, math.exp(-10.0)])).data
     assert np.abs(out - expected).max() <= 1e-12
     assert np.allclose(out, [0.731049, 0.268951], atol=1e-6)
 
@@ -175,11 +177,76 @@ def test_lambda_gradient_matches_finite_differences():
 
     def loss():
         w = cross_slice_weights(ctx, lam)
-        return T.mean(T.mul(w, Tensor([2.0, -1.0])))
+        return T.mean(mul(w, Tensor([2.0, -1.0])))
 
     loss().backward()
     assert lam.grad is not None
     assert max_rel_error(loss, lam) <= 1e-3
+
+
+def _chain_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
+    """The cross-slice weights as the op chain they were built from before
+    they became one node: softmax(cosines * exp(lambda * -d^2))."""
+    d = np.asarray(ctx.distances, dtype=np.float64)
+    modulation = exp(mul(lam, -(d * d)))
+    return softmax(mul(cosine_sims(ctx.query, ctx.memory_embeddings), modulation))
+
+
+def _weights_and_grads(weights, query, embeddings, distances, lam, c, self_slot):
+    """Forward bytes and every gradient of mean(weights * c) on fresh
+    leaves; with self_slot the query is also slot 0, as in forward_sequence."""
+    q = Tensor(query, requires_grad=True)
+    es = [Tensor(e, requires_grad=True) for e in embeddings]
+    lam = Tensor(lam, requires_grad=True)
+    slots = [q, *es] if self_slot else es
+    out = weights(AttentionContext(q, slots, distances), lam)
+    T.mean(mul(out, c)).backward()
+    return [out.data] + [t.grad for t in (q, *es, lam)]
+
+
+@pytest.mark.parametrize(
+    "case", ["random", "self_slot", "zero_embedding", "zero_query", "lambda_zero", "boundary_distance"]
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_cross_slice_node_is_the_old_chain_bitwise(seed, case):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    query = rng.standard_normal(8) * (0.0 if case == "zero_query" else 1.0)
+    embeddings = list(rng.standard_normal((n, 8)))
+    if case == "zero_embedding":
+        embeddings[int(rng.integers(0, n))][:] = 0.0
+    self_slot = case in ("self_slot", "boundary_distance")
+    distances = list(rng.uniform(0.0, 40.0, n + self_slot))
+    if self_slot:
+        distances[0] = 0.0
+    if case == "boundary_distance":
+        distances[-1] = 1.3e154  # the largest distances whose square is finite
+    lam = 0.0 if case == "lambda_zero" else float(rng.uniform(0.01, 0.3))
+    c = rng.standard_normal(n + self_slot)
+    args = (query, embeddings, distances, lam, c, self_slot)
+    fused = _weights_and_grads(cross_slice_weights, *args)
+    chain = _weights_and_grads(_chain_weights, *args)
+    for got, want in zip(fused, chain, strict=True):
+        if want is None:  # a zero-norm vector gets no gradient
+            assert got is None
+        else:
+            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if case == "zero_embedding":
+        assert sum(g is None for g in fused) == 1
+    if case == "zero_query":
+        assert all(g is None for g in fused[1:-1]) and fused[-1] is not None
+
+
+def test_cross_slice_weights_is_one_node_and_checks_shapes():
+    lam = Tensor(0.1, requires_grad=True)
+    out = cross_slice_weights(AttentionContext(QUERY, [QUERY, embedding_with_sim(0.3)], [0.0, 4.0]), lam)
+    assert out._op == "cross_slice" and out._parents[-1] is lam
+    with pytest.raises(ShapeError, match=r"\(2,\)"):
+        cross_slice_weights(AttentionContext(QUERY, [Tensor([1.0, 0.0, 0.0])], [1.0]), lam)
+    with pytest.raises(DomainError, match="lambda"):
+        cross_slice_weights(AttentionContext(QUERY, [QUERY], [1.0]), Tensor(-0.1))
+    with pytest.raises(DomainError, match="finite"):  # NaN passes the lambda >= 0 check
+        cross_slice_weights(AttentionContext(QUERY, [QUERY], [1.0]), Tensor(np.nan))
 
 
 def test_lambda_initialized_to_point_one():

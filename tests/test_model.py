@@ -385,11 +385,10 @@ def test_reference_train_step_tape_size(tmp_path):
     _, loss = _sequence_loss(seq, init_params(ModelConfig(), seed=1))
     nodes = _tape_nodes(loss)
     assert nodes == Counter(
-        add=9, attention=2, cosine=5, exp=5, layer_norm=10, linear=25, matmul=4, mean=6, mul=10,
-        reshape=12, sequence_loss=1, sigmoid=6, softmax=5, take=6, tanh=8, transpose=6,
-        weighted_sum=6,
+        add=9, attention=2, cross_slice=5, layer_norm=10, linear=25, matmul=4, mean=6,
+        sequence_loss=1, sigmoid=6, take=6, tanh=8, unpatchify=6, weighted_sum=6,
     )
-    assert sum(nodes.values()) == 126
+    assert sum(nodes.values()) == 94
 
 
 @pytest.fixture(scope="module")
@@ -424,14 +423,38 @@ def test_loaded_forward_equals_the_taped_forward_bitwise(stack64):
         assert np.array_equal(e.probabilities.data, g.probabilities.data)
 
 
+def _probabilities_digest(seq, params) -> str:
+    h = hashlib.sha256()
+    for p in forward_sequence(seq, params):
+        h.update(p.probabilities.data.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _without_z(seq, drop) -> SliceSequence:
+    """seq with the z position of every slice t where drop(t) removed."""
+    return SliceSequence(
+        seq.sequence_id,
+        [dataclasses.replace(sl, z_position_um=None) if drop(t) else sl for t, sl in enumerate(seq.slices)],
+    )
+
+
 def test_stack_probabilities_are_pinned(stack64):
     # 64 slices with k=5: top-k truncation and the tie rule pick the slots
     seq, ckpt = stack64
-    preds = forward_sequence(seq, load_params(ckpt))
-    h = hashlib.sha256()
-    for p in preds:
-        h.update(p.probabilities.data.tobytes())
-    assert h.hexdigest()[:16] == "502eca44f3595d86"
+    assert _probabilities_digest(seq, load_params(ckpt)) == "502eca44f3595d86"
+
+
+def test_stack_without_z_is_pinned(stack64):
+    # every memory distance is estimated from the scored cosines
+    seq, ckpt = stack64
+    assert _probabilities_digest(_without_z(seq, lambda t: True), load_params(ckpt)) == "514d5e32221a66f1"
+
+
+def test_stack_with_every_third_z_removed_is_pinned(stack64):
+    # slices 0, 3, 6, ...: a slot's distance is the z gap only when both slices have z
+    seq, ckpt = stack64
+    mixed = _without_z(seq, lambda t: t % 3 == 0)
+    assert _probabilities_digest(mixed, load_params(ckpt)) == "61f65a4ad55df2fa"
 
 
 def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):

@@ -8,14 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliceseg import losses
+from sliceseg import attention, losses
 from sliceseg import tensor as T
+from sliceseg.attention import AttentionContext, cross_slice_weights
 from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
 from sliceseg.errors import ContractError, DomainError, ShapeError
 from sliceseg.gradcheck import max_rel_error
 from sliceseg.losses import BCE_CLIP, LossWeights, combined_loss, consistency_pairs
 from sliceseg.model import ModelConfig, forward_sequence, init_params
 from sliceseg.tensor import Tensor
+
+from reference_ops import cosine_sims, exp, mul, reshape, softmax, transpose
 
 
 def test_matmul_identity():
@@ -52,12 +55,12 @@ def test_matmul_associativity(seed):
 
 
 def test_softmax_symmetry():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0])).data
+    out = softmax(Tensor([0.0, 0.0, 0.0])).data
     assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_stability_under_large_inputs():
-    out = T.softmax(Tensor([1000.0, 1000.0])).data
+    out = softmax(Tensor([1000.0, 1000.0])).data
     assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
 
@@ -66,7 +69,7 @@ def test_softmax_derived_values():
     x = [1.0, 2.0, 3.0]
     e = [math.exp(v) for v in x]
     expected = [v / sum(e) for v in e]
-    out = T.softmax(Tensor(x)).data
+    out = softmax(Tensor(x)).data
     assert np.allclose(out, expected, atol=1e-12)
     assert np.allclose(out, [0.09003057, 0.24472847, 0.66524096], atol=1e-7)
 
@@ -75,20 +78,20 @@ def test_softmax_sums_to_one_and_shift_invariant():
     rng = np.random.default_rng(7)
     for _ in range(50):
         x = rng.standard_normal(6)
-        out = T.softmax(Tensor(x)).data
+        out = softmax(Tensor(x)).data
         assert abs(out.sum() - 1.0) <= 1e-12
-        shifted = T.softmax(Tensor(x + 123.456)).data
+        shifted = softmax(Tensor(x + 123.456)).data
         assert np.abs(out - shifted).max() <= 1e-12
 
 
 def test_softmax_empty_is_domain_error():
     with pytest.raises(DomainError):
-        T.softmax(Tensor(np.zeros(0)))
+        softmax(Tensor(np.zeros(0)))
 
 
 def _cosine_of_pair(u: Tensor, v: Tensor) -> Tensor:
     """cosine_sims of one query against one vector, as a scalar."""
-    return T.reshape(T.cosine_sims(u, [v]), ())
+    return reshape(cosine_sims(u, [v]), ())
 
 
 def test_cosine_sim_scale_invariance():
@@ -117,7 +120,7 @@ def test_cosine_sim_degenerate_zero_vector():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
-        T.mul(x, 2.0).backward()
+        mul(x, 2.0).backward()
 
 
 def test_backward_linear_case():
@@ -128,7 +131,7 @@ def test_backward_linear_case():
 
 def test_backward_square():
     x = Tensor(3.0, requires_grad=True)
-    T.mul(x, x).backward()
+    mul(x, x).backward()
     assert x.grad == pytest.approx(6.0)
 
 
@@ -189,21 +192,21 @@ def _old_combined_loss(predictions, targets, pairs, w: LossWeights) -> Tensor:
     became one node, arithmetic for arithmetic."""
     per_slice = []
     for p, y in zip(predictions, targets):
-        overlap = tensor_sum(T.mul(p, y))
+        overlap = tensor_sum(mul(p, y))
         total = T.add(tensor_sum(p), tensor_sum(y))
-        dice = sub(1.0, div(T.add(T.mul(overlap, 2.0), w.smooth), T.add(total, w.smooth)))
+        dice = sub(1.0, div(T.add(mul(overlap, 2.0), w.smooth), T.add(total, w.smooth)))
         pc = clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
-        pos = T.mul(y, log(pc))
-        neg = T.mul(sub(1.0, y), log(sub(1.0, pc)))
-        bce = T.mul(T.mean(T.add(pos, neg)), -1.0)
-        per_slice.append(T.add(T.mul(dice, w.w_dice), T.mul(bce, w.w_bce)))
+        pos = mul(y, log(pc))
+        neg = mul(sub(1.0, y), log(sub(1.0, pc)))
+        bce = mul(T.mean(T.add(pos, neg)), -1.0)
+        per_slice.append(T.add(mul(dice, w.w_dice), mul(bce, w.w_bce)))
     total = div(functools.reduce(T.add, per_slice), float(len(per_slice)))
     terms = []
     for i, j, sim in pairs:
         diff = sub(predictions[i], predictions[j])
-        terms.append(T.mul(T.mean(T.mul(diff, diff)), sim))
+        terms.append(mul(T.mean(mul(diff, diff)), sim))
     cons = div(functools.reduce(T.add, terms), float(len(terms))) if terms else Tensor(0.0)
-    return T.add(total, T.mul(cons, w.w_consistency))
+    return T.add(total, mul(cons, w.w_consistency))
 
 
 # sigmoid(x + offset) puts these pixels inside BCE's clip band (within 1e-7
@@ -216,7 +219,7 @@ _KEEP[1, 3] = 0.0
 
 def _probability_rows(x: Tensor) -> list[Tensor]:
     """The rows of sigmoid(x + _OFFSETS) * _KEEP, as three probability maps."""
-    probs = T.mul(T.sigmoid(T.add(x, _OFFSETS)), _KEEP)
+    probs = mul(T.sigmoid(T.add(x, _OFFSETS)), _KEEP)
     return [T.take(probs, t) for t in range(3)]
 
 
@@ -228,17 +231,17 @@ def _columns(lo: int, hi: int, width: int) -> np.ndarray:
 
 def _composite(x: Tensor, c: Tensor) -> Tensor:
     """Exercises most of the op set in one scalar graph."""
-    a = T.sigmoid(T.matmul(x, T.transpose(c, (1, 0))))
+    a = T.sigmoid(T.matmul(x, transpose(c, (1, 0))))
     b = T.layer_norm(T.tanh(T.add(a, 0.3)))
-    d = T.softmax(T.mul(b, 1.7))
+    d = softmax(mul(b, 1.7))
     left, right = _columns(0, 2, 4), _columns(2, 4, 4)
     e = T.add(
         T.matmul(T.matmul(d, left), left.T),
-        T.matmul(T.exp(T.matmul(d, right)), right.T),
+        T.matmul(exp(T.matmul(d, right)), right.T),
     )
     # sqrt(x^2 + 1) as exp(log(.) / 2)
-    root = T.exp(T.mul(log(T.add(T.mul(x, x), 1.0)), 0.5))
-    return T.add(T.mean(T.mul(e, e)), T.mean(root))
+    root = exp(mul(log(T.add(mul(x, x), 1.0)), 0.5))
+    return T.add(T.mean(mul(e, e)), T.mean(root))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -254,39 +257,53 @@ def test_composite_graph_matches_finite_differences(seed):
 @pytest.mark.parametrize(
     "name,build",
     [
-        ("add", lambda x, c: T.mean(T.mul(T.add(x, c), c))),
-        ("sub", lambda x, c: T.mean(T.mul(sub(c, x), c))),
-        ("mul", lambda x, c: T.mean(T.mul(T.mul(x, c), c))),
-        ("div", lambda x, c: T.mean(div(c, T.add(T.mul(x, x), 1.0)))),
-        ("exp", lambda x, c: T.mean(T.exp(x))),
-        ("sigmoid", lambda x, c: T.mean(T.mul(T.sigmoid(x), c))),
-        ("tanh", lambda x, c: T.mean(T.mul(T.tanh(x), c))),
-        ("mean", lambda x, c: T.mean(T.mul(x, c))),
-        ("mean_axis", lambda x, c: T.mean(T.mean(T.mul(x, c), axis=0))),
-        ("reshape", lambda x, c: T.mean(T.mul(T.reshape(x, (4, 3)), T.reshape(c, (4, 3))))),
-        ("transpose", lambda x, c: T.mean(T.mul(T.transpose(x, (1, 0)), T.transpose(c, (1, 0))))),
-        ("layer_norm", lambda x, c: T.mean(T.mul(T.layer_norm(x), c))),
-        ("softmax", lambda x, c: T.mean(T.mul(T.softmax(x), c))),
-        ("clip", lambda x, c: T.mean(clip(T.mul(x, c), -0.5, 0.5))),
+        ("add", lambda x, c: T.mean(mul(T.add(x, c), c))),
+        ("sub", lambda x, c: T.mean(mul(sub(c, x), c))),
+        ("mul", lambda x, c: T.mean(mul(mul(x, c), c))),
+        ("div", lambda x, c: T.mean(div(c, T.add(mul(x, x), 1.0)))),
+        ("exp", lambda x, c: T.mean(exp(x))),
+        ("sigmoid", lambda x, c: T.mean(mul(T.sigmoid(x), c))),
+        ("tanh", lambda x, c: T.mean(mul(T.tanh(x), c))),
+        ("mean", lambda x, c: T.mean(mul(x, c))),
+        ("mean_axis", lambda x, c: T.mean(T.mean(mul(x, c), axis=0))),
+        ("reshape", lambda x, c: T.mean(mul(reshape(x, (4, 3)), reshape(c, (4, 3))))),
+        ("transpose", lambda x, c: T.mean(mul(transpose(x, (1, 0)), transpose(c, (1, 0))))),
+        ("layer_norm", lambda x, c: T.mean(mul(T.layer_norm(x), c))),
+        ("softmax", lambda x, c: T.mean(mul(softmax(x), c))),
+        ("clip", lambda x, c: T.mean(clip(mul(x, c), -0.5, 0.5))),
         ("linear", lambda x, c: T.mean(T.tanh(T.linear(x, c, T.mean(c, axis=1))))),
         (
             "attention",
-            lambda x, c: T.mean(T.mul(T.multi_head_attention(x, T.mul(x, c), c, 2), c)),
+            lambda x, c: T.mean(mul(T.multi_head_attention(x, mul(x, c), c, 2), c)),
         ),
         (
             "cosine_sims",
             lambda x, c: T.mean(
-                T.mul(
-                    T.cosine_sims(T.mean(x, axis=0), [T.mean(T.mul(x, c), axis=0), c.data[0]]),
+                mul(
+                    cosine_sims(T.mean(x, axis=0), [T.mean(mul(x, c), axis=0), c.data[0]]),
                     [1.0, -2.0],
                 )
             ),
         ),
         (
             "weighted_sum",
-            lambda x, c: T.mean(T.mul(T.weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
+            lambda x, c: T.mean(mul(T.weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
         ),
-        ("take", lambda x, c: T.mean(T.mul(T.take(T.tanh(x), 1), c.data[2]))),
+        ("take", lambda x, c: T.mean(mul(T.take(T.tanh(x), 1), c.data[2]))),
+        ("unpatchify", lambda x, c: T.mean(mul(T.unpatchify(T.matmul(c.data.T, x), 2, 2), c.data.T @ c.data))),
+        (
+            "cross_slice",
+            lambda x, c: T.mean(
+                mul(
+                    cross_slice_weights(
+                        AttentionContext(T.mean(x, axis=0), [T.take(x, 1), T.tanh(T.take(x, 2)), c.data[0]],
+                                         [0.0, 3.0, 5.0]),
+                        Tensor(0.05),
+                    ),
+                    [1.0, -2.0, 0.5],
+                )
+            ),
+        ),
         (
             "sequence_loss",
             lambda x, c: combined_loss(
@@ -336,7 +353,7 @@ def test_linear_gradients_reach_every_parent(seed):
     x, W, b = _leaves(rng, (5, 4), (3, 4), (3,))
     c = Tensor(rng.standard_normal((5, 3)))
     _assert_gradients_reach(
-        lambda: T.mean(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b]
+        lambda: T.mean(mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b]
     )
     assert np.array_equal(T.linear(x, W, b).data, x.data @ W.data.T + b.data)
     assert np.array_equal(T.linear(x, W).data, x.data @ W.data.T)
@@ -351,7 +368,7 @@ def test_linear_over_leading_axes_is_the_2d_op_per_index(seed):
     assert out.shape == (3, 5, 6)
     for s in range(3):
         assert np.array_equal(out.data[s], T.linear(x.data[s], W, b).data)
-    _assert_gradients_reach(lambda: T.mean(T.mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b])
+    _assert_gradients_reach(lambda: T.mean(mul(T.tanh(T.linear(x, W, b)), c)), [x, W, b])
 
 
 def test_linear_shape_errors():
@@ -372,8 +389,8 @@ def _per_head_attention(q, k, v, heads):
     for h in range(heads):
         cols = _columns(h * dh, (h + 1) * dh, d)
         qh, kh, vh = (T.matmul(t, cols) for t in (q, k, v))
-        scores = T.mul(T.matmul(qh, T.transpose(kh, (1, 0))), 1.0 / np.sqrt(dh))
-        outs.append(T.matmul(T.matmul(T.softmax(scores), vh), cols.T))
+        scores = mul(T.matmul(qh, transpose(kh, (1, 0))), 1.0 / np.sqrt(dh))
+        outs.append(T.matmul(T.matmul(softmax(scores), vh), cols.T))
     return functools.reduce(T.add, outs)
 
 
@@ -385,10 +402,10 @@ def test_multi_head_attention_matches_per_head_oracle(seed, heads):
     fused = T.multi_head_attention(q, k, v, heads)
     oracle = _per_head_attention(q, k, v, heads)
     assert np.abs(fused.data - oracle.data).max() <= 1e-12
-    T.mean(T.mul(oracle, c)).backward()
+    T.mean(mul(oracle, c)).backward()
     oracle_grads = [t.grad for t in (q, k, v)]
     _assert_gradients_reach(
-        lambda: T.mean(T.mul(T.multi_head_attention(q, k, v, heads), c)), [q, k, v]
+        lambda: T.mean(mul(T.multi_head_attention(q, k, v, heads), c)), [q, k, v]
     )
     for t, g in zip((q, k, v), oracle_grads):
         assert np.abs(t.grad - g).max() <= 1e-12
@@ -404,7 +421,7 @@ def test_multi_head_attention_over_leading_axes_is_the_2d_op_per_index(seed):
     for s in range(3):
         assert np.array_equal(out.data[s], T.multi_head_attention(q.data[s], k.data[s], v.data[s], 4).data)
     _assert_gradients_reach(
-        lambda: T.mean(T.mul(T.multi_head_attention(q, k, v, 4), c)), [q, k, v]
+        lambda: T.mean(mul(T.multi_head_attention(q, k, v, 4), c)), [q, k, v]
     )
 
 
@@ -436,7 +453,7 @@ def test_multi_head_attention_is_the_old_expression_bitwise(seed, shape, heads):
     q, k, v = _leaves(rng, shape, shape, shape)
     c = Tensor(rng.standard_normal(shape))
     out = T.multi_head_attention(q, k, v, heads)
-    T.mean(T.mul(out, c)).backward()  # upstream gradient is exactly c / c.size
+    T.mean(mul(out, c)).backward()  # upstream gradient is exactly c / c.size
     expected = _attention_oracle(q.data, k.data, v.data, heads, (1.0 / c.size) * c.data)
     for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -450,7 +467,7 @@ def test_sigmoid_is_the_old_expression_bitwise(seed, shape):
     a.data = a.data * 8.0
     c = Tensor(rng.standard_normal(shape))
     out = T.sigmoid(a)
-    T.mean(T.mul(out, c)).backward()
+    T.mean(mul(out, c)).backward()
     want = 1.0 / (1.0 + np.exp(-a.data))
     want_grad = (1.0 / c.size) * c.data * want * (1.0 - want)
     assert out.shape == shape and out.data.tobytes() == want.tobytes()
@@ -474,17 +491,17 @@ def test_cosine_sims_gradients_reach_query_and_each_vector(seed):
     query, *vectors = _leaves(rng, (5,), (5,), (5,), (5,))
     weights = Tensor(rng.standard_normal(3))
     _assert_gradients_reach(
-        lambda: T.mean(T.mul(T.cosine_sims(query, vectors), weights)), [query, *vectors]
+        lambda: T.mean(mul(cosine_sims(query, vectors), weights)), [query, *vectors]
     )
     pairwise = [_norm_formula_cosine(query.data, v.data) for v in vectors]
-    assert np.abs(T.cosine_sims(query, vectors).data - pairwise).max() <= 1e-15
+    assert np.abs(cosine_sims(query, vectors).data - pairwise).max() <= 1e-15
 
 
 def test_cosine_sims_degenerate_vector_gets_zero_and_no_gradient():
     query = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     zero = Tensor(np.zeros(3), requires_grad=True)
     live = Tensor([3.0, -1.0, 0.5], requires_grad=True)
-    out = T.cosine_sims(query, [zero, live])
+    out = cosine_sims(query, [zero, live])
     assert out.data[0] == 0.0
     assert out.data[1] == pytest.approx(_norm_formula_cosine(query.data, live.data), abs=1e-15)
     T.mean(out).backward()
@@ -495,7 +512,7 @@ def test_cosine_sims_degenerate_vector_gets_zero_and_no_gradient():
 def test_cosine_sims_degenerate_query_gets_zeros_and_no_gradient():
     query = Tensor(np.zeros(3), requires_grad=True)
     vectors = [Tensor(v, requires_grad=True) for v in ([1.0, 2.0, 3.0], [0.5, 0.0, 1.0])]
-    out = T.cosine_sims(query, vectors)
+    out = cosine_sims(query, vectors)
     assert np.array_equal(out.data, [0.0, 0.0])
     T.mean(out).backward()
     assert query.grad is None
@@ -508,7 +525,7 @@ def test_weighted_sum_gradients_reach_alpha_and_each_grid(seed):
     alpha, *grids = _leaves(rng, (3,), (4, 2), (4, 2), (4, 2))
     c = Tensor(rng.standard_normal((4, 2)))
     _assert_gradients_reach(
-        lambda: T.mean(T.mul(T.weighted_sum(alpha, grids), c)), [alpha, *grids]
+        lambda: T.mean(mul(T.weighted_sum(alpha, grids), c)), [alpha, *grids]
     )
     expected = sum(a * g.data for a, g in zip(alpha.data, grids))
     assert np.abs(T.weighted_sum(alpha, grids).data - expected).max() <= 1e-15
@@ -546,7 +563,7 @@ def test_affine_layer_norm_is_the_old_chain_bitwise(seed, shape):
     a.data = a.data * 3.0 + 1.5
     c = Tensor(rng.standard_normal(shape))
     out = T.layer_norm(a, gamma, beta)
-    T.mean(T.mul(out, c)).backward()  # upstream gradient is exactly c / c.size
+    T.mean(mul(out, c)).backward()  # upstream gradient is exactly c / c.size
     expected = _layer_norm_chain_oracle(a.data, gamma.data, beta.data, (1.0 / c.size) * c.data)
     for got, want in zip((out.data, a.grad, gamma.grad, beta.grad), expected):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -561,7 +578,7 @@ def test_affine_layer_norm_gradients_reach_every_input(seed):
     a, gamma, beta = _leaves(rng, (4, 5), (5,), (5,))
     c = Tensor(rng.standard_normal((4, 5)))
     _assert_gradients_reach(
-        lambda: T.mean(T.mul(T.tanh(T.layer_norm(a, gamma, beta)), c)), [a, gamma, beta]
+        lambda: T.mean(mul(T.tanh(T.layer_norm(a, gamma, beta)), c)), [a, gamma, beta]
     )
 
 
@@ -593,6 +610,7 @@ def test_accumulating_kernels_leave_their_inputs_unmodified():
         T.weighted_sum(alpha, [g0, g1, g2]),
         T.multi_head_attention(q, k, v, 2),
         T.sigmoid(a),
+        cross_slice_weights(AttentionContext(b, [b, alpha, x.data[0, :3]], [0.0, 2.0, 4.0]), Tensor(0.1)),
     ]
     for node in nodes:
         g = rng.standard_normal(node.shape)
@@ -613,7 +631,67 @@ def test_take_is_a_row_and_rejects_an_index_out_of_range():
         T.take(Tensor(1.0), 0)
 
 
-@pytest.mark.parametrize("op", [T.add, T.mul])
+@pytest.mark.parametrize("grid,patch", [(1, 1), (2, 3), (8, 8)])
+def test_unpatchify_is_the_old_chain_bitwise(grid, patch):
+    # the decoder's reshape -> transpose -> reshape chain, forward and backward
+    rng = np.random.default_rng(grid * patch)
+    (a,) = _leaves(rng, (grid * grid, patch * patch))
+    c = Tensor(rng.standard_normal((grid * patch, grid * patch)))
+    chain = reshape(transpose(reshape(a, (grid, grid, patch, patch)), (0, 2, 1, 3)), c.shape)
+    T.mean(mul(T.tanh(chain), c)).backward()
+    want = a.grad
+    a.zero_grad()
+    out = T.unpatchify(a, grid, patch)
+    T.mean(mul(T.tanh(out), c)).backward()
+    assert out._op == "unpatchify" and out.data.tobytes() == chain.data.tobytes()
+    assert a.grad.shape == want.shape and a.grad.tobytes() == want.tobytes()
+
+
+def test_unpatchify_shape_error():
+    with pytest.raises(ShapeError, match=r"unpatchify: \(4, 9\) is not 2x2 patches of 2x2"):
+        T.unpatchify(Tensor(np.zeros((4, 9))), 2, 2)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)])
+def test_linear_gives_a_constant_input_no_gradient(shape):
+    # the weight and bias gradients are those of a taped input, to the bit;
+    # an input computed from a taped leaf is not constant and gets one
+    rng = np.random.default_rng(len(shape))
+    W, b = _leaves(rng, (6, 4), (6,))
+    data = rng.standard_normal(shape)
+    c = rng.standard_normal(shape[:-1] + (6,))
+    leaf = Tensor(np.arcsinh(data), requires_grad=True)
+    grads = []
+    for x, constant in [(Tensor(data, requires_grad=True), False), (T.sigmoid(leaf), False), (Tensor(data), True)]:
+        W.zero_grad()
+        b.zero_grad()
+        out = T.linear(x, W, b)
+        routed = {id(t): g for t, g in out._backward(c)}
+        assert (routed[id(x)] is None) == constant
+        T.mean(mul(out, c)).backward()
+        grads.append((W.grad, b.grad))
+    for taped, constant in zip(grads[0], grads[2]):
+        assert taped.tobytes() == constant.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_weighted_sum_is_the_old_expression_bitwise(n):
+    rng = np.random.default_rng(n)
+    alpha, *grids = _leaves(rng, (n,), *[(4, 3)] * n)
+    c = Tensor(rng.standard_normal((4, 3)))
+    out = T.weighted_sum(alpha, grids)
+    T.mean(mul(out, c)).backward()  # upstream gradient is exactly c / c.size
+    a, g = alpha.data, (1.0 / c.size) * c.data
+    want = a[0] * grids[0].data
+    for w, m in zip(a[1:], grids[1:]):
+        want = want + w * m.data
+    assert out.data.tobytes() == want.tobytes()
+    assert alpha.grad.tobytes() == np.array([(g * m.data).sum() for m in grids]).tobytes()
+    for w, m in zip(a, grids):
+        assert m.grad.tobytes() == (w * g).tobytes()
+
+
+@pytest.mark.parametrize("op", [T.add, mul])
 def test_elementwise_shape_error_names_both_shapes(op):
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4,\)"):
         op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
@@ -628,12 +706,12 @@ def test_forward_outputs_finite():
 
 def test_reshape_size_mismatch():
     with pytest.raises(ShapeError):
-        T.reshape(Tensor(np.zeros((2, 3))), (4, 2))
+        reshape(Tensor(np.zeros((2, 3))), (4, 2))
 
 
 def test_grad_shape_matches_data():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    T.mean(T.mul(x, x)).backward()
+    T.mean(mul(x, x)).backward()
     assert x.grad.shape == x.data.shape
 
 
@@ -665,14 +743,14 @@ def test_cosine_sims_forward_is_the_kernel_bitwise(seed):
     q = rng.standard_normal(8)
     E = rng.standard_normal((4, 8))
     E[2] = 0.0
-    out = T.cosine_sims(Tensor(q), [Tensor(e) for e in E])
+    out = cosine_sims(Tensor(q), [Tensor(e) for e in E])
     assert np.array_equal(out.data, T.cosines(q, E))
 
 
 def test_tensor_defines_exactly_the_ops_a_training_loss_builds(tmp_path):
     defined = {
         call.args[-1].value
-        for module in (T, losses)
+        for module in (T, attention, losses)
         for call in ast.walk(ast.parse(Path(module.__file__).read_text()))
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_node"
     }
@@ -692,7 +770,7 @@ def test_tensor_defines_exactly_the_ops_a_training_loss_builds(tmp_path):
             on_tape.add(node._op)
             stack.extend(node._parents)
     assert defined == on_tape - {"leaf"}
-    assert len(defined) == 17
+    assert len(defined) == 13
 
 
 def _loss_case(seed: int, n: int, similar: bool):
