@@ -427,11 +427,16 @@ class SynthSlice:
     blobs: list[Ellipse]
 
 
-def _quadric_min(blobs: list[Ellipse], size: int) -> np.ndarray:
-    """Per pixel, the least (u/ax)^2 + (v/ay)^2 over the rotated ellipses:
-    at most 1 exactly inside one of them, inf when there are none."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    q_min = np.full((size, size), np.inf)
+def _pixel_grid(size: int) -> np.ndarray:
+    """(2, size, size) float row and column indices: yy, xx."""
+    return np.mgrid[0:size, 0:size].astype(np.float64)
+
+
+def _quadric_min(blobs: list[Ellipse], grid: np.ndarray) -> np.ndarray:
+    """Per pixel of the grid, the least (u/ax)^2 + (v/ay)^2 over the rotated
+    ellipses: at most 1 exactly inside one of them, inf when there are none."""
+    yy, xx = grid
+    q_min = np.full(yy.shape, np.inf)
     for b in blobs:
         dx, dy = xx - b.cx, yy - b.cy
         u = dx * np.cos(b.angle) + dy * np.sin(b.angle)
@@ -442,11 +447,11 @@ def _quadric_min(blobs: list[Ellipse], size: int) -> np.ndarray:
 
 def ellipse_mask(blobs: list[Ellipse], size: int) -> np.ndarray:
     """Exact per-pixel membership union of the ellipses."""
-    return (_quadric_min(blobs, size) <= 1.0).astype(np.uint8)
+    return (_quadric_min(blobs, _pixel_grid(size)) <= 1.0).astype(np.uint8)
 
 
-def _render_clean(blobs: list[Ellipse], size: int, jitter: float) -> np.ndarray:
-    q_min = _quadric_min(blobs, size)
+def _render_clean(q_min: np.ndarray, jitter: float) -> np.ndarray:
+    """The noise-free image of the ellipses whose `_quadric_min` is q_min."""
     # Soft-edged bright blobs on a darker background. Far from every blob
     # the exponent grows without bound; capped at 700, exp stays finite and
     # the blob term is already far below one ulp of the background.
@@ -483,6 +488,7 @@ def generate_sequence(cfg: SynthConfig, index: int) -> tuple[str, list[SynthSlic
     gaps = rng.uniform(*cfg.z_gap_range, size=cfg.slices_per_sequence - 1)
     z_positions = np.concatenate([[0.0], np.cumsum(gaps)])
 
+    grid = _pixel_grid(size)
     slices = []
     for z in z_positions:
         blobs = [
@@ -495,10 +501,11 @@ def generate_sequence(cfg: SynthConfig, index: int) -> tuple[str, list[SynthSlic
             )
             for b, v in zip(base, vel)
         ]
-        mask = ellipse_mask(blobs, size)
+        q_min = _quadric_min(blobs, grid)  # shared by the mask and the render
+        mask = (q_min <= 1.0).astype(np.uint8)
         jitter = float(rng.normal(0.0, INTENSITY_JITTER))
         clean = np.clip(
-            _render_clean(blobs, size, jitter) + rng.normal(0.0, NOISE_SIGMA, (size, size)),
+            _render_clean(q_min, jitter) + rng.normal(0.0, NOISE_SIGMA, (size, size)),
             0.0,
             1.0,
         )

@@ -54,7 +54,7 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     """Pixel-mean binary cross entropy; p clipped to [1e-7, 1-1e-7]."""
     _check_pair(p, y, "bce_loss")
     pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
-    return float((y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean() * -1.0)
+    return float((y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum() / p.size * -1.0)
 
 
 def consistency_pairs(
@@ -73,8 +73,8 @@ def consistency_pairs(
     E = np.stack([e.data for e in embeddings])
     pairs = []
     for i in range(len(E) - 1):
-        sims = T.cosines(E[i], E[i + 1 :])
-        pairs.extend((i, i + 1 + j, float(s)) for j, s in enumerate(sims) if s > threshold)
+        sims = T.cosines(E[i], E)  # all rows, so an error's row is the embedding's index
+        pairs.extend((i, j, float(sims[j])) for j in range(i + 1, len(E)) if sims[j] > threshold)
     return pairs
 
 
@@ -100,7 +100,7 @@ def consistency_loss(
     for i, j, sim in pairs:
         _check_pair(predictions[i], predictions[j], "consistency_loss")
         diff = predictions[i] - predictions[j]
-        terms.append((diff * diff).mean() * sim)
+        terms.append((diff * diff).sum() / diff.size * sim)
     if not terms:
         return 0.0
     return float(functools.reduce(operator.add, terms) / float(len(terms)))

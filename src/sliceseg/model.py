@@ -8,17 +8,17 @@ are low-rank adapted: their weight is W + B @ A, with the base
 ``encoder.block<i>.attn.{q,v}.W`` frozen and the factors
 ``lora.block<i>.{q,v}.{A,B}`` trained (B starts at zero). The encoder
 sees each slice on its own, so a sequence is first encoded in chunks of
-ENCODE_CHUNK slices (on two threads given two chunks and CPUs, to the same
-bits). Then, slice by slice, the pooled embedding queries the memory bank,
+ENCODE_CHUNK slices; given two chunks, the calling thread and the tensor
+module's one helper thread (``tensor.run_pair``) share them out, to the
+same bits. Then, slice by slice, the pooled embedding queries the memory bank,
 distance-aware attention weights fuse the retrieved patch grids with the
 current one, and a per-patch MLP decoder emits the pixel logits.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import asdict, dataclass
+from threading import Lock
 
 import numpy as np
 
@@ -224,27 +224,32 @@ def encode_slice(images, params: ModelParams) -> Tensor:
 
 
 def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
-    """encode_slice per run of ENCODE_CHUNK images; given two chunks and CPUs, a helper thread
-    draws from the same iterator (numpy drops the GIL in its loops). Raises the earliest chunk's error."""
+    """encode_slice per run of ENCODE_CHUNK images; given two chunks, the calling thread and
+    the lane (``tensor.run_pair``) take chunk indices under a lock. Raises the earliest
+    chunk's error."""
     chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
-    order = iter(range(len(chunks)))
+    lock = Lock()
+    next_chunk = 0
+
     def work() -> None:
-        for c in order:
+        nonlocal next_chunk
+        while True:
+            with lock:
+                c, next_chunk = next_chunk, next_chunk + 1
+            if c >= len(chunks):
+                return
             try:
                 chunks[c] = encode_slice(images[c * ENCODE_CHUNK : (c + 1) * ENCODE_CHUNK], params)
             except Exception as exc:
                 chunks[c] = exc
-                for _ in order:  # drain: every chunk not yet taken comes after c
-                    pass
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    helper = threading.Thread(target=work) if len(chunks) > 1 and (cpus or 1) > 1 else None
-    if helper is not None:
-        helper.start()
-    try:
+                with lock:  # drain: every chunk not yet taken comes after c
+                    next_chunk = len(chunks)
+                return
+
+    if len(chunks) > 1:
+        T.run_pair(work, work)
+    else:  # one chunk leaves the lane free for its attention halves
         work()
-    finally:
-        if helper is not None:
-            helper.join()
     for chunk in chunks:  # every chunk before the first failure was encoded
         if isinstance(chunk, Exception):
             raise chunk

@@ -22,15 +22,27 @@ similarity; memory scoring, cross-slice weights and consistency pairs use it.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported. Kernels compute in place only in arrays they allocated,
 never in an input's ``data`` or in the upstream gradient.
+
+The module owns the package's one helper thread, the *lane*: a daemon
+started the first time ``run_pair`` can use it (a forked child gets a
+fresh one). ``run_pair(helper_job, own_job)`` runs helper_job on the lane
+beside own_job, given at least 2 CPUs and a free lane, and else both on
+the caller, as it does when own_job ends before the lane has begun.
+``multi_head_attention`` runs its forward and its backward as two halves
+of the leading indices this way; ``model`` encodes a stack's chunks on it.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import queue
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 
 NORM_EPS = 1e-12
 # Added to the variance under layer_norm's square root.
@@ -153,6 +165,96 @@ def _broadcasting(fn, a: Tensor, b: Tensor, op: str) -> np.ndarray:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
+# ----------------------------------------------------------------- the lane
+
+
+class _Lane:
+    """One daemon helper thread, started the first time it is needed, that
+    runs the jobs handed to it, one at a time."""
+
+    def __init__(self):
+        self.claim = threading.Lock()  # held by the caller the lane works for
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()  # taken by the lane, or back
+        self.done = threading.Lock()  # released by the lane when a job ends
+        self.done.acquire()
+        self.error: BaseException | None = None
+        self.thread: threading.Thread | None = None
+
+    def serve(self) -> None:
+        while True:
+            job = self.jobs.get()
+            try:
+                job()
+            except BaseException as exc:  # handed to run_pair, which raises it
+                self.error = exc
+            job = None  # the job's arrays are not kept alive until the next one
+            self.done.release()
+
+    def take_back(self) -> Callable[[], None] | None:
+        """The job handed over, if the lane has not begun it."""
+        try:
+            return self.jobs.get_nowait()
+        except queue.Empty:
+            return None
+
+
+_LANE = _Lane()
+
+
+def _fresh_lane() -> None:
+    # a forked child has no lane thread, and a claim its parent held stays held
+    global _LANE
+    _LANE = _Lane()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lane)
+
+
+def run_pair(helper_job: Callable[[], None], own_job: Callable[[], None]) -> None:
+    """Run both jobs: helper_job on the lane while own_job runs here, when
+    the process may use at least 2 CPUs and the lane is free; else both
+    here, in that order. A job running on the lane that calls run_pair
+    finds it busy, so at most two threads ever compute. If the lane has
+    not begun helper_job when own_job ends (its CPU was busy elsewhere),
+    helper_job runs here after all. An error from helper_job is raised
+    after own_job ends."""
+    lane = _LANE
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2 or not lane.claim.acquire(blocking=False):
+        helper_job()
+        own_job()
+        return
+    try:
+        if lane.thread is None:
+            lane.thread = threading.Thread(target=lane.serve, name="sliceseg-lane", daemon=True)
+            lane.thread.start()
+        lane.jobs.put(helper_job)
+        try:
+            own_job()
+        finally:
+            taken_back = lane.take_back()
+            if taken_back is None:  # the lane has it: wait for it to end
+                lane.done.acquire()
+                error, lane.error = lane.error, None
+                if error is not None:  # the helper's error first, as run in order
+                    raise error
+    finally:
+        lane.claim.release()
+    if taken_back is not None:
+        taken_back()
+
+
+def _in_halves(n: int, job: Callable[[slice], None]) -> None:
+    """job over the index ranges [h, n) and [0, h) at once (``run_pair``),
+    with h = ceil(n / 2); one call over [0, n) when n < 2."""
+    if n < 2:
+        job(slice(0, n))
+        return
+    h = (n + 1) // 2
+    run_pair(lambda: job(slice(h, n)), lambda: job(slice(0, h)))
+
+
 # ------------------------------------------------------------- elementwise
 
 
@@ -200,7 +302,7 @@ def mean(a, axis: int | None = None) -> Tensor:
             return ((a, np.broadcast_to(g / count, a.shape).copy()),)
         return ((a, np.broadcast_to(np.expand_dims(g, axis) / count, a.shape).copy()),)
 
-    return _node(a.data.mean(axis=axis), (a,), backward, "mean")
+    return _node(a.data.sum(axis=axis) / count, (a,), backward, "mean")
 
 
 # ------------------------------------------------------------------ linear
@@ -253,45 +355,63 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
     q, k, v are (..., N, d) with d divisible by heads; each leading index
     attends within its own N rows. Head h reads columns
     [h*d/heads, (h+1)*d/heads) of each, and the head outputs are laid
-    side by side in the same columns of the (..., N, d) result.
+    side by side in the same columns of the (..., N, d) result. Given at
+    least 2 leading indices, forward and backward each run as two halves
+    of them at once (``run_pair``), to the same bits: every product goes
+    into a buffer allocated here, through head-split views.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(
             f"attention expects equal (..., N, d) q/k/v, got {q.shape}, {k.shape}, {v.shape}"
         )
-    d = q.shape[-1]
+    n, d = q.shape[-2:]
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
+    rows = math.prod(q.shape[:-2])  # the leading indices, as one axis
 
-    def split(a: np.ndarray) -> np.ndarray:  # (..., N, d) -> (..., heads, N, dh)
-        return a.reshape(q.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
-
-    def join(a: np.ndarray) -> np.ndarray:  # (..., heads, N, dh) -> (..., N, d)
-        return a.swapaxes(-3, -2).reshape(q.shape)
+    def split(a: np.ndarray) -> np.ndarray:  # (..., N, d) -> (rows, heads, N, dh), a view
+        return a.reshape(rows, n, heads, dh).swapaxes(1, 2)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ kh.swapaxes(-1, -2)  # scores, then the softmax, in this one buffer
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = np.empty((rows, heads, n, n))  # the scores, then the softmax
+    out = np.empty(q.shape)
+
+    def forward(s: slice) -> None:
+        ps = p[s]
+        np.matmul(qh[s], kh[s].swapaxes(-1, -2), out=ps)
+        ps *= scale
+        ps -= ps.max(axis=-1, keepdims=True)
+        np.exp(ps, out=ps)
+        ps /= ps.sum(axis=-1, keepdims=True)
+        np.matmul(ps, vh[s], out=split(out)[s])
+
+    _in_halves(rows, forward)
 
     def backward(g):
         gh = split(g)
-        gs = gh @ vh.swapaxes(-1, -2)  # d(loss)/dp, then d(loss)/d(scores)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        return (
-            (q, join(gs @ kh)),
-            (k, join(gs.swapaxes(-1, -2) @ qh)),
-            (v, join(p.swapaxes(-1, -2) @ gh)),
-        )
+        gs = np.empty_like(p)  # d(loss)/dp, then d(loss)/d(scores)
+        scratch = np.empty((rows, n, n))  # gs * p, one head at a time
+        gq, gk, gv = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape)
 
-    return _node(join(p @ vh), (q, k, v), backward, "attention")
+        def half(s: slice) -> None:
+            gss, ps = gs[s], p[s]
+            np.matmul(gh[s], vh[s].swapaxes(-1, -2), out=gss)
+            for h in range(heads):
+                prod = np.multiply(gss[:, h], ps[:, h], out=scratch[s])
+                gss[:, h] -= prod.sum(axis=-1, keepdims=True)
+            gss *= ps
+            gss *= scale
+            np.matmul(gss, kh[s], out=split(gq)[s])
+            np.matmul(gss.swapaxes(-1, -2), qh[s], out=split(gk)[s])
+            np.matmul(ps.swapaxes(-1, -2), gh[s], out=split(gv)[s])
+
+        _in_halves(rows, half)
+        return ((q, gq), (k, gk), (v, gv))
+
+    return _node(out, (q, k, v), backward, "attention")
 
 
 # -------------------------------------------------------------- structural
@@ -337,9 +457,11 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
     a = as_tensor(a)
     if (gamma is None) != (beta is None):
         raise ContractError("layer_norm takes gamma and beta together or neither")
-    # np.var's exact arithmetic, without its second pass for the mean
-    xhat = a.data - a.data.mean(axis=-1, keepdims=True)  # centred, then scaled in place
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    # np.var's exact arithmetic, without its second pass for the mean; each
+    # mean is sum / n, the bits of ndarray.mean without its Python wrapper
+    n = a.shape[-1]
+    xhat = a.data - a.data.sum(axis=-1, keepdims=True) / n  # centred, then scaled in place
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + LN_EPS)
     xhat *= inv
     if gamma is None:
         parents, out_data = (a,), xhat
@@ -360,8 +482,8 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
         if gamma is not None:
             grads += [(gamma, _unbroadcast(g * xhat, width)), (beta, _unbroadcast(g, width))]
             g = g * gamma.data
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
+        gm = g.sum(axis=-1, keepdims=True) / n
+        gx = (g * xhat).sum(axis=-1, keepdims=True) / n
         ga = g - gm
         ga -= xhat * gx
         ga *= inv
@@ -371,16 +493,23 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
 
 
 def _norms(q: np.ndarray, E: np.ndarray):
-    """|q|, |E_j|, live pairs (both norms > NORM_EPS), cosine denominators."""
+    """|q|, |E_j|, live pairs (both norms > NORM_EPS), cosine denominators.
+    A norm that is NaN or infinite is a DomainError naming the row (checked
+    first) or the query: it is not a degenerate vector."""
     nq = np.sqrt((q * q).sum())
     ne = np.sqrt((E * E).sum(axis=1))
+    if not (np.isfinite(ne).all() and np.isfinite(nq)):
+        bad = np.flatnonzero(~np.isfinite(ne))
+        where = f"row {bad[0]}" if bad.size else "the query"
+        raise DomainError(f"cosine: {where} has a norm that is not finite")
     live = (ne > NORM_EPS) & (nq > NORM_EPS)
     return nq, ne, live, np.where(live, nq * ne, 1.0)
 
 
 def cosines(q: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Detached cosine of the 1-D array q with each row of E, as an (n,)
-    array; 0 wherever either norm is at or below NORM_EPS."""
+    array; 0 wherever either norm is at or below NORM_EPS, and a
+    DomainError where one is not finite."""
     _, _, live, denom = _norms(q, E)
     return np.where(live, (E * q).sum(axis=1) / denom, 0.0)
 

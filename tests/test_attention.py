@@ -249,6 +249,16 @@ def test_cross_slice_weights_is_one_node_and_checks_shapes():
         cross_slice_weights(AttentionContext(QUERY, [QUERY], [1.0]), Tensor(np.nan))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cross_slice_weights_reject_an_embedding_or_query_whose_norm_is_not_finite(bad):
+    # a NaN embedding used to count as degenerate: cosine 0, finite weights, no gradient
+    lam = Tensor(0.1, requires_grad=True)
+    with pytest.raises(DomainError, match="row 1 has a norm that is not finite"):
+        cross_slice_weights(AttentionContext(QUERY, [QUERY, Tensor([bad, 1.0])], [0.0, 1.0]), lam)
+    with pytest.raises(DomainError, match="the query has a norm that is not finite"):
+        cross_slice_weights(AttentionContext(Tensor([bad, 1.0]), [QUERY], [1.0]), lam)
+
+
 def test_lambda_initialized_to_point_one():
     assert init_params(MICRO_CONFIG, seed=0)["lambda"].item() == 0.1
 

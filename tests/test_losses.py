@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sliceseg.errors import ContractError, ShapeError
+from sliceseg.errors import ContractError, DomainError, ShapeError
 from sliceseg.gradcheck import max_rel_error
 from sliceseg.losses import (
     LossWeights,
@@ -104,6 +104,17 @@ def test_argument_errors_are_typed():
         combined_loss(two, two, widths)
     with pytest.raises(ShapeError, match="embedding shapes differ"):
         consistency_pairs(widths[::-1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_an_embedding_whose_norm_is_not_finite_is_a_domain_error_naming_it(bad):
+    # it used to be degenerate: its pairs silently dropped, a finite loss
+    embs = [Tensor([1.0, 0.0]), Tensor([0.9, 0.1]), Tensor([bad, 1.0]), Tensor([1.0, 0.1])]
+    maps = [Tensor(np.full((2, 2), 0.5), requires_grad=True) for _ in embs]
+    with pytest.raises(DomainError, match="row 2 has a norm that is not finite"):
+        consistency_pairs(embs)
+    with pytest.raises(DomainError, match="row 2 has a norm that is not finite"):
+        combined_loss(maps, maps, embs)
 
 
 def test_consistency_invariant_to_slice_reordering():

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import os
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -23,7 +26,7 @@ from sliceseg.data_io import (
     load_dataset,
     save_checkpoint,
 )
-from sliceseg.errors import ConfigError, ContractError, FormatError, ShapeError
+from sliceseg.errors import ConfigError, ContractError, DomainError, FormatError, ShapeError
 from sliceseg.model import (
     MICRO_CONFIG,
     ModelConfig,
@@ -457,6 +460,17 @@ def test_stack_with_every_third_z_removed_is_pinned(stack64):
     assert _probabilities_digest(mixed, load_params(ckpt)) == "61f65a4ad55df2fa"
 
 
+def test_memory_scoring_rejects_an_embedding_whose_norm_is_not_finite(micro_params, monkeypatch):
+    # slice 0's NaN pooled embedding used to score as orthogonal (cosine 0)
+    # from slice 1 on; the confidence check that catches its NaN map is
+    # bypassed here, so scoring is the first to see it
+    monkeypatch.setattr(model, "prediction_confidence", lambda p: 0.5)
+    seq = make_sequence(np.random.default_rng(16), MICRO_CONFIG, 3)
+    seq.slices[0].image = np.full((8, 8, 1), np.nan)
+    with pytest.raises(DomainError, match="row 0 has a norm that is not finite"):
+        forward_sequence(seq, micro_params)
+
+
 def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):
     # the memory bank would keep every slice's taped features alive:
     # about 119 MiB for this stack with a tape, under 7 MiB without
@@ -471,7 +485,7 @@ def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):
     assert peak <= 16 * 2**20
 
 
-# --------------------------------------------- chunks encoded on two threads
+# ------------------------------------ chunks and attention halves on the lane
 
 
 def _cpus(monkeypatch, n):
@@ -493,6 +507,13 @@ def started(monkeypatch):
     return threads
 
 
+def _only_the_lane(started):
+    """The lane starts once per process, as a daemon, and no other thread starts."""
+    lane = T._LANE.thread
+    assert lane is not None and lane.daemon and lane.is_alive()
+    assert started in ([], [lane])  # started here unless an earlier test started it
+
+
 def test_one_cpu_forward_equals_the_threaded_forward_bitwise(stack64, monkeypatch, started):
     seq, ckpt = stack64
     params = load_params(ckpt)
@@ -500,7 +521,9 @@ def test_one_cpu_forward_equals_the_threaded_forward_bitwise(stack64, monkeypatc
     for n in (1, 2):
         _cpus(monkeypatch, n)
         runs[n] = forward_sequence(seq, params)
-    assert len(started) == 1  # the two-CPU run only
+        if n == 1:
+            assert started == []
+    _only_the_lane(started)
     for a, b in zip(runs[1], runs[2], strict=True):
         for name in ("probabilities", "logits", "pooled_embedding"):
             assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes(), name
@@ -553,36 +576,113 @@ def test_every_chunk_is_encoded_once_under_fast_thread_switching(micro_params, m
         assert a.logits.data.tobytes() == b.logits.data.tobytes()
 
 
-def test_no_thread_outlives_a_multi_chunk_forward(micro_params, monkeypatch, started):
+def test_the_lane_is_one_daemon_thread_reused_across_forwards(micro_params, monkeypatch, started):
     _cpus(monkeypatch, 2)
     seq = make_sequence(np.random.default_rng(10), MICRO_CONFIG, 20)
-    before = threading.enumerate()
     assert len(forward_sequence(seq, micro_params)) == 20
-    assert threading.enumerate() == before
+    _only_the_lane(started)
+    lane, before = T._LANE.thread, threading.enumerate()
+    assert len(forward_sequence(seq, micro_params)) == 20
+    assert len(forward_sequence(make_sequence(np.random.default_rng(11), MICRO_CONFIG, 6), micro_params)) == 6
     seq.slices[19].image = np.zeros((4, 4, 1))
     with pytest.raises(ShapeError):
         forward_sequence(seq, micro_params)
     assert threading.enumerate() == before
-    assert len(started) == 2
+    assert T._LANE.thread is lane
+    _only_the_lane(started)
 
 
-def test_a_six_slice_forward_starts_no_thread(micro_params, monkeypatch, started):
-    _cpus(monkeypatch, 2)
-    seq = make_sequence(np.random.default_rng(11), MICRO_CONFIG, 6)
-    assert len(forward_sequence(seq, micro_params)) == 6
+def test_a_forward_and_a_train_step_on_one_cpu_start_no_thread(micro_params, monkeypatch, started):
+    _cpus(monkeypatch, 1)
+    for n in (6, 20):
+        seq = make_sequence(np.random.default_rng(n), MICRO_CONFIG, n)
+        assert len(forward_sequence(seq, micro_params)) == n
+    config = TrainConfig(seed=2, model=MICRO_CONFIG)
+    train_step(init_params(MICRO_CONFIG, seed=2), seq, AdamState(), config)
     assert started == []
 
 
+def _train(config, seq, cpus, monkeypatch, steps=3):
+    _cpus(monkeypatch, cpus)
+    params, state = init_params(config.model, seed=config.seed), AdamState()
+    losses = [train_step(params, seq, state, config) for _ in range(steps)]
+    return losses, {name: t.data.tobytes() for name, t in params.tensors.items()}
+
+
 def test_training_through_the_helper_thread_is_bitwise_the_same(monkeypatch, started):
-    # 19 slices: three chunks, so the helper runs in every forward
+    # 19 slices: three chunks, so the lane encodes chunks in every forward,
+    # and every backward runs attention in halves on it
     config = TrainConfig(seed=2)
     seq = make_sequence(np.random.default_rng(12), config.model, 19)
-    trained = {}
-    for n in (1, 2):
-        _cpus(monkeypatch, n)
-        params, state = init_params(config.model, seed=2), AdamState()
-        for _ in range(3):
-            train_step(params, seq, state, config)
-        trained[n] = {name: t.data.tobytes() for name, t in params.tensors.items()}
-    assert len(started) == 3
-    assert trained[1] == trained[2]
+    one_cpu = _train(config, seq, 1, monkeypatch)
+    assert started == []
+    assert _train(config, seq, 2, monkeypatch) == one_cpu
+    _only_the_lane(started)
+
+
+def test_a_six_slice_train_step_is_bitwise_the_same_on_one_and_two_cpus(monkeypatch):
+    # one chunk: attention runs in halves on the lane, forward and backward
+    config = TrainConfig(seed=4)
+    seq = make_sequence(np.random.default_rng(14), config.model, 6)
+    assert _train(config, seq, 1, monkeypatch) == _train(config, seq, 2, monkeypatch)
+
+
+def test_a_process_starts_one_lane_for_every_forward_and_train_step(tmp_path):
+    # in a fresh process, so that no earlier test has started the lane
+    script = tmp_path / "lane.py"
+    script.write_text(textwrap.dedent("""
+        import os, threading
+        import numpy as np
+        os.sched_getaffinity = lambda pid: {0, 1}
+        started = []
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+        threading.Thread = Recorded
+        from sliceseg.data_io import SliceData, SliceSequence
+        from sliceseg.model import MICRO_CONFIG, forward_sequence, init_params
+        from sliceseg.training import AdamState, TrainConfig, train_step
+        rng = np.random.default_rng(0)
+        def seq(n):
+            return SliceSequence("t", [
+                SliceData(rng.random((8, 8, 1)), (rng.random((8, 8)) < 0.4).astype(np.uint8), float(t))
+                for t in range(n)
+            ])
+        params, state = init_params(MICRO_CONFIG), AdamState()
+        for n in (20, 6, 20):
+            forward_sequence(seq(n), params)
+        for n in (6, 20):
+            train_step(params, seq(n), state, TrainConfig(model=MICRO_CONFIG))
+        print(len(started), all(t.daemon and t.is_alive() for t in started))
+    """))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "True"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_encodes_two_chunks_on_a_lane_of_its_own(micro_params, monkeypatch):
+    _cpus(monkeypatch, 2)
+    seq = make_sequence(np.random.default_rng(15), MICRO_CONFIG, 12)
+    forward_sequence(seq, micro_params)  # the lane is running when the process forks
+    assert T._LANE.thread is not None
+    pid = os.fork()
+    if pid == 0:  # the child: the parent's lane thread does not exist here
+        code = 1
+        try:
+            done = len(forward_sequence(seq, micro_params)) == 12
+            code = 0 if done and T._LANE.thread.is_alive() else 1  # its own lane did the work
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish a 2-chunk forward in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0

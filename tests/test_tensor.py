@@ -3,6 +3,9 @@
 import ast
 import functools
 import math
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +462,97 @@ def test_multi_head_attention_is_the_old_expression_bitwise(seed, shape, heads):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("leading", [1, 2, 3, 6, 8])
+def test_attention_in_slice_halves_is_the_old_expression_bitwise(leading, cpus, monkeypatch):
+    # the encoder's (slices, patches, d_model) at 4 heads; on 2 CPUs the
+    # halves run at once on the calling thread and the lane
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    rng = np.random.default_rng(leading)
+    shape = (leading, 64, 64)
+    q, k, v = _leaves(rng, shape, shape, shape)
+    g = rng.standard_normal(shape)
+    out = T.multi_head_attention(q, k, v, 4)
+    grads = [pg for _, pg in out._backward(g)]
+    expected = _attention_oracle(q.data, k.data, v.data, 4, g)
+    for got, want in zip((out.data, *grads), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _after(event, job=lambda: None):
+    """An own job that first waits (at most 10 s) until the lane has begun."""
+    return lambda: (event.wait(10.0), job())
+
+
+def test_run_pair_runs_the_helper_job_on_the_lane(monkeypatch):
+    _two_cpus(monkeypatch)
+    ran, begun = {}, threading.Event()
+    T.run_pair(
+        lambda: (ran.setdefault("helper", threading.current_thread()), begun.set()),
+        _after(begun, lambda: ran.setdefault("own", threading.current_thread())),
+    )
+    assert ran == {"helper": T._LANE.thread, "own": threading.current_thread()}
+
+
+def test_run_pair_on_one_cpu_runs_both_jobs_here_in_order(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    ran = []
+    T.run_pair(lambda: ran.append(("helper", threading.current_thread())),
+               lambda: ran.append(("own", threading.current_thread())))
+    assert ran == [("helper", threading.current_thread()), ("own", threading.current_thread())]
+
+
+def test_run_pair_inside_a_lane_job_runs_inline(monkeypatch):
+    # the lane is busy: no third thread computes
+    _two_cpus(monkeypatch)
+    inner, begun = [], threading.Event()
+
+    def nested():
+        begun.set()
+        T.run_pair(lambda: inner.append(threading.current_thread()),
+                   lambda: inner.append(threading.current_thread()))
+
+    T.run_pair(nested, _after(begun))
+    assert inner == [T._LANE.thread] * 2
+
+
+def test_a_helper_job_the_lane_has_not_begun_runs_after_the_own_job_here(monkeypatch):
+    # a lane whose thread never takes a job, as when its CPU is busy elsewhere
+    _two_cpus(monkeypatch)
+    asleep = T._Lane()
+    asleep.thread = threading.Thread(target=lambda: None)  # counts as started; never serves
+    monkeypatch.setattr(T, "_LANE", asleep)
+    ran = []
+    for _ in range(2):
+        T.run_pair(lambda: ran.append("helper"), lambda: ran.append("own"))
+    assert ran == ["own", "helper"] * 2
+    assert not asleep.claim.locked() and asleep.jobs.empty()
+
+
+def test_a_failing_helper_job_raises_after_the_own_job_and_the_lane_works_after(monkeypatch):
+    _two_cpus(monkeypatch)
+    ran, begun = [], threading.Event()
+
+    def helper():
+        begun.set()
+        raise DomainError("from the helper")
+
+    with pytest.raises(DomainError, match="from the helper"):
+        T.run_pair(helper, _after(begun, lambda: ran.append("own")))
+    assert ran == ["own"]
+    with pytest.raises(ShapeError, match="from the own job"):  # no stale helper error
+        T.run_pair(lambda: None, functools.partial(_raise, ShapeError("from the own job")))
+    test_run_pair_runs_the_helper_job_on_the_lane(monkeypatch)
+
+
+def _raise(exc):
+    raise exc
+
+
 @pytest.mark.parametrize("shape", [(), (5,), (3, 6, 8)])
 @pytest.mark.parametrize("seed", range(2))
 def test_sigmoid_is_the_old_expression_bitwise(seed, shape):
@@ -735,6 +829,16 @@ def test_cosines_degenerate_side_gives_zero():
     assert np.array_equal(T.cosines(np.zeros(3), E), [0.0, 0.0, 0.0])
     sims = T.cosines(np.array([1.0, 0.0, 0.0]), E)
     assert sims[0] > 0.0 and sims[1] == 0.0 and sims[2] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e300 squared
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+def test_cosines_reject_a_norm_that_is_not_finite_naming_the_row_or_the_query(bad):
+    E = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, bad]])
+    with pytest.raises(DomainError, match="row 2 has a norm that is not finite"):
+        T.cosines(np.array([1.0, 0.0]), E)
+    with pytest.raises(DomainError, match="the query has a norm that is not finite"):
+        T.cosines(np.array([bad, 0.0]), E[:2])
 
 
 @pytest.mark.parametrize("seed", range(3))
