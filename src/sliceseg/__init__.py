@@ -2,9 +2,7 @@
 attention, adaptive similarity-confidence memory selection, low-rank
 adapted encoders and a composite Dice/BCE/consistency objective."""
 
-from .attention import (
-    AttentionContext, cross_slice_weights, distance_modulation, estimate_distance, fuse_memory,
-)
+from .attention import AttentionContext, cross_slice_weights, distance_modulation, fuse_memory
 from .data_io import (
     SliceData,
     SliceSequence,

@@ -6,16 +6,18 @@ exp(-lambda * d_j^2). The modulation discounts physically distant
 slices; lambda is a learned non-negative scalar, initialized to 0.1.
 ``cross_slice_weights`` computes the whole chain as one tape node with a
 hand-written backward; ``distance_modulation`` is its numpy factor.
+``fuse_memory`` blends the patch grids by those weights and
+layer-normalizes the blend, also as one node.
 
 The caller decides which slots enter the context. The sequence pipeline
 always includes the current slice itself as slot 0 (similarity 1,
 distance 0), so a slice with no memory degenerates to self-attention.
 
 Distances come from the slices' z metadata when both positions are
-known. Otherwise ``estimate_distance`` derives one from the embeddings:
-DISTANCE_SCALE_UM * (1 - cos), so identical features sit at 0, orthogonal
-ones at the scale and opposite ones at twice the scale. The sequence
-pipeline applies it to the cosines it already scored the memory bank with.
+known. Otherwise the sequence pipeline derives one from the cosine it
+already scored the memory bank with: DISTANCE_SCALE_UM * (1 - cos), so
+identical features sit at 0, orthogonal ones at the scale and opposite
+ones at twice the scale (a degenerate pair, cosine 0, at the scale).
 """
 
 from __future__ import annotations
@@ -54,15 +56,6 @@ class AttentionContext:
                 f"context has {len(self.memory_embeddings)} embeddings "
                 f"but {len(self.distances)} distances"
             )
-
-
-def estimate_distance(f_i: np.ndarray, f_j: np.ndarray) -> float:
-    """Similarity-derived distance: DISTANCE_SCALE_UM * (1 - cos(F_i, F_j)).
-
-    Used only when z metadata is absent. A degenerate pair has cosine 0,
-    so it lands at DISTANCE_SCALE_UM itself.
-    """
-    return DISTANCE_SCALE_UM * (1.0 - float(T.cosines(np.ravel(f_i), np.ravel(f_j)[None])[0]))
 
 
 def distance_modulation(d, lam: float) -> np.ndarray:
@@ -115,10 +108,13 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
         g_sims = g_logits * modulation
         g_lam = (g_logits * sims * modulation * -(d * d)).sum()
         nq, ne, live, denom = T._norms(q, E)
-        w = np.where(live, g_sims / denom, 0.0)  # d(loss)/d(dot) per pair
-        grads = [(query, w @ E - (g_sims * sims).sum() * q / (nq * nq) if live.any() else None)]
+        w = g_sims / denom  # d(loss)/d(dot) per pair
+        if live is not None:
+            w = np.where(live, w, 0.0)
+        gq = w @ E - (g_sims * sims).sum() * q / (nq * nq) if live is None or live.any() else None
+        grads = [(query, gq)]
         for j, e in enumerate(embeddings):
-            if live[j]:
+            if live is None or live[j]:
                 grads.append((e, w[j] * q - g_sims[j] * sims[j] * E[j] / (ne[j] * ne[j])))
         grads.append((lam, g_lam))
         return grads
@@ -131,13 +127,40 @@ def fuse_memory(
     memory_patch_feats: list[Tensor],
     alpha: Tensor,
 ) -> Tensor:
-    """Convex combination of patch grids followed by layer normalization.
+    """Convex combination of patch grids followed by layer normalization
+    (no gain or bias), as one node (op ``fuse``).
 
     alpha[0] weights the current slice's own grid; alpha[1:] weight the
     memory grids in order. All grids must share the self grid's shape.
+    The backward repeats the products of the chain it replaces, a
+    weighted sum then ``layer_norm``, in their order; a constant weight
+    vector or grid (the self-only weight ``Tensor([1.0])``) gets no
+    gradient.
     """
-    if alpha.size != len(memory_patch_feats) + 1:
+    alpha = T.as_tensor(alpha)
+    grids = [T.as_tensor(m) for m in (patch_feats, *memory_patch_feats)]
+    if alpha.data.ndim != 1:
+        raise ShapeError(f"fuse: weights {alpha.shape} are not a vector")
+    if alpha.size != len(grids):
         raise ContractError(
             f"alpha has {alpha.size} weights for {len(memory_patch_feats)} memory grids + self"
         )
-    return T.layer_norm(T.weighted_sum(alpha, [patch_feats, *memory_patch_feats]))
+    for m in grids[1:]:
+        if m.shape != grids[0].shape:
+            raise ShapeError(f"fuse: grid shape {m.shape} != {grids[0].shape}")
+    a = alpha.data
+    out = a[0] * grids[0].data
+    scratch = np.empty_like(out)  # every later product in turn, not a temporary each
+    for w, m in zip(a[1:], grids[1:]):
+        out += np.multiply(w, m.data, out=scratch)
+    xhat, inv = T._normalize(out, out=out)
+
+    def backward(g):
+        g = T._normalize_backward(g, xhat, inv)  # d(loss)/d(the weighted sum)
+        grads = []
+        if T._taped(alpha):
+            scratch = np.empty_like(g)
+            grads.append((alpha, np.array([np.multiply(g, m.data, out=scratch).sum() for m in grids])))
+        return grads + [(m, w * g) for w, m in zip(a, grids) if T._taped(m)]
+
+    return _node(xhat, (alpha, *grids), backward, "fuse")

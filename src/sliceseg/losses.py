@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 from .tensor import Tensor, _node
 
 BCE_CLIP = 1e-7
@@ -117,7 +117,8 @@ def combined_loss(
     one ``sequence_loss`` node.
 
     Gradient flows to the predictions only; targets and the detached pair
-    weights are constants. `pairs` as in ``consistency_loss``.
+    weights are constants. `pairs` as in ``consistency_loss``. A map with
+    a value outside [0, 1] (NaN included) is a DomainError naming its slice.
     """
     if weights is None:
         weights = LossWeights()
@@ -128,6 +129,9 @@ def combined_loss(
     if pairs is None:
         pairs = consistency_pairs(embeddings, weights.similarity_threshold)
     maps = [p.data for p in predictions]
+    for t, p in enumerate(maps):
+        if not (p.min() >= 0.0 and p.max() <= 1.0):  # false for NaN too
+            raise DomainError(f"slice {t}: probabilities must lie in [0, 1]")
     masks = [y.data for y in targets]
     per_slice = [
         dice_loss(p, y, weights.smooth) * weights.w_dice + bce_loss(p, y) * weights.w_bce

@@ -12,7 +12,8 @@ ENCODE_CHUNK slices; given two chunks, the calling thread and the tensor
 module's one helper thread (``tensor.run_pair``) share them out, to the
 same bits. Then, slice by slice, the pooled embedding queries the memory bank,
 distance-aware attention weights fuse the retrieved patch grids with the
-current one, and a per-patch MLP decoder emits the pixel logits.
+current one, and a per-patch MLP decoder emits the pixel logits (one
+``decode`` node with a hand-written backward).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .attention import (
     DISTANCE_SCALE_UM, LAMBDA_INIT, AttentionContext, cross_slice_weights, fuse_memory,
 )
 from .data_io import SliceSequence, dataclass_from_dict
-from .errors import ConfigError, ContractError, FormatError, ShapeError
+from .errors import ConfigError, ContractError, DomainError, FormatError, ShapeError
 from .lora import lora_forward
 from .memory import prediction_confidence, select_memory
 from .rng import substream
-from .tensor import Tensor, cosines
+from .tensor import Tensor, _node, cosines
 
 
 @dataclass
@@ -226,7 +227,8 @@ def encode_slice(images, params: ModelParams) -> Tensor:
 def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     """encode_slice per run of ENCODE_CHUNK images; given two chunks, the calling thread and
     the lane (``tensor.run_pair``) take chunk indices under a lock. Raises the earliest
-    chunk's error."""
+    chunk's error. An image with a NaN or infinite pixel is a DomainError naming its slice,
+    raised before its chunk's first product, so numpy warns of nothing."""
     chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
     lock = Lock()
     next_chunk = 0
@@ -239,7 +241,12 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
             if c >= len(chunks):
                 return
             try:
-                chunks[c] = encode_slice(images[c * ENCODE_CHUNK : (c + 1) * ENCODE_CHUNK], params)
+                first = c * ENCODE_CHUNK
+                chunk = images[first : first + ENCODE_CHUNK]
+                for i, image in enumerate(chunk, first):
+                    if not np.isfinite(image).all():
+                        raise DomainError(f"slice {i}: image has a pixel that is not finite")
+                chunks[c] = encode_slice(chunk, params)
             except Exception as exc:
                 chunks[c] = exc
                 with lock:  # drain: every chunk not yet taken comes after c
@@ -257,16 +264,37 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
 
 
 def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
-    """Per-patch MLP to patch logits, reassembled to an (H, W) map."""
+    """Per-patch MLP to patch logits, reassembled to an (H, W) map, as one
+    node (op ``decode``): tanh(x @ W1.T + b1) @ W2.T + b2, row p of which
+    fills the patch window at grid cell (p // grid, p % grid).
+
+    The backward repeats the products of the chain it replaces (``linear``,
+    ``tanh``, ``linear``, then the patch reassembly) in their order; a
+    constant input gets no gradient."""
     cfg = params.config
-    if fused_features.shape != (cfg.num_patches, cfg.d_model):
-        raise ShapeError(
-            f"fused features shape {fused_features.shape} != "
-            f"({cfg.num_patches}, {cfg.d_model})"
-        )
-    h1 = T.tanh(T.linear(fused_features, params["decoder.fc1.W"], params["decoder.fc1.b"]))
-    patch_logits = T.linear(h1, params["decoder.fc2.W"], params["decoder.fc2.b"])
-    return T.unpatchify(patch_logits, cfg.grid, cfg.patch_size)
+    x = T.as_tensor(fused_features)
+    if x.shape != (cfg.num_patches, cfg.d_model):
+        raise ShapeError(f"fused features shape {x.shape} != ({cfg.num_patches}, {cfg.d_model})")
+    W1, b1, W2, b2 = (params[f"decoder.{name}"] for name in ("fc1.W", "fc1.b", "fc2.W", "fc2.b"))
+    g, ps = cfg.grid, cfg.patch_size
+    hidden = x.data @ W1.data.T
+    hidden += b1.data
+    np.tanh(hidden, out=hidden)
+    patch_logits = hidden @ W2.data.T
+    patch_logits += b2.data
+    image = patch_logits.reshape(g, g, ps, ps).transpose(0, 2, 1, 3).reshape(g * ps, g * ps)
+
+    def backward(grad):
+        gp = grad.reshape(g, ps, g, ps).transpose(0, 2, 1, 3).reshape(g * g, ps * ps)
+        gh = gp @ W2.data  # d(loss)/d(hidden), then through tanh in place
+        gh *= 1.0 - hidden * hidden
+        grads = [(W2, (hidden.T @ gp).T), (b2, gp.sum(axis=0))]
+        grads += [(W1, (x.data.T @ gh).T), (b1, gh.sum(axis=0))]
+        if T._taped(x):
+            grads.append((x, gh @ W1.data))
+        return grads
+
+    return _node(image, (x, W1, b1, W2, b2), backward, "decode")
 
 
 def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePrediction]:
@@ -281,7 +309,8 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     slice index and no state leaks across sequences. A slice scores the
     whole bank with one cosine row, which also gives the estimated distances.
     The config's k_memory=0 bypasses the memory path entirely (the
-    independent per-slice baseline).
+    independent per-slice baseline). A NaN or infinite pixel, or a
+    probability map the confidence refuses, is a DomainError naming its slice.
     """
     if not seq.slices:
         raise ContractError("forward_sequence on an empty sequence")
@@ -303,7 +332,7 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
                 z = seq.slices[j].z_position_um
                 if sl.z_position_um is not None and z is not None:
                     distances.append(abs(sl.z_position_um - z))
-                else:  # estimate_distance, from the cosine scored above
+                else:  # estimated from the cosine scored above
                     distances.append(DISTANCE_SCALE_UM * (1.0 - sims[j]))
             embeddings = [pooled] + [predictions[j].pooled_embedding for j in chosen]
             alpha = cross_slice_weights(AttentionContext(pooled, embeddings, distances), lam)
@@ -312,7 +341,10 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
             fused = fuse_memory(patch_feats, [], Tensor([1.0]))
         logits = decode_mask(fused, params)
         probabilities = T.sigmoid(logits)
-        confidence = prediction_confidence(probabilities.data)
+        try:
+            confidence = prediction_confidence(probabilities.data)
+        except DomainError as exc:
+            raise DomainError(f"slice {t}: {exc}") from None
         grids.append(patch_feats)
         bank[t], confidences[t] = pooled.data, confidence
         predictions.append(

@@ -6,19 +6,21 @@ to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
 ``requires_grad`` tensor (call ``zero_grad`` between steps).
 
-The op set is 11 of the 13 ops the model builds: ``add``, ``tanh``,
+The op set is 9 of the 13 ops the model builds: ``add``, ``tanh``,
 ``sigmoid``, ``mean``, ``matmul``, ``take`` (row i of the first axis) and
 ``layer_norm`` (which optionally folds the affine gain and bias,
 ``gamma`` and ``beta``, both or neither, each as wide as the last axis,
-into its one node), plus fused primitives that each replace a whole op
-chain of the model with one node and a hand-written backward: ``linear``
-and ``multi_head_attention`` (op ``attention``), which both take any
-leading axes so one node serves a chunk of slices, ``weighted_sum`` and
-``unpatchify`` (patch rows back to an image). The other two are
-``cross_slice`` (the distance-aware memory weights, in ``attention``) and
-``sequence_loss`` (the training objective, in ``losses``). ``Tensor`` has
-no operator overloads. ``cosines`` is the detached numpy kernel of cosine
-similarity; memory scoring, cross-slice weights and consistency pairs use it.
+into its one node), plus two fused primitives that each replace a whole
+op chain with one node and a hand-written backward, ``linear`` and
+``multi_head_attention`` (op ``attention``); both take any leading axes,
+so one node serves a chunk of slices. The other four are fused too:
+``cross_slice`` (the distance-aware memory weights) and ``fuse`` (their
+weighted sum of patch grids, layer-normalized) in ``attention``,
+``decode`` (the per-patch MLP decoder and the patch reassembly) in
+``model``, and ``sequence_loss`` (the training objective) in ``losses``.
+``Tensor`` has no operator overloads. ``cosines`` is the detached numpy
+kernel of cosine similarity; memory scoring, cross-slice weights and
+consistency pairs use it.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported. Kernels compute in place only in arrays they allocated,
 never in an input's ``data`` or in the upstream gradient.
@@ -143,6 +145,12 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
             out._backward = backward
             break
     return out
+
+
+def _taped(t: Tensor) -> bool:
+    """Whether a gradient routed to t can reach a requires_grad leaf; a
+    constant input gets none, so its product is never formed."""
+    return t.requires_grad or bool(t._parents)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -340,7 +348,7 @@ def linear(x, W, b=None) -> Tensor:
     def backward(g):
         g = g.reshape(out_data.shape)
         # a constant input (the pixel rows) gets no gradient: one product fewer
-        gx = (g @ W.data).reshape(x.shape) if x.requires_grad or x._parents else None
+        gx = (g @ W.data).reshape(x.shape) if _taped(x) else None
         grads = [(x, gx), (W, (rows.T @ g).T)]
         if b is not None:
             grads.append((b, g.sum(axis=0)))
@@ -432,22 +440,31 @@ def take(a, i: int) -> Tensor:
     return _node(a.data[i], (a,), backward, "take")
 
 
-def unpatchify(a, grid: int, patch: int) -> Tensor:
-    """(grid*grid, patch*patch) patch rows -> (grid*patch, grid*patch)
-    image, one node: row p of a fills the patch*patch window at grid
-    cell (p // grid, p % grid), in row-major order."""
-    a = as_tensor(a)
-    if a.shape != (grid * grid, patch * patch):
-        raise ShapeError(f"unpatchify: {a.shape} is not {grid}x{grid} patches of {patch}x{patch}")
-
-    def backward(g):
-        return ((a, g.reshape(grid, patch, grid, patch).transpose(0, 2, 1, 3).reshape(a.shape)),)
-
-    out = a.data.reshape(grid, grid, patch, patch).transpose(0, 2, 1, 3)
-    return _node(out.reshape(grid * patch, grid * patch), (a,), backward, "unpatchify")
-
-
 # ---------------------------------------------------------------- compound
+
+
+def _normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x centred and scaled over its last axis to zero mean and unit
+    variance, into out (which may be x itself) or a new array, and the
+    scale 1 / sqrt(var + LN_EPS): layer_norm without gain and bias."""
+    # np.var's exact arithmetic, without its second pass for the mean; each
+    # mean is sum / n, the bits of ndarray.mean without its Python wrapper
+    n = x.shape[-1]
+    xhat = np.subtract(x, x.sum(axis=-1, keepdims=True) / n, out=out)
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + LN_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _normalize_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """d(loss)/dx of ``_normalize`` for the upstream gradient g, in a new array."""
+    n = xhat.shape[-1]
+    gm = g.sum(axis=-1, keepdims=True) / n
+    gx = (g * xhat).sum(axis=-1, keepdims=True) / n
+    ga = g - gm
+    ga -= xhat * gx
+    ga *= inv
+    return ga
 
 
 def layer_norm(a, gamma=None, beta=None) -> Tensor:
@@ -457,12 +474,7 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
     a = as_tensor(a)
     if (gamma is None) != (beta is None):
         raise ContractError("layer_norm takes gamma and beta together or neither")
-    # np.var's exact arithmetic, without its second pass for the mean; each
-    # mean is sum / n, the bits of ndarray.mean without its Python wrapper
-    n = a.shape[-1]
-    xhat = a.data - a.data.sum(axis=-1, keepdims=True) / n  # centred, then scaled in place
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + LN_EPS)
-    xhat *= inv
+    xhat, inv = _normalize(a.data)
     if gamma is None:
         parents, out_data = (a,), xhat
     else:
@@ -482,26 +494,24 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
         if gamma is not None:
             grads += [(gamma, _unbroadcast(g * xhat, width)), (beta, _unbroadcast(g, width))]
             g = g * gamma.data
-        gm = g.sum(axis=-1, keepdims=True) / n
-        gx = (g * xhat).sum(axis=-1, keepdims=True) / n
-        ga = g - gm
-        ga -= xhat * gx
-        ga *= inv
-        return [(a, ga), *grads]
+        return [(a, _normalize_backward(g, xhat, inv)), *grads]
 
     return _node(out_data, parents, backward, "layer_norm")
 
 
 def _norms(q: np.ndarray, E: np.ndarray):
-    """|q|, |E_j|, live pairs (both norms > NORM_EPS), cosine denominators.
+    """|q|, |E_j|, live pairs (both norms > NORM_EPS), cosine denominators;
+    live is None when every pair is live, so callers skip the masking.
     A norm that is NaN or infinite is a DomainError naming the row (checked
     first) or the query: it is not a degenerate vector."""
     nq = np.sqrt((q * q).sum())
     ne = np.sqrt((E * E).sum(axis=1))
-    if not (np.isfinite(ne).all() and np.isfinite(nq)):
+    if not math.isfinite(ne.max(initial=nq)):  # the max of the norms is NaN or inf if one is
         bad = np.flatnonzero(~np.isfinite(ne))
         where = f"row {bad[0]}" if bad.size else "the query"
         raise DomainError(f"cosine: {where} has a norm that is not finite")
+    if nq > NORM_EPS and ne.min(initial=math.inf) > NORM_EPS:
+        return nq, ne, None, nq * ne
     live = (ne > NORM_EPS) & (nq > NORM_EPS)
     return nq, ne, live, np.where(live, nq * ne, 1.0)
 
@@ -511,28 +521,5 @@ def cosines(q: np.ndarray, E: np.ndarray) -> np.ndarray:
     array; 0 wherever either norm is at or below NORM_EPS, and a
     DomainError where one is not finite."""
     _, _, live, denom = _norms(q, E)
-    return np.where(live, (E * q).sum(axis=1) / denom, 0.0)
-
-
-def weighted_sum(alpha, grids: Sequence[Tensor]) -> Tensor:
-    """sum_j alpha[j] * grids[j] as one node, for a (n,) weight vector and
-    n tensors of one shape."""
-    alpha = as_tensor(alpha)
-    grids = [as_tensor(m) for m in grids]
-    if alpha.data.ndim != 1 or alpha.size != len(grids) or not grids:
-        raise ShapeError(f"weighted_sum: {alpha.shape} weights for {len(grids)} tensors")
-    for m in grids[1:]:
-        if m.shape != grids[0].shape:
-            raise ShapeError(f"weighted_sum: tensor shape {m.shape} != {grids[0].shape}")
-    a = alpha.data
-    out = a[0] * grids[0].data
-    scratch = np.empty_like(out)  # every later product in turn, not a temporary each
-    for w, m in zip(a[1:], grids[1:]):
-        out += np.multiply(w, m.data, out=scratch)
-
-    def backward(g):
-        scratch = np.empty_like(g)
-        ga = np.array([np.multiply(g, m.data, out=scratch).sum() for m in grids])
-        return [(alpha, ga)] + [(m, w * g) for w, m in zip(a, grids)]
-
-    return _node(out, (alpha, *grids), backward, "weighted_sum")
+    sims = (E * q).sum(axis=1) / denom
+    return sims if live is None else np.where(live, sims, 0.0)

@@ -290,6 +290,8 @@ def test_fuse_hand_computed_combination():
 def test_fuse_shape_mismatch():
     with pytest.raises(ShapeError):
         fuse_memory(Tensor(np.zeros((3, 4))), [Tensor(np.zeros((2, 4)))], Tensor([0.5, 0.5]))
+    with pytest.raises(ShapeError, match=r"fuse: weights \(1, 2\) are not a vector"):
+        fuse_memory(Tensor(np.zeros((3, 4))), [Tensor(np.zeros((3, 4)))], Tensor([[0.5, 0.5]]))
     with pytest.raises(ContractError):
         fuse_memory(Tensor(np.zeros((3, 4))), [], Tensor([0.5, 0.5]))
 

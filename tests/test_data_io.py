@@ -25,11 +25,12 @@ from sliceseg.data_io import (
     save_checkpoint,
     write_raster,
 )
-from sliceseg.attention import estimate_distance
 from sliceseg.errors import (
     ConfigError, DomainError, FormatError, SlicesegError, UnsupportedVersionError,
 )
 from sliceseg.model import MICRO_CONFIG, init_params, load_params, save_params
+
+from reference_ops import estimate_distance
 
 
 # ------------------------------------------------------------------ rasters

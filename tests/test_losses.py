@@ -117,6 +117,19 @@ def test_an_embedding_whose_norm_is_not_finite_is_a_domain_error_naming_it(bad):
         combined_loss(maps, maps, embs)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1e-3, 1.0 + 1e-12, math.inf])
+def test_a_probability_map_outside_the_unit_interval_is_a_domain_error_naming_its_slice(bad):
+    # a NaN map used to give a NaN loss, caught only by train_step's finiteness check
+    maps = [Tensor(np.full((2, 2), 0.5), requires_grad=True) for _ in range(4)]
+    maps[2].data[1, 0] = bad
+    embs = [Tensor(np.eye(3)[t % 3]) for t in range(4)]
+    with pytest.raises(DomainError, match=r"^slice 2: probabilities must lie in \[0, 1\]$"):
+        combined_loss(maps, [Tensor(np.ones((2, 2)))] * 4, embs)
+    maps[2].data[1, 0] = 1.0  # the ends of the interval are in it
+    maps[3].data[0, 0] = 0.0
+    assert math.isfinite(combined_loss(maps, [Tensor(np.ones((2, 2)))] * 4, embs).item())
+
+
 def test_consistency_invariant_to_slice_reordering():
     rng = np.random.default_rng(5)
     preds = [rng.uniform(0, 1, (3, 3)) for _ in range(4)]

@@ -43,6 +43,8 @@ from sliceseg.losses import combined_loss
 from sliceseg.tensor import Tensor
 from sliceseg.training import AdamState, TrainConfig, train_step
 
+from reference_ops import decode_chain, fuse_chain, mul
+
 
 def make_sequence(rng, config, n, with_z=True):
     slices = []
@@ -388,10 +390,10 @@ def test_reference_train_step_tape_size(tmp_path):
     _, loss = _sequence_loss(seq, init_params(ModelConfig(), seed=1))
     nodes = _tape_nodes(loss)
     assert nodes == Counter(
-        add=9, attention=2, cross_slice=5, layer_norm=10, linear=25, matmul=4, mean=6,
-        sequence_loss=1, sigmoid=6, take=6, tanh=8, unpatchify=6, weighted_sum=6,
+        add=9, attention=2, cross_slice=5, decode=6, fuse=6, layer_norm=4, linear=13, matmul=4,
+        mean=6, sequence_loss=1, sigmoid=6, take=6, tanh=2,
     )
-    assert sum(nodes.values()) == 94
+    assert sum(nodes.values()) == 70
 
 
 @pytest.fixture(scope="module")
@@ -462,13 +464,162 @@ def test_stack_with_every_third_z_removed_is_pinned(stack64):
 
 def test_memory_scoring_rejects_an_embedding_whose_norm_is_not_finite(micro_params, monkeypatch):
     # slice 0's NaN pooled embedding used to score as orthogonal (cosine 0)
-    # from slice 1 on; the confidence check that catches its NaN map is
-    # bypassed here, so scoring is the first to see it
+    # from slice 1 on; its features are poisoned after the image check, and
+    # the confidence check that catches its NaN map is bypassed, so scoring
+    # is the first to see it
+    encode = model.encode_slice
+
+    def poisoned(images, params):
+        feats = encode(images, params)
+        feats.data[0] = np.nan
+        return feats
+
+    monkeypatch.setattr(model, "encode_slice", poisoned)
     monkeypatch.setattr(model, "prediction_confidence", lambda p: 0.5)
     seq = make_sequence(np.random.default_rng(16), MICRO_CONFIG, 3)
-    seq.slices[0].image = np.full((8, 8, 1), np.nan)
     with pytest.raises(DomainError, match="row 0 has a norm that is not finite"):
         forward_sequence(seq, micro_params)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [0, 5, 11])
+def test_a_non_finite_pixel_is_a_domain_error_naming_its_slice(micro_params, t, bad):
+    # before any product, so numpy warns of nothing (warnings are errors here)
+    seq = make_sequence(np.random.default_rng(17), MICRO_CONFIG, 12)
+    seq.slices[t].image[3, 2, 0] = bad
+    with pytest.raises(DomainError, match=rf"^slice {t}: image has a pixel that is not finite$"):
+        forward_sequence(seq, micro_params)
+
+
+def test_a_confidence_error_names_its_slice(monkeypatch):
+    params = init_params(MICRO_CONFIG, seed=0)
+    seq = make_sequence(np.random.default_rng(18), MICRO_CONFIG, 4)
+    confidence, seen = model.prediction_confidence, []
+
+    def refuse_the_third(p):
+        seen.append(p)
+        return confidence(np.full_like(p, np.nan) if len(seen) == 3 else p)
+
+    monkeypatch.setattr(model, "prediction_confidence", refuse_the_third)
+    with pytest.raises(DomainError, match=r"^slice 2: probabilities must lie in \[0, 1\]$"):
+        forward_sequence(seq, params)
+    monkeypatch.undo()
+    params["decoder.fc2.b"].data[0] = np.nan  # every slice's map has a NaN pixel
+    with pytest.raises(DomainError, match=r"^slice 0: probabilities must lie in \[0, 1\]$"):
+        forward_sequence(seq, params)
+
+
+# ------------------------------------------------ the decode and fuse nodes
+
+DECODE_CONFIGS = {
+    "default": ModelConfig(),
+    "micro": MICRO_CONFIG,
+    "odd": ModelConfig(image_size=12, patch_size=3, d_model=6, heads=2, lora_rank=2, decoder_hidden=5),
+}
+
+
+def _decoded(build, x, params, c):
+    """Output bytes, then every gradient's bytes, of mean(build(x) * c)."""
+    for t in (x, *params.tensors.values()):
+        t.zero_grad()
+    out = build(x, params)
+    T.mean(mul(out, c)).backward()
+    names = [f"decoder.{n}" for n in ("fc1.W", "fc1.b", "fc2.W", "fc2.b")]
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in [x] + [params[n] for n in names]]
+
+
+@pytest.mark.parametrize("name", DECODE_CONFIGS)
+def test_decode_is_the_old_chain_bitwise(name):
+    config = DECODE_CONFIGS[name]
+    params = init_params(config, seed=2)
+    rng = np.random.default_rng(len(name))
+    for t in params.tensors.values():  # zero biases would hide a swapped bias gradient
+        t.data = t.data + rng.normal(0.0, 0.1, t.shape)
+    x = Tensor(rng.standard_normal((config.num_patches, config.d_model)), requires_grad=True)
+    c = rng.standard_normal((config.image_size, config.image_size))
+    out = decode_mask(x, params)
+    assert out._op == "decode" and out._parents[0] is x
+    assert _decoded(decode_mask, x, params, c) == _decoded(decode_chain, x, params, c)
+
+
+def test_decode_gives_a_constant_input_no_gradient(micro_params):
+    rng = np.random.default_rng(19)
+    data = rng.standard_normal((4, 8))
+    g = rng.standard_normal((8, 8))
+    taped, constant = (decode_mask(Tensor(data, requires_grad=req), micro_params) for req in (True, False))
+    routed_taped = [(t, gt.tobytes()) for t, gt in taped._backward(g)]
+    routed_constant = [(t, gt.tobytes()) for t, gt in constant._backward(g)]
+    assert routed_taped[-1][0] is taped._parents[0]
+    assert routed_constant == routed_taped[:-1]  # the weights' gradients, to the bit
+
+
+def _fuse_grads(build, grids, alpha, c):
+    for t in (alpha, *grids):
+        t.zero_grad()
+    out = build(grids[0], grids[1:], alpha)
+    T.mean(mul(out, c)).backward()
+    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in (alpha, *grids)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("name", ["default", "micro"])
+def test_fuse_is_the_old_chain_bitwise(name, n):
+    config = DECODE_CONFIGS[name]
+    rng = np.random.default_rng(n)
+    shape = (config.num_patches, config.d_model)
+    grids = [Tensor(rng.standard_normal(shape) * 2.0 + 0.5, requires_grad=True) for _ in range(n)]
+    alpha = Tensor(rng.dirichlet(np.ones(n)), requires_grad=True)
+    c = rng.standard_normal(shape)
+    out = fuse_memory(grids[0], grids[1:], alpha)
+    assert out._op == "fuse" and out._parents == (alpha, *grids)
+    assert _fuse_grads(fuse_memory, grids, alpha, c) == _fuse_grads(fuse_chain, grids, alpha, c)
+
+
+@pytest.mark.parametrize("name", ["default", "micro"])
+def test_fuse_gives_the_self_only_weight_and_a_constant_grid_no_gradient(name):
+    config = DECODE_CONFIGS[name]
+    rng = np.random.default_rng(20)
+    shape = (config.num_patches, config.d_model)
+    grid = Tensor(rng.standard_normal(shape), requires_grad=True)
+    c = rng.standard_normal(shape)
+    one = Tensor([1.0])  # the self-only fusion of a slice with no memory
+    new, old = (_fuse_grads(build, [grid], one, c) for build in (fuse_memory, fuse_chain))
+    assert new == old and new[1] is None
+    routed = fuse_memory(grid, [], one)._backward(c)
+    assert [t for t, _ in routed] == [grid]
+    # a constant memory grid: the weights and the taped grid as the old chain, the constant none
+    memory = Tensor(rng.standard_normal(shape))
+    alpha = Tensor([0.3, 0.7], requires_grad=True)
+    new, old = (_fuse_grads(build, [grid, memory], alpha, c) for build in (fuse_memory, fuse_chain))
+    assert new == old
+    routed = fuse_memory(grid, [memory], alpha)._backward(c)
+    assert [t for t, _ in routed] == [alpha, grid]
+
+
+def _step_bytes(config, seq):
+    """The loss, every probability map and every gradient of one sequence's loss, as bytes."""
+    params = init_params(config, seed=1)
+    preds = forward_sequence(seq, params)
+    loss = combined_loss(
+        [p.probabilities for p in preds],
+        [Tensor(sl.mask.astype(np.float64)) for sl in seq.slices],
+        [p.pooled_embedding for p in preds],
+    )
+    loss.backward()
+    grads = [t.grad.tobytes() for _, t in sorted(params.trainable().items())]
+    return [loss.data.tobytes()] + [p.probabilities.data.tobytes() for p in preds] + grads
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", ["default", "micro"])
+def test_a_sequence_loss_through_decode_and_fuse_is_the_old_chains_bitwise(name, cpus, monkeypatch):
+    config = DECODE_CONFIGS[name]
+    _cpus(monkeypatch, cpus)
+    seq = make_sequence(np.random.default_rng(21), config, 6)
+    fused = _step_bytes(config, seq)
+    monkeypatch.setattr(model, "decode_mask", decode_chain)
+    monkeypatch.setattr(model, "fuse_memory", fuse_chain)
+    assert _step_bytes(config, seq) == fused
 
 
 def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):

@@ -11,17 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliceseg import attention, losses
+from sliceseg import attention, losses, model
 from sliceseg import tensor as T
-from sliceseg.attention import AttentionContext, cross_slice_weights
+from sliceseg.attention import AttentionContext, cross_slice_weights, fuse_memory
 from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
 from sliceseg.errors import ContractError, DomainError, ShapeError
 from sliceseg.gradcheck import max_rel_error
 from sliceseg.losses import BCE_CLIP, LossWeights, combined_loss, consistency_pairs
-from sliceseg.model import ModelConfig, forward_sequence, init_params
+from sliceseg.model import ModelConfig, decode_mask, forward_sequence, init_params
 from sliceseg.tensor import Tensor
 
-from reference_ops import cosine_sims, exp, mul, reshape, softmax, transpose
+from reference_ops import cosine_sims, exp, mul, reshape, softmax, transpose, unpatchify, weighted_sum
 
 
 def test_matmul_identity():
@@ -257,6 +257,13 @@ def test_composite_graph_matches_finite_differences(seed):
     assert max_rel_error(lambda: _composite(x, c), x) <= 1e-3
 
 
+# a decoder for (4, 3) inputs: a 2x2 grid of 2x2 patches, 3 features
+_DECODER = init_params(
+    ModelConfig(image_size=4, patch_size=2, d_model=3, heads=1, encoder_blocks=0, lora_rank=1, decoder_hidden=5),
+    seed=0,
+)
+
+
 @pytest.mark.parametrize(
     "name,build",
     [
@@ -290,10 +297,18 @@ def test_composite_graph_matches_finite_differences(seed):
         ),
         (
             "weighted_sum",
-            lambda x, c: T.mean(mul(T.weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
+            lambda x, c: T.mean(mul(weighted_sum(T.mean(x, axis=0), [x, c, T.tanh(x), c]), c)),
+        ),
+        (
+            "fuse",
+            lambda x, c: T.mean(mul(fuse_memory(x, [c, T.tanh(x), c], T.mean(x, axis=0)), c)),
         ),
         ("take", lambda x, c: T.mean(mul(T.take(T.tanh(x), 1), c.data[2]))),
-        ("unpatchify", lambda x, c: T.mean(mul(T.unpatchify(T.matmul(c.data.T, x), 2, 2), c.data.T @ c.data))),
+        (
+            "decode",
+            lambda x, c: T.mean(mul(decode_mask(transpose(x, (1, 0)), _DECODER), c.data.T @ c.data)),
+        ),
+        ("unpatchify", lambda x, c: T.mean(mul(unpatchify(T.matmul(c.data.T, x), 2, 2), c.data.T @ c.data))),
         (
             "cross_slice",
             lambda x, c: T.mean(
@@ -619,17 +634,17 @@ def test_weighted_sum_gradients_reach_alpha_and_each_grid(seed):
     alpha, *grids = _leaves(rng, (3,), (4, 2), (4, 2), (4, 2))
     c = Tensor(rng.standard_normal((4, 2)))
     _assert_gradients_reach(
-        lambda: T.mean(mul(T.weighted_sum(alpha, grids), c)), [alpha, *grids]
+        lambda: T.mean(mul(weighted_sum(alpha, grids), c)), [alpha, *grids]
     )
     expected = sum(a * g.data for a, g in zip(alpha.data, grids))
-    assert np.abs(T.weighted_sum(alpha, grids).data - expected).max() <= 1e-15
+    assert np.abs(weighted_sum(alpha, grids).data - expected).max() <= 1e-15
 
 
 def test_weighted_sum_shape_errors():
     with pytest.raises(ShapeError):
-        T.weighted_sum(Tensor([0.5, 0.5]), [Tensor(np.zeros((2, 2)))])
+        weighted_sum(Tensor([0.5, 0.5]), [Tensor(np.zeros((2, 2)))])
     with pytest.raises(ShapeError):
-        T.weighted_sum(Tensor([0.5, 0.5]), [Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))])
+        weighted_sum(Tensor([0.5, 0.5]), [Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))])
 
 
 def _layer_norm_chain_oracle(a, gamma, beta, g):
@@ -691,17 +706,18 @@ def test_accumulating_kernels_leave_their_inputs_unmodified():
     """Kernels write only into arrays they allocated: neither the forward
     nor the backward touches an input's data or the upstream gradient."""
     rng = np.random.default_rng(4)
-    x, W, b, a, gamma, beta, alpha, g0, g1, g2, q, k, v = _leaves(
+    x, W, b, a, gamma, beta, alpha, g0, g1, g2, q, k, v, f = _leaves(
         rng, (5, 4), (3, 4), (3,), (5, 4), (4,), (4,), (3,), (2, 2), (2, 2), (2, 2),
-        (2, 6, 4), (2, 6, 4), (2, 6, 4),
+        (2, 6, 4), (2, 6, 4), (2, 6, 4), (4, 3),
     )
-    inputs = [x, W, b, a, gamma, beta, alpha, g0, g1, g2, q, k, v]
+    inputs = [x, W, b, a, gamma, beta, alpha, g0, g1, g2, q, k, v, f, *_DECODER.tensors.values()]
     before = [t.data.copy() for t in inputs]
     nodes = [
         T.linear(x, W, b),
         T.layer_norm(a, gamma, beta),
         T.layer_norm(a),
-        T.weighted_sum(alpha, [g0, g1, g2]),
+        fuse_memory(g0, [g1, g2], alpha),
+        decode_mask(f, _DECODER),
         T.multi_head_attention(q, k, v, 2),
         T.sigmoid(a),
         cross_slice_weights(AttentionContext(b, [b, alpha, x.data[0, :3]], [0.0, 2.0, 4.0]), Tensor(0.1)),
@@ -735,7 +751,7 @@ def test_unpatchify_is_the_old_chain_bitwise(grid, patch):
     T.mean(mul(T.tanh(chain), c)).backward()
     want = a.grad
     a.zero_grad()
-    out = T.unpatchify(a, grid, patch)
+    out = unpatchify(a, grid, patch)
     T.mean(mul(T.tanh(out), c)).backward()
     assert out._op == "unpatchify" and out.data.tobytes() == chain.data.tobytes()
     assert a.grad.shape == want.shape and a.grad.tobytes() == want.tobytes()
@@ -743,7 +759,7 @@ def test_unpatchify_is_the_old_chain_bitwise(grid, patch):
 
 def test_unpatchify_shape_error():
     with pytest.raises(ShapeError, match=r"unpatchify: \(4, 9\) is not 2x2 patches of 2x2"):
-        T.unpatchify(Tensor(np.zeros((4, 9))), 2, 2)
+        unpatchify(Tensor(np.zeros((4, 9))), 2, 2)
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)])
@@ -773,7 +789,7 @@ def test_weighted_sum_is_the_old_expression_bitwise(n):
     rng = np.random.default_rng(n)
     alpha, *grids = _leaves(rng, (n,), *[(4, 3)] * n)
     c = Tensor(rng.standard_normal((4, 3)))
-    out = T.weighted_sum(alpha, grids)
+    out = weighted_sum(alpha, grids)
     T.mean(mul(out, c)).backward()  # upstream gradient is exactly c / c.size
     a, g = alpha.data, (1.0 / c.size) * c.data
     want = a[0] * grids[0].data
@@ -854,7 +870,7 @@ def test_cosine_sims_forward_is_the_kernel_bitwise(seed):
 def test_tensor_defines_exactly_the_ops_a_training_loss_builds(tmp_path):
     defined = {
         call.args[-1].value
-        for module in (T, attention, losses)
+        for module in (T, attention, losses, model)
         for call in ast.walk(ast.parse(Path(module.__file__).read_text()))
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_node"
     }
