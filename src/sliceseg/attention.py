@@ -37,6 +37,9 @@ LAMBDA_INIT = 0.1
 # whether distances come from metadata or from features.
 DISTANCE_SCALE_UM = 10.0
 
+# The largest double whose square is finite; the next one's square overflows.
+MAX_SQUARABLE = 1.3407807929942596e154
+
 
 @dataclass
 class AttentionContext:
@@ -64,13 +67,12 @@ def distance_modulation(d, lam: float) -> np.ndarray:
     it (the modulation would be 0 and lambda's gradient NaN); so is a
     negative lambda."""
     d = np.asarray(d, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        square = d * d
-    if not np.all(np.isfinite(square) & (d >= 0.0)):
+    # min(0, d...) and max(0, d...): both comparisons are false for NaN
+    if not (d.min(initial=0.0) >= 0.0 and d.max(initial=0.0) <= MAX_SQUARABLE):
         raise DomainError(f"distance must be >= 0 with a finite square, got {d}")
     if lam < 0.0:
         raise DomainError(f"lambda must be >= 0, got {float(lam)}")
-    return np.exp(lam * -square)
+    return np.exp(lam * -(d * d))
 
 
 def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:

@@ -63,8 +63,8 @@ def write_raster(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_raster(path: str | Path) -> np.ndarray:
-    """Read a raster back as (H, W, C) float32 or uint8; a NaN or infinite
-    f32 value is a FormatError at its byte offset."""
+    """Read a raster back as (H, W, C) float32 or uint8, never widened; a NaN
+    or infinite f32 value is a FormatError at its byte offset."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != RASTER_MAGIC:
@@ -273,7 +273,7 @@ def _is_manifest_entry(entry) -> bool:
 
 @dataclass
 class SliceData:
-    image: np.ndarray  # (H, W, 1) float64 in [0, 1]
+    image: np.ndarray  # (H, W, 1) in [0, 1]: float32 from a raster, any float dtype in memory
     mask: np.ndarray | None  # (H, W) uint8 in {0, 1}
     z_position_um: float | None
     corrupted: bool = False
@@ -286,9 +286,9 @@ class SliceSequence:
 
 
 def load_sequence(seq_dir: str | Path) -> SliceSequence:
-    """Read one sequence directory. A malformed ``sequence.json`` is a
-    FormatError naming the file and the field; a mask value other than 0 or
-    1 is one naming the mask file, at the value's byte offset."""
+    """Read one sequence directory, each image as `read_raster`'s float32. A
+    malformed ``sequence.json`` is a FormatError naming the file and the field;
+    a mask value other than 0 or 1 is one naming the mask file, at its byte offset."""
     return _load_sequence(_dir_prefix(seq_dir))
 
 
@@ -309,7 +309,7 @@ def _load_sequence(seq_dir: str) -> SliceSequence:
         problem = _record_problem(rec)
         if problem:
             raise FormatError(f"{path}: slices[{t}].{problem}")
-        image = read_raster(os.path.join(seq_dir, rec["image"])).astype(np.float64)
+        image = read_raster(os.path.join(seq_dir, rec["image"]))
         mask = None
         if rec.get("mask"):
             mask = _read_mask(os.path.join(seq_dir, rec["mask"]))

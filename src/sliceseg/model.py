@@ -180,6 +180,9 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 # outgrow the cache.
 ENCODE_CHUNK = 8
 
+# The largest pixel a raster can hold; a larger one overflows the encoder.
+F32_MAX = float(np.finfo(np.float32).max)
+
 
 def _extract_patches(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """(S, H, W, C) images -> (S, P, patch_dim) patch rows."""
@@ -198,6 +201,7 @@ def encode_slice(images, params: ModelParams) -> Tensor:
 
     The encoder sees each image on its own, so a chunk is S independent
     encodings done by one pass of batched kernels (and one LoRA merge).
+    The chunk is cast to float64 here, exactly: a float32 image gives the same bits.
     An image of the wrong shape is a ShapeError naming that shape."""
     cfg = params.config
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
@@ -227,8 +231,9 @@ def encode_slice(images, params: ModelParams) -> Tensor:
 def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     """encode_slice per run of ENCODE_CHUNK images; given two chunks, the calling thread and
     the lane (``tensor.run_pair``) take chunk indices under a lock. Raises the earliest
-    chunk's error. An image with a NaN or infinite pixel is a DomainError naming its slice,
-    raised before its chunk's first product, so numpy warns of nothing."""
+    chunk's error. An image with a pixel beyond the float32 range (NaN and infinity
+    included) is a DomainError naming its slice, raised before its chunk's first product,
+    so numpy warns of nothing."""
     chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
     lock = Lock()
     next_chunk = 0
@@ -244,8 +249,10 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
                 first = c * ENCODE_CHUNK
                 chunk = images[first : first + ENCODE_CHUNK]
                 for i, image in enumerate(chunk, first):
-                    if not np.isfinite(image).all():
-                        raise DomainError(f"slice {i}: image has a pixel that is not finite")
+                    if not np.abs(image).max(initial=0.0) <= F32_MAX:  # false for NaN too
+                        finite = np.isfinite(image).all()
+                        what = "beyond the float32 range" if finite else "that is not finite"
+                        raise DomainError(f"slice {i}: image has a pixel {what}")
                 chunks[c] = encode_slice(chunk, params)
             except Exception as exc:
                 chunks[c] = exc
@@ -309,8 +316,9 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     slice index and no state leaks across sequences. A slice scores the
     whole bank with one cosine row, which also gives the estimated distances.
     The config's k_memory=0 bypasses the memory path entirely (the
-    independent per-slice baseline). A NaN or infinite pixel, or a
-    probability map the confidence refuses, is a DomainError naming its slice.
+    independent per-slice baseline). A pixel beyond the float32 range (NaN
+    and infinity included), or a probability map the confidence refuses, is a
+    DomainError naming its slice.
     """
     if not seq.slices:
         raise ContractError("forward_sequence on an empty sequence")

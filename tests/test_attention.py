@@ -9,6 +9,7 @@ import pytest
 from sliceseg import tensor as T
 from sliceseg.attention import (
     LAMBDA_INIT,
+    MAX_SQUARABLE,
     AttentionContext,
     cross_slice_weights,
     distance_modulation,
@@ -72,6 +73,25 @@ def test_distance_whose_square_overflows_is_a_domain_error_naming_it():
     ctx = AttentionContext(QUERY, [QUERY, embedding_with_sim(0.5)], [0.0, 1.3e154])
     T.mean(mul(cross_slice_weights(ctx, lam), [2.0, -1.0])).backward()
     assert np.isfinite(lam.grad)
+
+
+def test_the_distance_bound_is_the_largest_double_with_a_finite_square():
+    above = np.nextafter(MAX_SQUARABLE, np.inf)
+    assert np.isfinite(MAX_SQUARABLE * MAX_SQUARABLE)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(above * above)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distance_modulation([0.0, MAX_SQUARABLE], 0.1).tolist() == [1.0, 0.0]
+        assert distance_modulation(MAX_SQUARABLE, 0.0) == 1.0
+        for bad in (above, [0.0, above], [above, math.nan]):
+            with pytest.raises(DomainError, match="finite square"):
+                distance_modulation(bad, 0.1)
+        # NaN and negative distances keep their message
+        for bad in (math.nan, -1.0, -5e-324, [3.0, math.nan], [2.0, -0.5]):
+            with pytest.raises(DomainError, match=r"^distance must be >= 0 with a finite square, got "):
+                distance_modulation(bad, 0.1)
+    assert distance_modulation([], 0.1).shape == (0,)
 
 
 def test_modulation_monotone_in_distance():

@@ -517,6 +517,17 @@ def test_load_dataset_round_trip(tmp_path):
             assert set(np.unique(sl.mask)) <= {0, 1}
 
 
+def test_a_loaded_image_stays_the_float32_raster(tmp_path):
+    # the encoder widens each chunk exactly; a loaded slice holds 4 bytes a pixel
+    root = generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=3, seed=6), tmp_path)
+    [seq] = load_dataset(root)
+    for t, sl in enumerate(seq.slices):
+        h, w, c = sl.image.shape
+        assert sl.image.dtype == np.float32
+        assert sl.image.nbytes == 4 * h * w * c == 4 * 64 * 64 * 1
+        assert sl.image.tobytes() == read_raster(root / "seq_000" / f"slice_{t}.psr").tobytes()
+
+
 def test_load_dataset_and_load_params_match_the_pathlib_decode(tmp_path, monkeypatch):
     """Against an oracle of the decode as it was when files were read through
     pathlib, byte for byte; `read_raster` and `load_checkpoint` run once per
@@ -553,7 +564,7 @@ def test_load_dataset_and_load_params_match_the_pathlib_decode(tmp_path, monkeyp
         records = json.loads((seq_dir / "sequence.json").read_bytes())["slices"]
         assert len(seq.slices) == len(records) == 6
         for sl, rec in zip(seq.slices, records):
-            image = read_raster(Path(seq_dir / rec["image"])).astype(np.float64)
+            image = read_raster(Path(seq_dir / rec["image"]))
             mask = read_raster(Path(seq_dir / rec["mask"]))[:, :, 0].astype(np.uint8)
             for got, want in ((sl.image, image), (sl.mask, mask)):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)

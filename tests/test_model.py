@@ -10,6 +10,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -491,6 +492,31 @@ def test_a_non_finite_pixel_is_a_domain_error_naming_its_slice(micro_params, t, 
         forward_sequence(seq, micro_params)
 
 
+@pytest.mark.parametrize("bad", [1e300, -1e300, 3.5e38])
+@pytest.mark.parametrize("t", [0, 5, 11])
+def test_a_pixel_beyond_the_float32_range_is_a_domain_error_naming_its_slice(micro_params, t, bad):
+    # finite, but no raster holds it, and the encoder's products would overflow
+    seq = make_sequence(np.random.default_rng(17), MICRO_CONFIG, 12)
+    seq.slices[t].image[3, 2, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^slice {t}: image has a pixel beyond the float32 range$"):
+            forward_sequence(seq, micro_params)
+
+
+@pytest.mark.parametrize("config", [ModelConfig(), MICRO_CONFIG], ids=["default", "micro"])
+def test_a_pixel_at_the_float32_limit_gives_finite_probabilities(config):
+    seq = make_sequence(np.random.default_rng(22), config, 12)
+    limit = float(np.finfo(np.float32).max)
+    seq.slices[3].image[3, 2, 0] = limit
+    seq.slices[7].image = seq.slices[7].image.astype(np.float32)
+    seq.slices[7].image[0, 5, 0] = -limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        preds = forward_sequence(seq, init_params(config, seed=1))
+    assert all(np.isfinite(p.probabilities.data).all() for p in preds)
+
+
 def test_a_confidence_error_names_its_slice(monkeypatch):
     params = init_params(MICRO_CONFIG, seed=0)
     seq = make_sequence(np.random.default_rng(18), MICRO_CONFIG, 4)
@@ -837,3 +863,44 @@ def test_a_forked_child_encodes_two_chunks_on_a_lane_of_its_own(micro_params, mo
             pytest.fail("the forked child did not finish a 2-chunk forward in 60 s")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+# ------------------------------------------- float32 images as read from disk
+
+
+def _as_float64(seq) -> SliceSequence:
+    """seq with every image cast to float64."""
+    images = [dataclasses.replace(sl, image=sl.image.astype(np.float64)) for sl in seq.slices]
+    return SliceSequence(seq.sequence_id, images)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_loaded_stack_forwards_bitwise_as_its_float64_copy(stack64, monkeypatch, cpus):
+    # the encoder's cast is the one widening, and it is exact
+    seq, ckpt = stack64
+    assert {sl.image.dtype for sl in seq.slices} == {np.dtype(np.float32)}
+    params = load_params(ckpt)
+    _cpus(monkeypatch, cpus)
+    got, expected = (forward_sequence(s, params) for s in (seq, _as_float64(seq)))
+    for a, b in zip(got, expected, strict=True):
+        for name in ("probabilities", "logits", "pooled_embedding"):
+            assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes(), name
+        assert a.confidence.hex() == b.confidence.hex()
+
+
+def test_a_train_step_on_a_loaded_sequence_is_bitwise_its_float64_copys(tmp_path, monkeypatch):
+    generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=6, seed=1), tmp_path)
+    [seq] = load_dataset(tmp_path)
+    config = TrainConfig(seed=1)
+    (losses, params), expected = (_train(config, s, 2, monkeypatch, steps=2) for s in (seq, _as_float64(seq)))
+    assert [loss.hex() for loss in losses] == [loss.hex() for loss in expected[0]]
+    assert params == expected[1]
+
+
+def test_a_sequence_of_float32_and_float64_images_runs(micro_params):
+    seq = make_sequence(np.random.default_rng(23), MICRO_CONFIG, 10)
+    for sl in seq.slices[::2]:  # the chunk mixes the two dtypes
+        sl.image = sl.image.astype(np.float32)
+    got = forward_sequence(seq, micro_params)
+    expected = forward_sequence(_as_float64(seq), micro_params)
+    assert [p.probabilities.data.tobytes() for p in got] == [p.probabilities.data.tobytes() for p in expected]
