@@ -32,12 +32,19 @@ beside own_job, given at least 2 CPUs and a free lane, and else both on
 the caller, as it does when own_job ends before the lane has begun.
 ``multi_head_attention`` runs its forward and its backward as two halves
 of the leading indices this way; ``model`` encodes a stack's chunks on it.
+Importing the module (so ``import sliceseg``) sets glibc's malloc mmap and trim
+thresholds to 32 and 64 MiB process-wide: left dynamic, trimming settled near 2 MiB
+and the lane's arena was faulted back in every encoder chunk. A ``MALLOC_*_``
+variable or ``GLIBC_TUNABLES`` keeps the user's settings. Outputs keep their bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import fnmatch
 import math
 import os
+import platform
 import queue
 import threading
 from typing import Callable, Sequence
@@ -217,6 +224,19 @@ def _fresh_lane() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_lane)
+
+
+def _keep_freed_heap() -> None:
+    """M_MMAP_THRESHOLD at 32 MiB, then, if it took, M_TRIM_THRESHOLD at 64 MiB: the ceilings
+    of glibc's dynamic rule on 64-bit (setting trim alone would pin mmap at 128 KiB)."""
+    tuned = "GLIBC_TUNABLES" in os.environ or fnmatch.filter(os.environ, "MALLOC_*_")
+    if platform.libc_ver()[0] == "glibc" and not tuned:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None and mallopt(-3, 32 << 20) == 1:  # -3: M_MMAP_THRESHOLD
+            mallopt(-1, 64 << 20)  # -1: M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 def run_pair(helper_job: Callable[[], None], own_job: Callable[[], None]) -> None:

@@ -1,8 +1,10 @@
 """Encoder/decoder shapes, sequence pipeline causality and determinism."""
 
 import dataclasses
+import fnmatch
 import hashlib
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -839,6 +841,43 @@ def test_a_process_starts_one_lane_for_every_forward_and_train_step(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "True"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_warm_forwards_with_the_lane_make_few_page_faults(tmp_path):
+    # in a fresh process with malloc as sliceseg leaves it; with glibc's dynamic
+    # trim threshold the lane's arena was re-faulted every chunk: 1,600-6,000 per forward
+    script = tmp_path / "faults.py"
+    script.write_text(textwrap.dedent("""
+        import os, resource, sys
+        from pathlib import Path
+        os.sched_getaffinity = lambda pid: {0, 1}
+        from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
+        from sliceseg.model import ModelConfig, forward_sequence, init_params, load_params, save_params
+        root = Path(sys.argv[1])
+        synth = SynthConfig(num_sequences=1, slices_per_sequence=64, seed=3, corrupt_prob=0.3)
+        [seq] = load_dataset(generate_dataset(synth, root / "data"))
+        save_params(root / "m.psc", init_params(ModelConfig(), seed=1))
+        params = load_params(root / "m.psc")
+        for _ in range(2):
+            forward_sequence(seq, params)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            forward_sequence(seq, params)
+        print(seq.slices[0].image.dtype, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+    """))
+    env = {
+        k: v for k, v in os.environ.items()
+        if k != "GLIBC_TUNABLES" and not fnmatch.fnmatchcase(k, "MALLOC_*_")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    done = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    dtype, faults = done.stdout.split()
+    assert dtype == "float32"
+    assert float(faults) < 400  # 13-26 with the thresholds pinned
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -1,11 +1,13 @@
 """Tensor core: forward semantics and tape gradients vs finite differences."""
 
 import ast
+import fnmatch
 import functools
 import math
 import os
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +568,57 @@ def test_a_failing_helper_job_raises_after_the_own_job_and_the_lane_works_after(
 
 def _raise(exc):
     raise exc
+
+
+class _StandInLibc:
+    """A libc whose mallopt records each call and returns `answer`."""
+
+    def __init__(self, answer):
+        self.answer, self.calls = answer, []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.answer
+
+
+def _keep_freed_heap_with(monkeypatch, libc, libc_ver=("glibc", "2.36"), **env):
+    """Run the import-time malloc helper against a stand-in libc and environment."""
+    for name in list(os.environ):
+        if name == "GLIBC_TUNABLES" or fnmatch.fnmatchcase(name, "MALLOC_*_"):
+            monkeypatch.delenv(name)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(T.platform, "libc_ver", lambda: libc_ver)
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: libc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        T._keep_freed_heap()
+    assert caught == []
+
+
+# malloc.h: M_TRIM_THRESHOLD is -1, M_MMAP_THRESHOLD is -3
+def test_keep_freed_heap_sets_the_mmap_threshold_then_the_trim_threshold(monkeypatch):
+    libc = _StandInLibc(1)
+    _keep_freed_heap_with(monkeypatch, libc)
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_keep_freed_heap_leaves_trimming_dynamic_when_the_mmap_threshold_is_refused(monkeypatch):
+    libc = _StandInLibc(0)
+    _keep_freed_heap_with(monkeypatch, libc)
+    assert libc.calls == [(-3, 32 << 20)]
+
+
+@pytest.mark.parametrize("case", [
+    {"libc": object()},  # no mallopt
+    {"libc_ver": ("", "")},  # musl and others
+    {"MALLOC_TRIM_THRESHOLD_": "131072"},
+    {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+])
+def test_keep_freed_heap_does_nothing_off_glibc_or_when_the_environment_tunes_malloc(case, monkeypatch):
+    libc = _StandInLibc(1)
+    _keep_freed_heap_with(monkeypatch, **{"libc": libc, **case})
+    assert libc.calls == []
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 6, 8)])
