@@ -31,7 +31,9 @@ fresh one). ``run_pair(helper_job, own_job)`` runs helper_job on the lane
 beside own_job, given at least 2 CPUs and a free lane, and else both on
 the caller, as it does when own_job ends before the lane has begun.
 ``multi_head_attention`` runs its forward and its backward as two halves
-of the leading indices this way; ``model`` encodes a stack's chunks on it.
+of the leading indices this way; ``linear``'s backward forms the weight
+gradient on the lane while the caller forms the input and bias gradients;
+``model`` encodes a stack's chunks on it.
 Importing the module (so ``import sliceseg``) sets glibc's malloc mmap and trim
 thresholds to 32 and 64 MiB process-wide: left dynamic, trimming settled near 2 MiB
 and the lane's arena was faulted back in every encoder chunk. A ``MALLOC_*_``
@@ -351,7 +353,10 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, W, b=None) -> Tensor:
     """x @ W.T (+ b) as one node: x (..., d_in), W (d_out, d_in), b (d_out,).
-    Leading axes of x are flattened into the rows of one 2-D product."""
+    Leading axes of x are flattened into the rows of one 2-D product. When x
+    is taped, the backward forms the weight gradient as ``run_pair``'s lane
+    job while the caller forms the input and bias gradients, to the same
+    bits; a constant x gets no gradient and its backward runs all here."""
     x, W = as_tensor(x), as_tensor(W)
     parents = (x, W)
     if W.data.ndim != 2 or x.shape[-1:] != W.shape[1:]:
@@ -367,11 +372,23 @@ def linear(x, W, b=None) -> Tensor:
 
     def backward(g):
         g = g.reshape(out_data.shape)
-        # a constant input (the pixel rows) gets no gradient: one product fewer
-        gx = (g @ W.data).reshape(x.shape) if _taped(x) else None
-        grads = [(x, gx), (W, (rows.T @ g).T)]
-        if b is not None:
-            grads.append((b, g.sum(axis=0)))
+        grads = [(x, None), (W, None)] + [(b, None)] * (b is not None)
+
+        def weight() -> None:
+            grads[1] = (W, (rows.T @ g).T)
+
+        def rest() -> None:
+            if _taped(x):
+                grads[0] = (x, (g @ W.data).reshape(x.shape))
+            if b is not None:
+                grads[2] = (b, g.sum(axis=0))
+
+        # a constant input (the pixel rows) gets no gradient: one product, all here
+        if _taped(x):
+            run_pair(weight, rest)
+        else:
+            weight()
+            rest()
         return grads
 
     return _node(out_data.reshape(x.shape[:-1] + W.shape[:1]), parents, backward, "linear")

@@ -5,6 +5,7 @@ import fnmatch
 import functools
 import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -398,6 +399,85 @@ def test_linear_shape_errors():
         T.linear(Tensor(1.0), Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError, match="bias"):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+
+
+def _linear_backward_oracle(x, W, b, g):
+    """numpy of linear's backward on one thread, one new array per product:
+    [(x, grad x), (W, grad W), (b, grad b)], grad x None for a constant x."""
+    rows, g = x.data.reshape(-1, W.shape[1]), g.reshape(-1, W.shape[0])
+    grads = [(x, (g @ W.data).reshape(x.shape) if x.requires_grad else None), (W, (rows.T @ g).T)]
+    return grads + [(b, g.sum(axis=0))] * (b is not None)
+
+
+@pytest.mark.parametrize("switch_interval", [None, 1e-6])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("x_shape,w_shape", [
+    ((6, 64, 64), (64, 64)),  # an encoder projection over a chunk of 6 slices
+    ((6, 4, 8), (8, 8)),  # the micro config's
+    ((2, 4, 16), (8, 16)),  # the micro config's patch embedding
+    ((5, 4), (3, 4)),
+])
+def test_linear_backward_on_the_lane_is_the_inline_backward_bitwise(
+    x_shape, w_shape, taped, bias, switch_interval, monkeypatch
+):
+    # on 2 CPUs the lane forms the weight gradient while the caller forms the rest
+    rng = np.random.default_rng(math.prod(x_shape) + w_shape[0])
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=taped)
+    W, b = _leaves(rng, w_shape, w_shape[:1])
+    b = b if bias else None
+    g = rng.standard_normal(x_shape[:-1] + w_shape[:1])
+    out = T.linear(x, W, b)
+    expected = _linear_backward_oracle(x, W, b, g)
+    interval = sys.getswitchinterval()
+    try:
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)
+        for cpus in (1, 2, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            grads = out._backward(g)
+            assert [p for p, _ in grads] == [p for p, _ in expected]  # same tensors, same order
+            for (_, got), (_, want) in zip(grads, expected):
+                assert got is None if want is None else got.tobytes() == want.tobytes()
+                assert want is None or got.shape == want.shape
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_backward_pairs_its_products_only_for_a_taped_input(bias, monkeypatch):
+    _two_cpus(monkeypatch)
+    calls, pair = [], T.run_pair
+    monkeypatch.setattr(T, "run_pair", lambda helper, own: (calls.append(helper), pair(helper, own)))
+    rng = np.random.default_rng(3)
+    W, b = _leaves(rng, (8, 16), (8,))
+    for taped, pairs in ((False, 0), (True, 1)):
+        x = Tensor(rng.standard_normal((2, 4, 16)), requires_grad=taped)
+        T.mean(T.linear(x, W, b if bias else None)).backward()
+        assert len(calls) == pairs, f"taped={taped}"
+        assert W.grad is not None and (x.grad is not None) == taped
+
+
+def test_an_error_in_linear_backward_on_the_lane_propagates_and_the_lane_works_after(monkeypatch):
+    _two_cpus(monkeypatch)
+    pair, begun, ran_on = T.run_pair, threading.Event(), []
+
+    def failing(helper):
+        def job():
+            ran_on.append(threading.current_thread())
+            begun.set()
+            helper()
+            raise DomainError("from the weight gradient")
+        return job
+
+    monkeypatch.setattr(T, "run_pair", lambda helper, own: pair(failing(helper), _after(begun, own)))
+    x, W = _leaves(np.random.default_rng(4), (6, 4, 8), (8, 8))
+    with pytest.raises(DomainError, match="from the weight gradient"):
+        T.mean(T.linear(x, W)).backward()
+    assert ran_on == [T._LANE.thread]
+    assert not T._LANE.claim.locked()
+    monkeypatch.setattr(T, "run_pair", pair)
+    test_run_pair_runs_the_helper_job_on_the_lane(monkeypatch)
 
 
 def _per_head_attention(q, k, v, heads):
