@@ -22,6 +22,7 @@ ones at twice the scale (a degenerate pair, cosine 0, at the scale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,13 +66,17 @@ def distance_modulation(d, lam: float) -> np.ndarray:
     """exp(-lam * d^2) for a distance or an array of them. A negative or
     NaN distance, or one whose square overflows, is a DomainError naming
     it (the modulation would be 0 and lambda's gradient NaN); so is a
-    negative lambda."""
+    negative lambda, and one that is not finite or whose product with the
+    largest d^2 is not, checked before numpy would warn."""
     d = np.asarray(d, dtype=np.float64)
+    top = float(d.max(initial=0.0))
     # min(0, d...) and max(0, d...): both comparisons are false for NaN
-    if not (d.min(initial=0.0) >= 0.0 and d.max(initial=0.0) <= MAX_SQUARABLE):
+    if not (d.min(initial=0.0) >= 0.0 and top <= MAX_SQUARABLE):
         raise DomainError(f"distance must be >= 0 with a finite square, got {d}")
     if lam < 0.0:
         raise DomainError(f"lambda must be >= 0, got {float(lam)}")
+    if not math.isfinite(float(lam) * (top * top)):  # inf * 0 is NaN: an infinite lambda fails too
+        raise DomainError(f"lambda * d^2 must be finite, got lambda {float(lam)} and distance {top}")
     return np.exp(lam * -(d * d))
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import SynthConfig, generate_dataset, load_sequence, write_raster
+from .data_io import SynthConfig, dataclass_from_dict, generate_dataset, load_sequence, write_raster
 from .errors import ConfigError, SlicesegError
 from .model import forward_sequence, load_params
 from .training import (
@@ -23,7 +23,6 @@ from .training import (
     evaluate,
     grad_check,
     train,
-    train_config_from_dict,
     write_report,
 )
 
@@ -93,7 +92,7 @@ def _cmd_train(args) -> None:
     # replace() re-runs the config's checks on the flag values
     flags = {"steps": args.steps, "seed": args.seed}
     config = dataclasses.replace(
-        train_config_from_dict(doc), **{k: v for k, v in flags.items() if v is not None}
+        dataclass_from_dict(TrainConfig, doc), **{k: v for k, v in flags.items() if v is not None}
     )
     trace = train(config, args.data, args.out)
     print(f"trained {config.steps} steps, final loss {trace[-1]:.6f}, checkpoint {args.out}")

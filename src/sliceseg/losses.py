@@ -118,7 +118,8 @@ def combined_loss(
 
     Gradient flows to the predictions only; targets and the detached pair
     weights are constants. `pairs` as in ``consistency_loss``. A map with
-    a value outside [0, 1] (NaN included) is a DomainError naming its slice.
+    a value outside [0, 1] (NaN included), or a target with a value other
+    than 0 or 1, is a DomainError naming its slice.
     """
     if weights is None:
         weights = LossWeights()
@@ -129,10 +130,13 @@ def combined_loss(
     if pairs is None:
         pairs = consistency_pairs(embeddings, weights.similarity_threshold)
     maps = [p.data for p in predictions]
-    for t, p in enumerate(maps):
+    masks = [y.data for y in targets]
+    for t, (p, y) in enumerate(zip(maps, masks)):
         if not (p.min() >= 0.0 and p.max() <= 1.0):  # false for NaN too
             raise DomainError(f"slice {t}: probabilities must lie in [0, 1]")
-    masks = [y.data for y in targets]
+        binary = (y == 0.0) | (y == 1.0)  # false for NaN too
+        if not binary.all():
+            raise DomainError(f"slice {t}: target must be 0 or 1, got {y[~binary][0]}")
     per_slice = [
         dice_loss(p, y, weights.smooth) * weights.w_dice + bce_loss(p, y) * weights.w_bce
         for p, y in zip(maps, masks)

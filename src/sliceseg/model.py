@@ -8,9 +8,10 @@ are low-rank adapted: their weight is W + B @ A, with the base
 ``encoder.block<i>.attn.{q,v}.W`` frozen and the factors
 ``lora.block<i>.{q,v}.{A,B}`` trained (B starts at zero). The encoder
 sees each slice on its own, so a sequence is first encoded in chunks of
-ENCODE_CHUNK slices; given two chunks, the calling thread and the tensor
-module's one helper thread (``tensor.run_pair``) share them out, to the
-same bits. Then, slice by slice, the pooled embedding queries the memory bank,
+ENCODE_CHUNK slices; given two or more, the calling thread encodes the
+first half of the chunks while the tensor module's one helper thread
+encodes the rest (``tensor._in_halves``), to the same bits. Then, slice
+by slice, the pooled embedding queries the memory bank,
 distance-aware attention weights fuse the retrieved patch grids with the
 current one, and a per-patch MLP decoder emits the pixel logits (one
 ``decode`` node with a hand-written backward).
@@ -19,7 +20,6 @@ current one, and a per-patch MLP decoder emits the pixel logits (one
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from threading import Lock
 
 import numpy as np
 
@@ -229,22 +229,16 @@ def encode_slice(images, params: ModelParams) -> Tensor:
 
 
 def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
-    """encode_slice per run of ENCODE_CHUNK images; given two chunks, the calling thread and
-    the lane (``tensor.run_pair``) take chunk indices under a lock. Raises the earliest
-    chunk's error. An image with a pixel beyond the float32 range (NaN and infinity
-    included) is a DomainError naming its slice, raised before its chunk's first product,
-    so numpy warns of nothing."""
+    """encode_slice per run of ENCODE_CHUNK images, the first half of the chunks here and
+    the rest on the lane (``tensor._in_halves``; one chunk runs here, leaving the lane to
+    its attention halves). Each half stops at its first failing chunk; the earliest failing
+    chunk's error is raised. An image with a pixel beyond the float32 range (NaN and
+    infinity included) is a DomainError naming its slice, raised before its chunk's first
+    product, so numpy warns of nothing."""
     chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
-    lock = Lock()
-    next_chunk = 0
 
-    def work() -> None:
-        nonlocal next_chunk
-        while True:
-            with lock:
-                c, next_chunk = next_chunk, next_chunk + 1
-            if c >= len(chunks):
-                return
+    def encode(half: slice) -> None:
+        for c in range(half.start, half.stop):
             try:
                 first = c * ENCODE_CHUNK
                 chunk = images[first : first + ENCODE_CHUNK]
@@ -256,14 +250,9 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
                 chunks[c] = encode_slice(chunk, params)
             except Exception as exc:
                 chunks[c] = exc
-                with lock:  # drain: every chunk not yet taken comes after c
-                    next_chunk = len(chunks)
                 return
 
-    if len(chunks) > 1:
-        T.run_pair(work, work)
-    else:  # one chunk leaves the lane free for its attention halves
-        work()
+    T._in_halves(len(chunks), encode)
     for chunk in chunks:  # every chunk before the first failure was encoded
         if isinstance(chunk, Exception):
             raise chunk

@@ -33,7 +33,7 @@ the caller, as it does when own_job ends before the lane has begun.
 ``multi_head_attention`` runs its forward and its backward as two halves
 of the leading indices this way; ``linear``'s backward forms the weight
 gradient on the lane while the caller forms the input and bias gradients;
-``model`` encodes a stack's chunks on it.
+``model`` encodes a stack's chunks in two halves the same way.
 Importing the module (so ``import sliceseg``) sets glibc's malloc mmap and trim
 thresholds to 32 and 64 MiB process-wide: left dynamic, trimming settled near 2 MiB
 and the lane's arena was faulted back in every encoder chunk. A ``MALLOC_*_``
@@ -276,8 +276,8 @@ def run_pair(helper_job: Callable[[], None], own_job: Callable[[], None]) -> Non
 
 
 def _in_halves(n: int, job: Callable[[slice], None]) -> None:
-    """job over the index ranges [h, n) and [0, h) at once (``run_pair``),
-    with h = ceil(n / 2); one call over [0, n) when n < 2."""
+    """job over the index ranges [h, n) on the lane and [0, h) here at once
+    (``run_pair``), with h = ceil(n / 2); one call over [0, n) when n < 2."""
     if n < 2:
         job(slice(0, n))
         return

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import dataclass_from_dict, load_dataset
+from .data_io import load_dataset
 from .errors import ConfigError, ContractError, DomainError, EvaluationError
 from .gradcheck import max_rel_error
 from .losses import LossWeights, combined_loss, consistency_pairs, dice_score
@@ -51,11 +51,6 @@ class TrainConfig:
             raise ConfigError("steps must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-
-
-def train_config_from_dict(doc: dict) -> TrainConfig:
-    """Build a TrainConfig from a JSON document, rejecting unknown keys."""
-    return dataclass_from_dict(TrainConfig, doc)
 
 
 # ------------------------------------------------------------------- adam
@@ -201,9 +196,6 @@ class EvalReport:
     sequences: list[dict]
     config: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(dataset_dir: str | Path, checkpoint: str | Path) -> EvalReport:
     """Per-slice Dice at MASK_THRESHOLD, aggregated mean +/- SD."""
@@ -244,7 +236,7 @@ def evaluate(dataset_dir: str | Path, checkpoint: str | Path) -> EvalReport:
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n")
 
 
 # ----------------------------------------------------------- grad checking

@@ -94,6 +94,22 @@ def test_the_distance_bound_is_the_largest_double_with_a_finite_square():
     assert distance_modulation([], 0.1).shape == (0,)
 
 
+def test_a_lambda_that_is_not_finite_or_overflows_with_the_distances_is_a_domain_error():
+    # an infinite lambda gave [nan, 0] with an invalid-value warning; 1e308 overflowed
+    lam = Tensor(math.inf, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad, d in ((math.inf, [0.0, 5.0]), (math.inf, [0.0]), (math.nan, [0.0]), (1e308, [0.0, 5.0])):
+            with pytest.raises(DomainError, match=r"^lambda \* d\^2 must be finite, got lambda "):
+                distance_modulation(d, bad)
+        with pytest.raises(DomainError, match="lambda"):
+            cross_slice_weights(AttentionContext(QUERY, [QUERY, QUERY], [0.0, 5.0]), lam)
+        # finite lambda times d^2 keeps its bits, at the top of the range too
+        for ok, d in ((1e308, [0.0, 1.0]), (0.1, [0.0, 3.0, MAX_SQUARABLE]), (1e300, [1e4])):
+            d = np.asarray(d)
+            assert distance_modulation(d, ok).tobytes() == np.exp(ok * -(d * d)).tobytes()
+
+
 def test_modulation_monotone_in_distance():
     values = distance_modulation(np.linspace(0, 30, 40), 0.05)
     assert all(a >= b for a, b in zip(values, values[1:]))

@@ -1,6 +1,7 @@
 """Loss terms, the combined objective and the Dice metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,21 @@ def test_a_probability_map_outside_the_unit_interval_is_a_domain_error_naming_it
     maps[2].data[1, 0] = 1.0  # the ends of the interval are in it
     maps[3].data[0, 0] = 0.0
     assert math.isfinite(combined_loss(maps, [Tensor(np.ones((2, 2)))] * 4, embs).item())
+
+
+@pytest.mark.parametrize("bad", [math.nan, 2.0, 0.5, -1.0, math.inf])
+def test_a_target_that_is_not_0_or_1_is_a_domain_error_naming_its_slice(bad):
+    # a NaN target used to give a NaN loss, and a 2.0 target a finite one
+    maps = [Tensor(np.full((2, 2), 0.5), requires_grad=True) for _ in range(4)]
+    targets = [Tensor(np.eye(2)) for _ in range(4)]
+    targets[1].data[0, 1] = bad
+    embs = [Tensor(np.eye(3)[t % 3]) for t in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^slice 1: target must be 0 or 1, got {bad}$"):
+            combined_loss(maps, targets, embs)
+    targets[1].data[0, 1] = 1.0
+    assert math.isfinite(combined_loss(maps, targets, embs).item())
 
 
 def test_consistency_invariant_to_slice_reordering():

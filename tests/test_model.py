@@ -711,8 +711,8 @@ def test_one_cpu_forward_equals_the_threaded_forward_bitwise(stack64, monkeypatc
 
 @pytest.mark.parametrize("delay", [0.0, 0.01])
 def test_the_earliest_failing_chunk_is_reported(delay, micro_params, monkeypatch):
-    # slices 9 and 17 (indices 8 and 16) open chunks 1 and 2; delaying chunk 1
-    # lets the other thread take chunk 2 and fail first
+    # slices 9 and 17 (indices 8 and 16) open chunks 1 and 2; delaying chunk 1, the
+    # end of the caller's half, lets the lane fail chunk 2, its half, first
     _cpus(monkeypatch, 2)
     seq = make_sequence(np.random.default_rng(9), MICRO_CONFIG, 17)
     seq.slices[8].image = np.zeros((4, 4, 1))
@@ -731,7 +731,8 @@ def test_the_earliest_failing_chunk_is_reported(delay, micro_params, monkeypatch
 
 
 def test_every_chunk_is_encoded_once_under_fast_thread_switching(micro_params, monkeypatch):
-    # 200 slices make 25 chunks; a chunk index handed out twice or never would show here
+    # 200 slices make 25 chunks, 13 in the caller's half; a chunk encoded twice or never
+    # would show here
     seq = make_sequence(np.random.default_rng(13), MICRO_CONFIG, 200)
     _cpus(monkeypatch, 1)
     expected = forward_sequence(seq, micro_params)
@@ -763,12 +764,36 @@ def test_the_lane_is_one_daemon_thread_reused_across_forwards(micro_params, monk
     lane, before = T._LANE.thread, threading.enumerate()
     assert len(forward_sequence(seq, micro_params)) == 20
     assert len(forward_sequence(make_sequence(np.random.default_rng(11), MICRO_CONFIG, 6), micro_params)) == 6
-    seq.slices[19].image = np.zeros((4, 4, 1))
-    with pytest.raises(ShapeError):
+    image, seq.slices[19].image = seq.slices[19].image, np.zeros((4, 4, 1))
+    with pytest.raises(ShapeError):  # in chunk 2, the lane's half
         forward_sequence(seq, micro_params)
+    assert not T._LANE.claim.locked()
+    seq.slices[19].image = image
+    assert len(forward_sequence(seq, micro_params)) == 20
     assert threading.enumerate() == before
     assert T._LANE.thread is lane
     _only_the_lane(started)
+
+
+def test_the_lane_encodes_the_second_half_of_a_stacks_chunks(micro_params, monkeypatch):
+    # 24 slices make 3 chunks: chunks 0 and 1 are the caller's half, chunk 2 the lane's;
+    # the caller's first chunk waits, so the lane begins its half before it could be taken back
+    _cpus(monkeypatch, 2)
+    seq = make_sequence(np.random.default_rng(14), MICRO_CONFIG, 24)
+    encoded_on = {}
+    encode = model.encode_slice
+
+    def recorded(images, params):
+        first = next(t for t, sl in enumerate(seq.slices) if sl.image is images[0])
+        encoded_on[first] = threading.current_thread()
+        if first == 0:
+            time.sleep(0.1)
+        return encode(images, params)
+
+    monkeypatch.setattr(model, "encode_slice", recorded)
+    assert len(forward_sequence(seq, micro_params)) == 24
+    caller = threading.current_thread()
+    assert encoded_on == {0: caller, 8: caller, 16: T._LANE.thread}
 
 
 def test_a_forward_and_a_train_step_on_one_cpu_start_no_thread(micro_params, monkeypatch, started):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sliceseg.attention import fuse_memory
-from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
+from sliceseg.data_io import SynthConfig, dataclass_from_dict, generate_dataset, load_dataset
 from sliceseg.errors import ConfigError, ContractError, DomainError
 from sliceseg.losses import LossWeights, dice_score
 from sliceseg.model import (
@@ -30,7 +30,6 @@ from sliceseg.training import (
     evaluate,
     grad_check,
     train,
-    train_config_from_dict,
     train_step,
     write_report,
 )
@@ -55,18 +54,18 @@ def tiny_dataset(tmp_path_factory):
 
 def test_unknown_config_key_rejected_by_name():
     with pytest.raises(ConfigError, match="bogus"):
-        train_config_from_dict({"bogus": 1})
+        dataclass_from_dict(TrainConfig, {"bogus": 1})
     with pytest.raises(ConfigError, match="model.*typo"):
-        train_config_from_dict({"model": {"typo": 1}})
+        dataclass_from_dict(TrainConfig, {"model": {"typo": 1}})
     with pytest.raises(ConfigError, match="loss.*nope"):
-        train_config_from_dict({"loss": {"nope": 1}})
+        dataclass_from_dict(TrainConfig, {"loss": {"nope": 1}})
 
 
 def test_top_level_k_memory_is_config_error():
     # the memory size lives in the model config only, which the checkpoint records
     with pytest.raises(ConfigError, match="k_memory"):
-        train_config_from_dict({"k_memory": 0})
-    assert train_config_from_dict({"model": {"k_memory": 0}}).model.k_memory == 0
+        dataclass_from_dict(TrainConfig, {"k_memory": 0})
+    assert dataclass_from_dict(TrainConfig, {"model": {"k_memory": 0}}).model.k_memory == 0
 
 
 @pytest.mark.parametrize(
@@ -81,7 +80,7 @@ def test_top_level_k_memory_is_config_error():
 def test_removed_settings_are_unknown_keys(doc, key):
     # Adam's betas and eps and the LoRA alpha are constants now
     with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
-        train_config_from_dict(doc)
+        dataclass_from_dict(TrainConfig, doc)
 
 
 @pytest.mark.parametrize(
@@ -99,22 +98,24 @@ def test_removed_settings_are_unknown_keys(doc, key):
 )
 def test_wrongly_typed_config_value_is_config_error(doc, key, shown):
     with pytest.raises(ConfigError, match=f"'{key}' must be .*, got {shown}$"):
-        train_config_from_dict(doc)
+        dataclass_from_dict(TrainConfig, doc)
 
 
 def test_config_values_of_the_declared_types_load():
-    cfg = train_config_from_dict(
-        {"learning_rate": 1, "checkpoint_every": None, "loss": {"w_dice": 2}}
+    cfg = dataclass_from_dict(
+        TrainConfig,
+        {"learning_rate": 1, "checkpoint_every": None, "loss": {"w_dice": 2}},
     )
     assert (cfg.learning_rate, cfg.checkpoint_every, cfg.loss.w_dice) == (1, None, 2)
-    assert train_config_from_dict({"checkpoint_every": 3}).checkpoint_every == 3
+    assert dataclass_from_dict(TrainConfig, {"checkpoint_every": 3}).checkpoint_every == 3
     with pytest.raises(ConfigError, match="section 'model' must be an object"):
-        train_config_from_dict({"model": 64})
+        dataclass_from_dict(TrainConfig, {"model": 64})
 
 
 def test_config_from_nested_dict():
-    cfg = train_config_from_dict(
-        {"steps": 7, "loss": {"w_bce": 0.25}, "model": {"image_size": 16, "patch_size": 4}}
+    cfg = dataclass_from_dict(
+        TrainConfig,
+        {"steps": 7, "loss": {"w_bce": 0.25}, "model": {"image_size": 16, "patch_size": 4}},
     )
     assert cfg.steps == 7
     assert cfg.loss.w_bce == 0.25
