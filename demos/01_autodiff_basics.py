@@ -13,8 +13,8 @@ from sliceseg.tensor import Tensor
 x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 w = Tensor(np.array([[0.5, -0.2], [0.1, 0.3]]), requires_grad=True)
 
-# Ops compose into a graph; backward() walks it in reverse.
-y = T.tanh(T.matmul(x, w))
+# Ops compose into a graph (linear is x @ w.T); backward() walks it in reverse.
+y = T.tanh(T.linear(x, w))
 loss = T.mean(T.sigmoid(y))
 loss.backward()
 
@@ -25,7 +25,7 @@ print("dloss/dw      :\n", w.grad)
 w_first = w.grad.copy()
 w.zero_grad()
 x.zero_grad()
-loss2 = T.mean(T.sigmoid(T.tanh(T.matmul(x, w))))
+loss2 = T.mean(T.sigmoid(T.tanh(T.linear(x, w))))
 loss2.backward()
 print("same graph twice, same gradient:", np.allclose(w.grad, w_first))
 
@@ -35,7 +35,7 @@ x.zero_grad()
 
 
 def probe():
-    return T.mean(T.sigmoid(T.tanh(T.matmul(x, w))))
+    return T.mean(T.sigmoid(T.tanh(T.linear(x, w))))
 
 
 probe().backward()

@@ -13,6 +13,7 @@ from .data_io import (
     read_raster,
     write_raster,
 )
+from .gradcheck import grad_check
 from .lora import lora_forward, merge
 from .losses import LossWeights, bce_loss, combined_loss, consistency_loss, dice_loss, dice_score
 from .memory import prediction_confidence, select_memory
@@ -28,6 +29,6 @@ from .model import (
     save_params,
 )
 from .tensor import Tensor
-from .training import AdamState, EvalReport, TrainConfig, adam_step, evaluate, grad_check, train
+from .training import AdamState, EvalReport, TrainConfig, adam_step, evaluate, train
 
 __version__ = "0.1.0"

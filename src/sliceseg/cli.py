@@ -16,15 +16,9 @@ import numpy as np
 
 from .data_io import SynthConfig, dataclass_from_dict, generate_dataset, load_sequence, write_raster
 from .errors import ConfigError, SlicesegError
+from .gradcheck import grad_check
 from .model import forward_sequence, load_params
-from .training import (
-    MASK_THRESHOLD,
-    TrainConfig,
-    evaluate,
-    grad_check,
-    train,
-    write_report,
-)
+from .training import MASK_THRESHOLD, TrainConfig, evaluate, train, write_report
 
 
 class _Parser(argparse.ArgumentParser):

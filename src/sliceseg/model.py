@@ -202,7 +202,7 @@ def encode_slice(images, params: ModelParams) -> Tensor:
     The encoder sees each image on its own, so a chunk is S independent
     encodings done by one pass of batched kernels (and one LoRA merge).
     The chunk is cast to float64 here, exactly: a float32 image gives the same bits.
-    An image of the wrong shape is a ShapeError naming that shape."""
+    An image of the wrong shape is a ShapeError; ``forward_sequence`` checks pixel ranges."""
     cfg = params.config
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
     for image in images:
@@ -231,31 +231,24 @@ def encode_slice(images, params: ModelParams) -> Tensor:
 def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     """encode_slice per run of ENCODE_CHUNK images, the first half of the chunks here and
     the rest on the lane (``tensor._in_halves``; one chunk runs here, leaving the lane to
-    its attention halves). Each half stops at its first failing chunk; the earliest failing
-    chunk's error is raised. An image with a pixel beyond the float32 range (NaN and
-    infinity included) is a DomainError naming its slice, raised before its chunk's first
-    product, so numpy warns of nothing."""
+    its attention halves). Every image is checked first, in slice order, so a bad stack
+    encodes nothing: one of the wrong shape is a ShapeError, and one with a pixel beyond
+    the float32 range (NaN and infinity included) a DomainError, each naming its slice."""
+    cfg = params.config
+    expected = (cfg.image_size, cfg.image_size, cfg.channels)
+    for i, image in enumerate(images):
+        if np.shape(image) != expected:
+            raise ShapeError(f"slice {i}: image shape {np.shape(image)} != expected {expected}")
+        if not np.abs(image).max(initial=0.0) <= F32_MAX:  # false for NaN too
+            what = "beyond the float32 range" if np.isfinite(image).all() else "that is not finite"
+            raise DomainError(f"slice {i}: image has a pixel {what}")
     chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
 
     def encode(half: slice) -> None:
         for c in range(half.start, half.stop):
-            try:
-                first = c * ENCODE_CHUNK
-                chunk = images[first : first + ENCODE_CHUNK]
-                for i, image in enumerate(chunk, first):
-                    if not np.abs(image).max(initial=0.0) <= F32_MAX:  # false for NaN too
-                        finite = np.isfinite(image).all()
-                        what = "beyond the float32 range" if finite else "that is not finite"
-                        raise DomainError(f"slice {i}: image has a pixel {what}")
-                chunks[c] = encode_slice(chunk, params)
-            except Exception as exc:
-                chunks[c] = exc
-                return
+            chunks[c] = encode_slice(images[c * ENCODE_CHUNK : (c + 1) * ENCODE_CHUNK], params)
 
     T._in_halves(len(chunks), encode)
-    for chunk in chunks:  # every chunk before the first failure was encoded
-        if isinstance(chunk, Exception):
-            raise chunk
     return chunks
 
 
@@ -305,9 +298,10 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     slice index and no state leaks across sequences. A slice scores the
     whole bank with one cosine row, which also gives the estimated distances.
     The config's k_memory=0 bypasses the memory path entirely (the
-    independent per-slice baseline). A pixel beyond the float32 range (NaN
-    and infinity included), or a probability map the confidence refuses, is a
-    DomainError naming its slice.
+    independent per-slice baseline). Images are checked before any encoding: a
+    wrong shape is a ShapeError, and a pixel beyond the float32 range (NaN and
+    infinity included) or a probability map the confidence refuses a DomainError,
+    each naming its slice.
     """
     if not seq.slices:
         raise ContractError("forward_sequence on an empty sequence")

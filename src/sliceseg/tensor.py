@@ -6,18 +6,19 @@ to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
 ``requires_grad`` tensor (call ``zero_grad`` between steps).
 
-The op set is 9 of the 13 ops the model builds: ``add``, ``tanh``,
-``sigmoid``, ``mean``, ``matmul``, ``take`` (row i of the first axis) and
+The op set is 8 of the 13 ops the model builds: ``add``, ``tanh``,
+``sigmoid``, ``mean``, ``take`` (row i of the first axis) and
 ``layer_norm`` (which optionally folds the affine gain and bias,
 ``gamma`` and ``beta``, both or neither, each as wide as the last axis,
 into its one node), plus two fused primitives that each replace a whole
 op chain with one node and a hand-written backward, ``linear`` and
 ``multi_head_attention`` (op ``attention``); both take any leading axes,
-so one node serves a chunk of slices. The other four are fused too:
+so one node serves a chunk of slices. The other five are fused too:
 ``cross_slice`` (the distance-aware memory weights) and ``fuse`` (their
 weighted sum of patch grids, layer-normalized) in ``attention``,
 ``decode`` (the per-patch MLP decoder and the patch reassembly) in
-``model``, and ``sequence_loss`` (the training objective) in ``losses``.
+``model``, ``sequence_loss`` (the training objective) in ``losses``, and
+``lora`` (an adapted weight, W + B A) in ``lora``.
 ``Tensor`` has no operator overloads. ``cosines`` is the detached numpy
 kernel of cosine similarity; memory scoring, cross-slice weights and
 consistency pairs use it.
@@ -336,19 +337,6 @@ def mean(a, axis: int | None = None) -> Tensor:
 
 
 # ------------------------------------------------------------------ linear
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
-
-    def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
-
-    return _node(a.data @ b.data, (a, b), backward, "matmul")
 
 
 def linear(x, W, b=None) -> Tensor:

@@ -1,5 +1,4 @@
-"""Adam optimization, the sequence training loop, evaluation and the
-gradient verification report.
+"""Adam optimization, the sequence training loop and evaluation.
 
 One optimizer step consumes one full sequence: forward through the
 memory pipeline, combined loss, backward, Adam update, then the learned
@@ -18,10 +17,8 @@ import numpy as np
 
 from .data_io import load_dataset
 from .errors import ConfigError, ContractError, DomainError, EvaluationError
-from .gradcheck import max_rel_error
-from .losses import LossWeights, combined_loss, consistency_pairs, dice_score
+from .losses import LossWeights, combined_loss, dice_score
 from .model import (
-    MICRO_CONFIG,
     ModelConfig,
     ModelParams,
     forward_sequence,
@@ -237,81 +234,3 @@ def evaluate(dataset_dir: str | Path, checkpoint: str | Path) -> EvalReport:
 
 def write_report(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n")
-
-
-# ----------------------------------------------------------- grad checking
-
-
-def _micro_sequence(seed: int, config: ModelConfig, n_slices: int = 2):
-    from .data_io import SliceData, SliceSequence
-
-    rng = substream(seed, "gradcheck-data")
-    size = config.image_size
-    slices = []
-    z = 0.0
-    for _ in range(n_slices):
-        image = rng.uniform(0.0, 1.0, size=(size, size, config.channels))
-        mask = (rng.random((size, size)) < 0.4).astype(np.uint8)
-        slices.append(SliceData(image=image, mask=mask, z_position_um=z))
-        z += float(rng.uniform(2.0, 10.0))
-    return SliceSequence(sequence_id="gradcheck", slices=slices)
-
-
-def grad_check(seed: int = 0, max_checks_per_tensor: int = 24) -> dict:
-    """Compare tape gradients against central finite differences.
-
-    Builds the 2-slice micro-model, evaluates the full combined loss,
-    and probes up to `max_checks_per_tensor` coordinates per tensor.
-    Reports the max relative error per parameter group; the run passes
-    when every group stays within 1e-3.
-    """
-    config = MICRO_CONFIG
-    params = init_params(config, seed=seed)
-    # Nudge the adapters off their zero init so their gradients are alive.
-    nudge = substream(seed, "gradcheck-nudge")
-    for name, t in params.tensors.items():
-        if name.startswith("lora.") and name.endswith(".B"):
-            t.data = nudge.normal(0.0, 0.02, size=t.data.shape)
-    seq = _micro_sequence(seed, config)
-
-    # The consistency weights are detached by contract, so the probe must
-    # hold them at their unperturbed values: finite differences verify the
-    # defined gradient, not a gradient through the frozen weights.
-    base_preds = forward_sequence(seq, params)
-    frozen_pairs = consistency_pairs(
-        [p.pooled_embedding for p in base_preds], LossWeights().similarity_threshold
-    )
-
-    def loss_fn() -> Tensor:
-        preds = forward_sequence(seq, params)
-        return combined_loss(
-            [p.probabilities for p in preds],
-            _sequence_targets(seq),
-            [p.pooled_embedding for p in preds],
-            LossWeights(),
-            pairs=frozen_pairs,
-        )
-
-    params.zero_grad()
-    loss_fn().backward()
-
-    pick = substream(seed, "gradcheck-pick")
-    groups: dict[str, dict] = {}
-    trainable = params.trainable()
-    # The probes only read loss values: they run on constants, building no tape.
-    for tensor in trainable.values():
-        tensor.requires_grad = False
-    try:
-        for name, tensor in sorted(trainable.items()):
-            group = params.group_of(name)
-            if tensor.grad is None:
-                tensor.grad = np.zeros_like(tensor.data)
-            err = max_rel_error(loss_fn, tensor, max_checks=max_checks_per_tensor, rng=pick)
-            entry = groups.setdefault(group, {"max_rel_err": 0.0, "tensors": 0})
-            entry["max_rel_err"] = max(entry["max_rel_err"], err)
-            entry["tensors"] += 1
-    finally:
-        for tensor in trainable.values():
-            tensor.requires_grad = True
-    passed = all(g["max_rel_err"] <= 1e-3 for g in groups.values())
-    return {"seed": seed, "pass": passed, "groups": groups, "tolerance": 1e-3}

@@ -9,6 +9,7 @@ and ``decode``). Tests use them to build scalar losses and as the op
 chains those nodes are checked against, arithmetic for arithmetic.
 estimate_distance was ``sliceseg.attention``'s similarity-derived
 distance, which ``forward_sequence`` computes from its scored cosines.
+matmul was an op until a LoRA merge became one node (``lora``).
 """
 
 import math
@@ -56,6 +57,19 @@ def softmax(a) -> Tensor:
         return ((a, out_data * (g - inner)),)
 
     return T._node(out_data, (a,), backward, "softmax")
+
+
+def matmul(a, b) -> Tensor:
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
+
+    def backward(g):
+        return ((a, g @ b.data.T), (b, a.data.T @ g))
+
+    return T._node(a.data @ b.data, (a, b), backward, "matmul")
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:

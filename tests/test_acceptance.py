@@ -25,6 +25,7 @@ from sliceseg.data_io import (
     write_raster,
 )
 from sliceseg.errors import FormatError, UnsupportedVersionError
+from sliceseg.gradcheck import grad_check
 from sliceseg.lora import lora_forward, merge
 from sliceseg.losses import (
     LossWeights,
@@ -37,7 +38,7 @@ from sliceseg.losses import (
 from sliceseg.memory import select_memory
 from sliceseg.model import MICRO_CONFIG, ModelConfig, forward_sequence, init_params
 from sliceseg.tensor import Tensor, cosines
-from sliceseg.training import AdamState, TrainConfig, evaluate, grad_check, train_step
+from sliceseg.training import AdamState, TrainConfig, evaluate, train_step
 
 
 @pytest.fixture

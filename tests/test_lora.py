@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from sliceseg import tensor as T
-from sliceseg.errors import ConfigError
+from sliceseg.errors import ConfigError, ShapeError
 from sliceseg.gradcheck import max_rel_error
 from sliceseg.lora import lora_forward, merge
 from sliceseg.model import ModelConfig, init_params
 from sliceseg.tensor import Tensor
 
-from reference_ops import mul
+from reference_ops import matmul, mul
 
 
 def adapter(d_in, d_out, r, rng, zero_b=False):
@@ -54,6 +54,39 @@ def test_merge_rank_one_outer_product():
     B = Tensor(np.array([[0.0], [1.0]]), requires_grad=True)
     expected = W.data + np.array([[0.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(merge(W, A, B).data, expected)
+
+
+@pytest.mark.parametrize("w_taped", [False, True], ids=["frozen_w", "taped_w"])
+@pytest.mark.parametrize("seed", range(5))
+def test_merge_is_the_add_matmul_chain_bitwise(seed, w_taped):
+    # forward, the A and B gradients, and W's gradient when W is taped
+    rng = np.random.default_rng(200 + seed)
+    d_in, d_out = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+    W, A, B = adapter(d_in, d_out, int(rng.integers(1, min(d_in, d_out) + 1)), rng)
+    W.requires_grad = w_taped
+    x = rng.standard_normal((3, d_in))
+    c = rng.standard_normal((3, d_out))
+    runs = []
+    for weight in (lambda: merge(W, A, B), lambda: T.add(W, matmul(B, A))):
+        for t in (W, A, B):
+            t.zero_grad()
+        merged = weight()
+        T.mean(mul(T.linear(x, merged), c)).backward()
+        runs.append([merged.data, A.grad, B.grad, W.grad])
+    (fused, *fused_grads), (chain, *chain_grads) = runs
+    assert fused.tobytes() == chain.tobytes()
+    assert (W.grad is not None) == w_taped
+    for a, b in zip(fused_grads, chain_grads):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shapes", [((5, 4), (2, 4), (5, 3)), ((5, 4), (2, 3), (5, 2)), ((6, 4), (2, 4), (5, 2)), ((5, 4), (4,), (5, 1))]
+)
+def test_merge_of_adapter_shapes_that_do_not_fit_is_a_shape_error(shapes):
+    W, A, B = (Tensor(np.zeros(shape)) for shape in shapes)
+    with pytest.raises(ShapeError, match=r"lora: base .* do not fit W \+ B A"):
+        merge(W, A, B)
 
 
 def test_dual_path_equivalence_seed7():

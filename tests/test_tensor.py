@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliceseg import attention, losses, model
+from sliceseg import attention, lora, losses, model
 from sliceseg import tensor as T
 from sliceseg.attention import AttentionContext, cross_slice_weights, fuse_memory
 from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
@@ -24,39 +24,41 @@ from sliceseg.losses import BCE_CLIP, LossWeights, combined_loss, consistency_pa
 from sliceseg.model import ModelConfig, decode_mask, forward_sequence, init_params
 from sliceseg.tensor import Tensor
 
-from reference_ops import cosine_sims, exp, mul, reshape, softmax, transpose, unpatchify, weighted_sum
+from reference_ops import (
+    cosine_sims, exp, matmul, mul, reshape, softmax, transpose, unpatchify, weighted_sum,
+)
 
 
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(T.matmul(eye, m).data, m.data)
+    assert np.array_equal(matmul(eye, m).data, m.data)
 
 
 def test_matmul_annihilator():
     z = Tensor(np.zeros((2, 3)))
     m = Tensor(np.arange(12.0).reshape(3, 4))
-    assert np.array_equal(T.matmul(z, m).data, np.zeros((2, 4)))
+    assert np.array_equal(matmul(z, m).data, np.zeros((2, 4)))
 
 
 def test_matmul_hand_product():
     # hand multiplication oracle
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(T.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
+    assert np.array_equal(matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_matmul_associativity(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (Tensor(rng.standard_normal((4, 4))) for _ in range(3))
-    left = T.matmul(T.matmul(a, b), c).data
-    right = T.matmul(a, T.matmul(b, c)).data
+    left = matmul(matmul(a, b), c).data
+    right = matmul(a, matmul(b, c)).data
     assert np.abs(left - right).max() <= 1e-9
 
 
@@ -237,13 +239,13 @@ def _columns(lo: int, hi: int, width: int) -> np.ndarray:
 
 def _composite(x: Tensor, c: Tensor) -> Tensor:
     """Exercises most of the op set in one scalar graph."""
-    a = T.sigmoid(T.matmul(x, transpose(c, (1, 0))))
+    a = T.sigmoid(matmul(x, transpose(c, (1, 0))))
     b = T.layer_norm(T.tanh(T.add(a, 0.3)))
     d = softmax(mul(b, 1.7))
     left, right = _columns(0, 2, 4), _columns(2, 4, 4)
     e = T.add(
-        T.matmul(T.matmul(d, left), left.T),
-        T.matmul(exp(T.matmul(d, right)), right.T),
+        matmul(matmul(d, left), left.T),
+        matmul(exp(matmul(d, right)), right.T),
     )
     # sqrt(x^2 + 1) as exp(log(.) / 2)
     root = exp(mul(log(T.add(mul(x, x), 1.0)), 0.5))
@@ -286,6 +288,15 @@ _DECODER = init_params(
         ("clip", lambda x, c: T.mean(clip(mul(x, c), -0.5, 0.5))),
         ("linear", lambda x, c: T.mean(T.tanh(T.linear(x, c, T.mean(c, axis=1))))),
         (
+            "lora",
+            lambda x, c: T.mean(
+                mul(
+                    lora.merge(T.tanh(matmul(transpose(c, (1, 0)), x)), x, transpose(T.tanh(x), (1, 0))),
+                    c.data.T @ c.data,
+                )
+            ),
+        ),
+        (
             "attention",
             lambda x, c: T.mean(mul(T.multi_head_attention(x, mul(x, c), c, 2), c)),
         ),
@@ -311,7 +322,7 @@ _DECODER = init_params(
             "decode",
             lambda x, c: T.mean(mul(decode_mask(transpose(x, (1, 0)), _DECODER), c.data.T @ c.data)),
         ),
-        ("unpatchify", lambda x, c: T.mean(mul(unpatchify(T.matmul(c.data.T, x), 2, 2), c.data.T @ c.data))),
+        ("unpatchify", lambda x, c: T.mean(mul(unpatchify(matmul(c.data.T, x), 2, 2), c.data.T @ c.data))),
         (
             "cross_slice",
             lambda x, c: T.mean(
@@ -488,9 +499,9 @@ def _per_head_attention(q, k, v, heads):
     outs = []
     for h in range(heads):
         cols = _columns(h * dh, (h + 1) * dh, d)
-        qh, kh, vh = (T.matmul(t, cols) for t in (q, k, v))
-        scores = mul(T.matmul(qh, transpose(kh, (1, 0))), 1.0 / np.sqrt(dh))
-        outs.append(T.matmul(T.matmul(softmax(scores), vh), cols.T))
+        qh, kh, vh = (matmul(t, cols) for t in (q, k, v))
+        scores = mul(matmul(qh, transpose(kh, (1, 0))), 1.0 / np.sqrt(dh))
+        outs.append(matmul(matmul(softmax(scores), vh), cols.T))
     return functools.reduce(T.add, outs)
 
 
@@ -1003,7 +1014,7 @@ def test_cosine_sims_forward_is_the_kernel_bitwise(seed):
 def test_tensor_defines_exactly_the_ops_a_training_loss_builds(tmp_path):
     defined = {
         call.args[-1].value
-        for module in (T, attention, losses, model)
+        for module in (T, attention, losses, lora, model)
         for call in ast.walk(ast.parse(Path(module.__file__).read_text()))
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_node"
     }

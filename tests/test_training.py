@@ -19,8 +19,9 @@ from sliceseg.model import (
     init_params,
     load_params,
 )
+from sliceseg import gradcheck
 from sliceseg import tensor as T
-from sliceseg import training
+from sliceseg.gradcheck import grad_check
 from sliceseg.tensor import Tensor
 from sliceseg.training import (
     ADAM_EPS,
@@ -28,7 +29,6 @@ from sliceseg.training import (
     TrainConfig,
     adam_step,
     evaluate,
-    grad_check,
     train,
     train_step,
     write_report,
@@ -380,8 +380,8 @@ def test_grad_check_probes_run_on_constants_and_restore_the_flags(monkeypatch):
         probe_parents.append(loss_fn()._parents)
         return 0.0
 
-    monkeypatch.setattr(training, "init_params", capture)
-    monkeypatch.setattr(training, "max_rel_error", probe)
+    monkeypatch.setattr(gradcheck, "init_params", capture)
+    monkeypatch.setattr(gradcheck, "max_rel_error", probe)
     assert grad_check(seed=0, max_checks_per_tensor=1)["pass"]
     assert probe_parents and all(parents == () for parents in probe_parents)
     assert all(t.requires_grad for t in made[-1].trainable().values())
@@ -389,7 +389,7 @@ def test_grad_check_probes_run_on_constants_and_restore_the_flags(monkeypatch):
     def failing(loss_fn, tensor, **kwargs):
         raise DomainError("probe failed")
 
-    monkeypatch.setattr(training, "max_rel_error", failing)
+    monkeypatch.setattr(gradcheck, "max_rel_error", failing)
     with pytest.raises(DomainError, match="probe failed"):
         grad_check(seed=0, max_checks_per_tensor=1)
     assert all(t.requires_grad for t in made[-1].trainable().values())
