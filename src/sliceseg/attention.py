@@ -5,7 +5,10 @@ similarity-times-modulation logits: logit_j = cos(F_query, F_j) *
 exp(-lambda * d_j^2). The modulation discounts physically distant
 slices; lambda is a learned non-negative scalar, initialized to 0.1.
 ``cross_slice_weights`` computes the whole chain as one tape node with a
-hand-written backward; ``distance_modulation`` is its numpy factor.
+hand-written backward; ``distance_modulation`` is its numpy factor. The
+cosines are the context's when it has them: the sequence pipeline passes
+the slots' entries of the cosine block it scored the memory bank with, so
+the forward scores nothing again, and only the backward stacks the slots.
 ``fuse_memory`` blends the patch grids by those weights and
 layer-normalizes the blend, also as one node.
 
@@ -48,17 +51,24 @@ class AttentionContext:
 
     distances[j] is the physical gap (micrometers, finite, >= 0) between
     the query slice and memory slot j; lists must be the same length.
+    cosines[j], if given, is ``tensor.cosines``' value for the query and
+    slot j, one per slot; if not, ``cross_slice_weights`` scores them.
     """
 
     query: Tensor
     memory_embeddings: list[Tensor] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
+    cosines: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.memory_embeddings) != len(self.distances):
             raise ContractError(
                 f"context has {len(self.memory_embeddings)} embeddings "
                 f"but {len(self.distances)} distances"
+            )
+        if self.cosines is not None and np.shape(self.cosines) != (len(self.distances),):
+            raise ContractError(
+                f"context has {len(self.distances)} slots but cosines of shape {np.shape(self.cosines)}"
             )
 
 
@@ -88,7 +98,8 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
     weights are positive and sum to 1 (within 1e-12); gradient flows to
     the query, the embeddings and lambda, not through which slots were
     chosen. An embedding or query at or below the cosine norm floor has
-    cosine 0 and gets no gradient.
+    cosine 0 and gets no gradient. Given the context's cosines, the forward
+    computes none; the backward stacks the slots, as it needs them anyway.
     """
     if not ctx.memory_embeddings:
         raise ContractError("cross_slice_weights on an empty context")
@@ -98,13 +109,15 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
             f"cross_slice_weights expects 1-D embeddings matching the query {query.shape}, "
             f"got {[e.shape for e in embeddings]}"
         )
-    q, E = query.data, np.array([e.data for e in embeddings])
-    d = np.asarray(ctx.distances, dtype=np.float64)
-    sims = T.cosines(q, E)
-    modulation = distance_modulation(d, lam.data)
-    logits = sims * modulation
-    if not np.all(np.isfinite(logits)):
+    q, d = query.data, np.asarray(ctx.distances, dtype=np.float64)
+    if ctx.cosines is None:
+        sims = T.cosines(q, np.array([e.data for e in embeddings]))
+    else:
+        sims = np.asarray(ctx.cosines, dtype=np.float64)
+    modulation = distance_modulation(d, lam.data)  # finite, in [0, 1]
+    if not np.isfinite(sims).all():  # so the logits are finite when the cosines are
         raise DomainError("cross-slice logits must be finite")
+    logits = sims * modulation
     alpha = logits - logits.max()  # the stable softmax, in this one buffer
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum()
@@ -114,6 +127,7 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
         g_logits = alpha * (g - (g * alpha).sum())
         g_sims = g_logits * modulation
         g_lam = (g_logits * sims * modulation * -(d * d)).sum()
+        E = np.array([e.data for e in embeddings])
         nq, ne, live, denom = T._norms(q, E)
         w = g_sims / denom  # d(loss)/d(dot) per pair
         if live is not None:

@@ -71,11 +71,8 @@ def consistency_pairs(
     if len(shapes := sorted({e.shape for e in embeddings})) > 1:
         raise ShapeError(f"consistency_pairs: embedding shapes differ: {shapes}")
     E = np.stack([e.data for e in embeddings])
-    pairs = []
-    for i in range(len(E) - 1):
-        sims = T.cosines(E[i], E)  # all rows, so an error's row is the embedding's index
-        pairs.extend((i, j, float(sims[j])) for j in range(i + 1, len(E)) if sims[j] > threshold)
-    return pairs
+    sims = T.cosines(E[:-1], E)  # one block against all rows, so an error's row is the index
+    return [(i, j, float(sims[i, j])) for i, j in np.argwhere(np.triu(sims > threshold, 1)).tolist()]
 
 
 def consistency_loss(

@@ -1,11 +1,12 @@
 """Per-sequence memory bank and adaptive slice selection.
 
 The bank holds the earlier slices' predictions, as in SAM2's memory bank
-(Ravi et al. 2024): ``forward_sequence`` fills two arrays as it goes, the
-pooled embeddings (n, d) and the confidences (n,) of the predicted masks,
-so a row index is a slice index. Slice t scores rows [0, t) by cosine
-similarity to its own embedding times stored confidence, in one call,
-and pulls back the top-K. Selection is a hard, discrete choice on
+(Ravi et al. 2024): ``forward_sequence`` holds two arrays, the pooled
+embeddings (n, d), filled before the memory loop, and the confidences (n,)
+of the predicted masks, filled as it goes, so a row index is a slice index.
+Slice t scores rows [0, t) by cosine similarity to its own embedding (row t
+of its chunk's one cosine block) times stored confidence, and pulls back
+the top-K. Selection is a hard, discrete choice on
 detached values; no gradient flows through it.
 """
 

@@ -10,8 +10,9 @@ are low-rank adapted: their weight is W + B @ A, with the base
 sees each slice on its own, so a sequence is first encoded in chunks of
 ENCODE_CHUNK slices; given two or more, the calling thread encodes the
 first half of the chunks while the tensor module's one helper thread
-encodes the rest (``tensor._in_halves``), to the same bits. Then, slice
-by slice, the pooled embedding queries the memory bank,
+encodes the rest (``tensor._in_halves``), to the same bits. Every slice
+is pooled next, and the memory bank is scored with one cosine block per
+chunk. Then, slice by slice, the pooled embedding queries the memory bank,
 distance-aware attention weights fuse the retrieved patch grids with the
 current one, and a per-patch MLP decoder emits the pixel logits (one
 ``decode`` node with a hand-written backward).
@@ -286,38 +287,54 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
     return _node(image, (x, W1, b1, W2, b2), backward, "decode")
 
 
+def _blame(params: ModelParams, exc: DomainError) -> DomainError:
+    """A DomainError naming the first parameter tensor with a value that is not
+    finite, the cause of a forward's failure exc when there is one; else exc."""
+    for name, t in params.tensors.items():
+        if not np.isfinite(t.data).all():
+            return DomainError(f"parameter {name!r} has a value that is not finite")
+    return exc
+
+
 def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePrediction]:
     """Process one subject's slices in order through the memory pipeline.
 
     A memory slot's distance is the z gap when both slices have a z
     position, and is estimated from the embeddings otherwise.
 
-    All slices are encoded first; only the memory path after that is causal.
-    The memory bank is two arrays this call fills as it goes, the earlier
-    slices' pooled embeddings and confidences, so a chosen position is a
-    slice index and no state leaks across sequences. A slice scores the
-    whole bank with one cosine row, which also gives the estimated distances.
+    All slices are encoded and pooled first; only the memory path after that is
+    causal. The memory bank is two arrays, every slice's pooled embedding and the
+    earlier slices' confidences, so a chosen position is a slice index and no state
+    leaks across sequences. The stack is scored once, one cosine block per encoder
+    chunk (its rows against every slice up to its end); slice t's row, up to column
+    t, ranks the bank and gives the estimated distances, and its entries at t and the
+    chosen slices are the cross-slice weights' cosines.
     The config's k_memory=0 bypasses the memory path entirely (the
     independent per-slice baseline). Images are checked before any encoding: a
     wrong shape is a ShapeError, and a pixel beyond the float32 range (NaN and
     infinity included) or a probability map the confidence refuses a DomainError,
-    each naming its slice.
+    each naming its slice. When the cosine or probability check fails, a parameter
+    tensor with a value that is not finite is named instead.
     """
     if not seq.slices:
         raise ContractError("forward_sequence on an empty sequence")
     k = params.config.k_memory
     lam = params["lambda"]
-    predictions: list[SlicePrediction] = []
-    grids: list[Tensor] = []
-    bank = np.empty((len(seq.slices), params.config.d_model))  # row t: slice t's pooled embedding
-    confidences = np.empty(len(seq.slices))
     chunks = _encode_chunks([sl.image for sl in seq.slices], params)
+    grids = [T.take(chunks[t // ENCODE_CHUNK], t % ENCODE_CHUNK) for t in range(len(seq.slices))]
+    pooled = [T.mean(g, axis=0) for g in grids]
+    bank = np.array([p.data for p in pooled])  # row t: slice t's pooled embedding
+    confidences = np.empty(len(seq.slices))
+    predictions: list[SlicePrediction] = []
     for t, sl in enumerate(seq.slices):
-        patch_feats = T.take(chunks[t // ENCODE_CHUNK], t % ENCODE_CHUNK)
-        pooled = T.mean(patch_feats, axis=0)
+        if k >= 1 and t % ENCODE_CHUNK == 0:
+            try:
+                block = cosines(bank[t : t + ENCODE_CHUNK], bank[: t + ENCODE_CHUNK])
+            except DomainError as exc:
+                raise _blame(params, exc) from None
         if k >= 1 and t:
-            sims = cosines(pooled.data, bank[:t])
-            chosen = select_memory(sims * confidences[:t], k)
+            sims = block[t % ENCODE_CHUNK]
+            chosen = select_memory(sims[:t] * confidences[:t], k)
             distances = [0.0]
             for j in chosen:
                 z = seq.slices[j].z_position_um
@@ -325,27 +342,19 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
                     distances.append(abs(sl.z_position_um - z))
                 else:  # estimated from the cosine scored above
                     distances.append(DISTANCE_SCALE_UM * (1.0 - sims[j]))
-            embeddings = [pooled] + [predictions[j].pooled_embedding for j in chosen]
-            alpha = cross_slice_weights(AttentionContext(pooled, embeddings, distances), lam)
-            fused = fuse_memory(patch_feats, [grids[j] for j in chosen], alpha)
+            embeddings = [pooled[t]] + [pooled[j] for j in chosen]
+            ctx = AttentionContext(pooled[t], embeddings, distances, sims[[t, *chosen]])
+            fused = fuse_memory(grids[t], [grids[j] for j in chosen], cross_slice_weights(ctx, lam))
         else:
-            fused = fuse_memory(patch_feats, [], Tensor([1.0]))
+            fused = fuse_memory(grids[t], [], Tensor([1.0]))
         logits = decode_mask(fused, params)
         probabilities = T.sigmoid(logits)
         try:
             confidence = prediction_confidence(probabilities.data)
         except DomainError as exc:
-            raise DomainError(f"slice {t}: {exc}") from None
-        grids.append(patch_feats)
-        bank[t], confidences[t] = pooled.data, confidence
-        predictions.append(
-            SlicePrediction(
-                logits=logits,
-                probabilities=probabilities,
-                confidence=confidence,
-                pooled_embedding=pooled,
-            )
-        )
+            raise _blame(params, DomainError(f"slice {t}: {exc}")) from None
+        confidences[t] = confidence
+        predictions.append(SlicePrediction(logits, probabilities, confidence, pooled[t]))
     return predictions
 
 

@@ -20,8 +20,9 @@ weighted sum of patch grids, layer-normalized) in ``attention``,
 ``model``, ``sequence_loss`` (the training objective) in ``losses``, and
 ``lora`` (an adapted weight, W + B A) in ``lora``.
 ``Tensor`` has no operator overloads. ``cosines`` is the detached numpy
-kernel of cosine similarity; memory scoring, cross-slice weights and
-consistency pairs use it.
+kernel of cosine similarity, for one query or a block of them: memory
+scoring scores a stack once, one block per encoder chunk, whose rows the
+cross-slice weights reuse; consistency pairs are one block too.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported. Kernels compute in place only in arrays they allocated,
 never in an input's ``data`` or in the upstream gradient.
@@ -525,17 +526,17 @@ def layer_norm(a, gamma=None, beta=None) -> Tensor:
 
 
 def _norms(q: np.ndarray, E: np.ndarray):
-    """|q|, |E_j|, live pairs (both norms > NORM_EPS), cosine denominators;
-    live is None when every pair is live, so callers skip the masking.
+    """|q| (a column, one per query row of a 2-D q), |E_j|, live pairs (both norms > NORM_EPS),
+    cosine denominators; live is None when every pair is live, so callers skip the masking.
     A norm that is NaN or infinite is a DomainError naming the row (checked
     first) or the query: it is not a degenerate vector."""
-    nq = np.sqrt((q * q).sum())
+    nq = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     ne = np.sqrt((E * E).sum(axis=1))
-    if not math.isfinite(ne.max(initial=nq)):  # the max of the norms is NaN or inf if one is
+    if not math.isfinite(ne.max(initial=nq.max(initial=0.0))):  # NaN or inf if one norm is
         bad = np.flatnonzero(~np.isfinite(ne))
         where = f"row {bad[0]}" if bad.size else "the query"
         raise DomainError(f"cosine: {where} has a norm that is not finite")
-    if nq > NORM_EPS and ne.min(initial=math.inf) > NORM_EPS:
+    if nq.min(initial=math.inf) > NORM_EPS and ne.min(initial=math.inf) > NORM_EPS:
         return nq, ne, None, nq * ne
     live = (ne > NORM_EPS) & (nq > NORM_EPS)
     return nq, ne, live, np.where(live, nq * ne, 1.0)
@@ -544,7 +545,8 @@ def _norms(q: np.ndarray, E: np.ndarray):
 def cosines(q: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Detached cosine of the 1-D array q with each row of E, as an (n,)
     array; 0 wherever either norm is at or below NORM_EPS, and a
-    DomainError where one is not finite."""
+    DomainError where one is not finite. An (m, d) block of queries gives
+    (m, n), row i the bits of cosines(q[i], E), through an (m, n, d) temporary."""
     _, _, live, denom = _norms(q, E)
-    sims = (E * q).sum(axis=1) / denom
+    sims = (E * q[..., None, :]).sum(axis=-1) / denom
     return sims if live is None else np.where(live, sims, 0.0)

@@ -346,3 +346,46 @@ def test_fuse_permutation_equivariance(seed):
         Tensor(np.concatenate([[weights[0]], weights[1:][perm]])),
     ).data
     assert np.abs(out - out_perm).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["random", "self_slot", "zero_embedding", "zero_query"])
+@pytest.mark.parametrize("seed", range(4))
+def test_given_cosines_give_the_scored_weights_and_gradients_bitwise(seed, case):
+    # the sequence pipeline passes the cosines it scored the bank with; the forward
+    # scores nothing, and the backward still reaches the query, every slot and lambda
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    query = rng.standard_normal(8) * (0.0 if case == "zero_query" else 1.0)
+    embeddings = list(rng.standard_normal((n, 8)))
+    if case == "zero_embedding":
+        embeddings[int(rng.integers(0, n))][:] = 0.0
+    self_slot = case == "self_slot"
+    distances = list(rng.uniform(0.0, 40.0, n + self_slot))
+    lam, c = float(rng.uniform(0.01, 0.3)), rng.standard_normal(n + self_slot)
+    slots = np.array([query, *embeddings] if self_slot else embeddings)
+    given = T.cosines(query, slots)
+
+    def with_cosines(ctx, lam):
+        return cross_slice_weights(AttentionContext(ctx.query, ctx.memory_embeddings, ctx.distances, given), lam)
+
+    args = (query, embeddings, distances, lam, c, self_slot)
+    scored = _weights_and_grads(cross_slice_weights, *args)
+    passed = _weights_and_grads(with_cosines, *args)
+    for got, want in zip(passed, scored, strict=True):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_context_cosines_must_match_the_slots_and_be_finite():
+    two = [QUERY, embedding_with_sim(0.3)]
+    for bad in ([1.0], [1.0, 0.3, 0.2], [[1.0, 0.3]], 1.0):
+        with pytest.raises(ContractError, match="2 slots but cosines of shape"):
+            AttentionContext(QUERY, two, [0.0, 4.0], np.array(bad))
+    # an infinite cosine against a modulation of 0 would warn in the product: it never gets there
+    for bad in (math.nan, math.inf, -math.inf):
+        ctx = AttentionContext(QUERY, two, [0.0, 1e3], np.array([1.0, bad]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^cross-slice logits must be finite$"):
+                cross_slice_weights(ctx, Tensor(0.1))

@@ -17,6 +17,7 @@ from sliceseg.losses import (
     dice_loss,
     dice_score,
 )
+from sliceseg import tensor as T
 from sliceseg.tensor import Tensor
 
 
@@ -284,3 +285,26 @@ def test_consistency_pairs_match_nested_loop_oracle(seed):
     assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in expected]
     assert all(abs(a[2] - b[2]) <= 1e-15 for a, b in zip(got, expected))
     assert 0 < len(got) < 21
+
+
+def _row_by_row_pairs(embeddings, threshold):
+    """consistency_pairs as one cosines call per slice, before it became one block call."""
+    E = np.stack([e.data for e in embeddings])
+    pairs = []
+    for i in range(len(E) - 1):
+        sims = T.cosines(E[i], E)
+        pairs.extend((i, j, float(sims[j])) for j in range(i + 1, len(E)) if sims[j] > threshold)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_consistency_pairs_are_the_row_by_row_pairs_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 12)), int(rng.choice([2, 6, 64]))
+    base = rng.standard_normal(d)
+    embeddings = [Tensor(base + rng.normal(0.0, rng.choice([0.05, 0.5, 2.0]), d)) for _ in range(n)]
+    embeddings[int(rng.integers(0, n))] = Tensor(np.zeros(d))  # degenerate: similarity 0
+    for threshold in (0.7, float(rng.uniform(-1.0, 1.0))):
+        got, want = consistency_pairs(embeddings, threshold), _row_by_row_pairs(embeddings, threshold)
+        assert [(type(i), type(j), type(s)) for i, j, s in got] == [(int, int, float)] * len(want)
+        assert [(i, j, s.hex()) for i, j, s in got] == [(i, j, s.hex()) for i, j, s in want]

@@ -531,10 +531,47 @@ def test_a_confidence_error_names_its_slice(monkeypatch):
     monkeypatch.setattr(model, "prediction_confidence", refuse_the_third)
     with pytest.raises(DomainError, match=r"^slice 2: probabilities must lie in \[0, 1\]$"):
         forward_sequence(seq, params)
-    monkeypatch.undo()
-    params["decoder.fc2.b"].data[0] = np.nan  # every slice's map has a NaN pixel
-    with pytest.raises(DomainError, match=r"^slice 0: probabilities must lie in \[0, 1\]$"):
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [
+        ("decoder.fc2.b", 5),  # every slice's map has a NaN pixel: the probability check fails
+        ("encoder.block1.mlp.fc2.W", 5),  # every pooled embedding is NaN: the cosine check fails
+        ("encoder.block1.mlp.fc2.W", 0),  # no memory, so no cosines: the probability check fails
+    ],
+)
+def test_a_non_finite_parameter_is_named_by_the_forward_error(name, k, monkeypatch):
+    params = init_params(dataclasses.replace(MICRO_CONFIG, k_memory=k), seed=0)
+    seq = make_sequence(np.random.default_rng(18), MICRO_CONFIG, 4)
+    scans = []
+    blame = model._blame
+    monkeypatch.setattr(model, "_blame", lambda *a: scans.append(a) or blame(*a))
+    forward_sequence(seq, params)
+    assert scans == []  # a finite forward scans no parameter
+    params[name].data[0] = np.nan
+    with pytest.raises(DomainError, match=rf"^parameter '{name}' has a value that is not finite$"):
         forward_sequence(seq, params)
+    assert len(scans) == 1
+
+
+def test_a_stack_is_scored_with_one_cosine_block_per_encoder_chunk(monkeypatch):
+    # 8 calls on 64 slices, not one per slice, and none in the cross-slice forward
+    seq = make_sequence(np.random.default_rng(19), MICRO_CONFIG, 64)
+    params = init_params(MICRO_CONFIG, seed=1)
+    calls = Counter()
+
+    def counting(where, kernel):
+        def cosines(q, E):
+            calls[where] += 1
+            return kernel(q, E)
+
+        return cosines
+
+    monkeypatch.setattr(model, "cosines", counting("forward_sequence", model.cosines))
+    monkeypatch.setattr(T, "cosines", counting("elsewhere", T.cosines))
+    forward_sequence(seq, params)
+    assert calls == {"forward_sequence": -(-64 // model.ENCODE_CHUNK)} == {"forward_sequence": 8}
 
 
 # ------------------------------------------------ the decode and fuse nodes

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceseg import attention, lora, losses, model
 from sliceseg import tensor as T
@@ -999,6 +1001,52 @@ def test_cosines_reject_a_norm_that_is_not_finite_naming_the_row_or_the_query(ba
         T.cosines(np.array([1.0, 0.0]), E)
     with pytest.raises(DomainError, match="the query has a norm that is not finite"):
         T.cosines(np.array([bad, 0.0]), E[:2])
+
+
+def _cosines_outcome(q, E):
+    """The bytes of T.cosines(q, E), or the message of the DomainError it raises."""
+    try:
+        return T.cosines(q, E).tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 9),
+    n=st.integers(1, 20),
+    d=st.sampled_from([1, 2, 3, 8, 64, 130]),
+    special=st.sampled_from(
+        ["none", "zero_query", "zero_row", "eps_query", "eps_row", "nan_row", "inf_query", "nan_both"]
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_block_cosines_are_the_row_calls_bitwise(seed, m, n, d, special):
+    # row i of an (m, d) block of queries has the bits of the 1-D call for query i; zero
+    # rows and rows at the NORM_EPS floor score 0, and a norm that is not finite raises
+    # the error the first failing row call raises
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+    Q = np.concatenate([E[rng.integers(0, n, m // 2)], rng.standard_normal((m - m // 2, d))])
+    at_floor = np.zeros(d)
+    at_floor[0] = rng.choice([T.NORM_EPS, np.nextafter(T.NORM_EPS, 1.0)])
+    i, j = int(rng.integers(0, m)), int(rng.integers(0, n))
+    if special in ("zero_query", "eps_query"):
+        Q[i] = 0.0 if special == "zero_query" else at_floor
+    if special in ("zero_row", "eps_row"):
+        E[j] = 0.0 if special == "zero_row" else at_floor
+    if special in ("nan_row", "nan_both"):
+        E[j, -1] = np.nan
+    if special in ("inf_query", "nan_both"):
+        Q[i, 0] = np.inf
+    rows = [_cosines_outcome(q, E) for q in Q]
+    errors = [r for r in rows if isinstance(r, str)]
+    got = _cosines_outcome(Q, E)
+    if errors:
+        assert got == errors[0]
+    else:
+        assert T.cosines(Q, E).shape == (m, n)
+        assert got == b"".join(rows)
 
 
 @pytest.mark.parametrize("seed", range(3))

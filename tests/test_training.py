@@ -194,7 +194,8 @@ def test_non_finite_loss_raises_before_adam_moves(tiny_dataset):
 
 
 def test_forward_domain_error_names_the_step_and_sequence(tiny_dataset):
-    # a NaN bias makes NaN probabilities, which the memory's confidence refuses
+    # a NaN bias makes NaN probabilities, which the memory's confidence refuses; the
+    # forward then names the bias
     cfg = TrainConfig(steps=1, seed=0, model=small_model_config())
     params = init_params(cfg.model, seed=0)
     params["decoder.fc2.b"].data[0] = np.nan
@@ -202,7 +203,8 @@ def test_forward_domain_error_names_the_step_and_sequence(tiny_dataset):
     state = AdamState()
     seq = load_dataset(tiny_dataset)[1]
     with pytest.raises(
-        DomainError, match=r"probabilities must lie in \[0, 1\] at step 1 on sequence 'seq_001'"
+        DomainError,
+        match=r"parameter 'decoder.fc2.b' has a value that is not finite at step 1 on sequence 'seq_001'",
     ):
         train_step(params, seq, state, cfg)
     assert (state.step, state.m, state.v) == (0, {}, {})
