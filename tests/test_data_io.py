@@ -1,8 +1,11 @@
 """On-disk formats, synthetic generation and distance estimation."""
 
+import functools
 import hashlib
 import json
+import os
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -686,6 +689,144 @@ def test_sequence_json_null_z_and_integer_z_load(tmp_path):
     _edit_sequence_json(seq_dir, edit)
     seq = load_sequence(seq_dir)
     assert [sl.z_position_um for sl in seq.slices] == [None, 7]
+
+
+# ---------------------------------------------------------------- raw reads
+
+
+@pytest.mark.parametrize(
+    "load", [read_raster, load_checkpoint, load_params, load_sequence], ids=lambda f: f.__name__
+)
+def test_a_directory_in_place_of_a_file_is_an_is_a_directory_error_naming_it(tmp_path, load):
+    # os.open accepts a directory; the read must still refuse it the way open() does
+    named = tmp_path / ("sequence.json" if load is load_sequence else "not_a_file")
+    named.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        load(tmp_path if load is load_sequence else named)
+    assert str(named) in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def malformed_loads(tmp_path_factory, valid_files):
+    """{case: a call that loads one malformed input and raises}."""
+    root = tmp_path_factory.mktemp("malformed")
+    f32 = valid_files["f32"]
+    rasters = {
+        "bad_magic": b"XXXX" + f32[4:],
+        "truncated_header": f32[:11],
+        "truncated_payload": f32[:-7],
+        "unknown_dtype_tag": f32[:16] + b"\x09" + f32[17:],
+        "oversized_dims": b"PSR1" + struct.pack("<IIIB", 2**30, 2**30, 1, 0),
+        "nan_payload": f32[:17] + struct.pack("<f", np.nan) + f32[21:],
+    }
+    loads = {}
+    for case, blob in rasters.items():
+        (root / case).write_bytes(blob)
+        loads[case] = functools.partial(read_raster, root / case)
+    save_params(root / "bad_manifest.psc", init_params(MICRO_CONFIG, seed=0))
+    _with_manifest(root / "bad_manifest.psc", lambda t: t[0].update(offset=-8))
+    loads["bad_manifest"] = functools.partial(load_params, root / "bad_manifest.psc")
+    data = generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=2, seed=2), root / "d")
+    (data / "seq_000" / "mask_1.psr").unlink()
+    loads["missing_mask_file"] = functools.partial(load_sequence, data / "seq_000")
+    (root / "a_directory").mkdir()
+    loads["a_directory"] = functools.partial(read_raster, root / "a_directory")
+    return loads
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "case",
+    [
+        "bad_magic", "truncated_header", "truncated_payload", "unknown_dtype_tag",
+        "oversized_dims", "nan_payload", "bad_manifest", "missing_mask_file", "a_directory",
+    ],
+)
+def test_a_failed_load_leaks_no_descriptor(malformed_loads, case):
+    # raw descriptors have no ResourceWarning to catch a leak: count them
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        with pytest.raises(OSError if case in ("missing_mask_file", "a_directory") else SlicesegError):
+            malformed_loads[case]()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_a_header_promising_more_than_the_file_holds_allocates_nothing(tmp_path):
+    # 2^20 x 2^20 x 1 f32 is within MAX_EXTENT and would be a 4 TiB array
+    p = tmp_path / "promise.psr"
+    p.write_bytes(b"PSR1" + struct.pack("<IIIB", 2**20, 2**20, 1, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="raster payload truncated") as err:
+            read_raster(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.offset == 17
+    assert peak < 1 << 20
+
+
+def _capped_readv(monkeypatch, per_call: int, total: int | None = None) -> None:
+    """Make os.readv read at most `per_call` bytes a call and, when `total` is
+    given, report end of file once `total` bytes have been read."""
+    readv, done = os.readv, [0]
+
+    def capped(fd, buffers):
+        [buf] = buffers
+        room = per_call if total is None else min(per_call, total - done[0])
+        n = readv(fd, [memoryview(buf)[:room]]) if room > 0 else 0
+        done[0] += n
+        return n
+
+    monkeypatch.setattr(os, "readv", capped)
+
+
+@pytest.mark.skipif(not hasattr(os, "readv"), reason="no os.readv")
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+def test_a_raster_read_in_short_reads_loads_bitwise(tmp_path, monkeypatch, dtype):
+    arr = np.random.default_rng(1).uniform(0, 255, (40, 30, 3)).astype(dtype)
+    write_raster(tmp_path / "r.psr", arr)
+    _capped_readv(monkeypatch, per_call=1000)
+    back = read_raster(tmp_path / "r.psr")
+    assert back.dtype == arr.dtype and back.tobytes() == arr.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "readv"), reason="no os.readv")
+def test_a_file_that_shrinks_after_fstat_is_truncation_at_the_bytes_read(tmp_path, monkeypatch):
+    write_raster(tmp_path / "r.psr", np.ones((40, 30, 1), np.float32))
+    _capped_readv(monkeypatch, per_call=1000, total=2500)  # the payload's reads
+    with pytest.raises(FormatError, match="raster payload truncated") as err:
+        read_raster(tmp_path / "r.psr")
+    assert err.value.offset == 17 + 2500
+
+
+def test_without_readv_a_raster_is_read_and_copied_bitwise(tmp_path, monkeypatch):
+    arr = np.random.default_rng(2).standard_normal((9, 7, 2)).astype(np.float32)
+    write_raster(tmp_path / "r.psr", arr)
+    monkeypatch.delattr(os, "readv", raising=False)
+    assert read_raster(tmp_path / "r.psr").tobytes() == arr.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("kind", ["f32", "psc"])
+def test_a_pipe_is_read_to_its_end(tmp_path, valid_files, kind):
+    # a pipe has no size to check against; it is read until the writer closes
+    blob = valid_files[kind]
+    (tmp_path / kind).write_bytes(blob)
+    r, w = os.pipe()
+    try:
+        os.write(w, blob)  # a few KB: within the pipe's buffer
+        os.close(w)
+        path = f"/proc/self/fd/{r}"
+        if kind == "psc":
+            got = load_checkpoint(path)[0]
+            want = load_checkpoint(tmp_path / kind)[0]
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        else:
+            assert read_raster(path).tobytes() == read_raster(tmp_path / kind).tobytes()
+    finally:
+        os.close(r)
 
 
 # ------------------------------------------------------ distance estimation
