@@ -47,7 +47,8 @@ MAX_SQUARABLE = 1.3407807929942596e154
 
 @dataclass
 class AttentionContext:
-    """Query embedding plus the memory slots it attends over.
+    """Query embedding plus the memory slots it attends over: a plain
+    record, which ``cross_slice_weights`` checks.
 
     distances[j] is the physical gap (micrometers, finite, >= 0) between
     the query slice and memory slot j; lists must be the same length.
@@ -59,17 +60,6 @@ class AttentionContext:
     memory_embeddings: list[Tensor] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
     cosines: np.ndarray | None = None
-
-    def __post_init__(self):
-        if len(self.memory_embeddings) != len(self.distances):
-            raise ContractError(
-                f"context has {len(self.memory_embeddings)} embeddings "
-                f"but {len(self.distances)} distances"
-            )
-        if self.cosines is not None and np.shape(self.cosines) != (len(self.distances),):
-            raise ContractError(
-                f"context has {len(self.distances)} slots but cosines of shape {np.shape(self.cosines)}"
-            )
 
 
 def distance_modulation(d, lam: float) -> np.ndarray:
@@ -100,9 +90,15 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
     chosen. An embedding or query at or below the cosine norm floor has
     cosine 0 and gets no gradient. Given the context's cosines, the forward
     computes none; the backward stacks the slots, as it needs them anyway.
-    """
+    An empty context, unequal lists or cosines not one per slot are a
+    ContractError."""
+    n = len(ctx.distances)
     if not ctx.memory_embeddings:
         raise ContractError("cross_slice_weights on an empty context")
+    if len(ctx.memory_embeddings) != n:
+        raise ContractError(f"context has {len(ctx.memory_embeddings)} embeddings but {n} distances")
+    if ctx.cosines is not None and np.shape(ctx.cosines) != (n,):
+        raise ContractError(f"context has {n} slots but cosines of shape {np.shape(ctx.cosines)}")
     query, embeddings = T.as_tensor(ctx.query), [T.as_tensor(e) for e in ctx.memory_embeddings]
     if query.data.ndim != 1 or any(e.shape != query.shape for e in embeddings):
         raise ShapeError(

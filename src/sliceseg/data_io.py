@@ -53,8 +53,18 @@ _RASTER_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype(np.uint8)}
 # ------------------------------------------------------------------ rasters
 
 
+def _finite_f32(array, what: str) -> np.ndarray:
+    """`array` as contiguous f32 LE; a value not finite in f32 is a DomainError naming `what`."""
+    with np.errstate(over="ignore"):  # overflow is reported below, by name
+        a = np.asarray(array, dtype=np.float64).astype("<f4")  # astype copies contiguously
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} has a value that is not finite in f32")
+    return a
+
+
 def write_raster(path: str | Path, array: np.ndarray) -> None:
-    """Write a 2-D or channel-last 3-D array as an f32 or u8 raster."""
+    """Write a 2-D or channel-last 3-D array as an f32 or u8 raster. A value not finite
+    in f32, which read_raster refuses, is a DomainError naming the path, before any write."""
     arr = np.asarray(array)
     if arr.ndim == 2:
         arr = arr[:, :, None]
@@ -63,7 +73,7 @@ def write_raster(path: str | Path, array: np.ndarray) -> None:
     if arr.dtype == np.uint8:
         tag, out = DTYPE_U8, arr
     else:
-        tag, out = DTYPE_F32, arr.astype("<f4")
+        tag, out = DTYPE_F32, _finite_f32(arr, f"raster {str(path)!r}")
     h, w, c = arr.shape
     with open(path, "wb") as f:
         f.write(RASTER_MAGIC)
@@ -236,10 +246,7 @@ def save_checkpoint(
     offset = 0
     payloads = []
     for name, arr in tensors.items():
-        with np.errstate(over="ignore"):  # overflow is reported below, by name
-            a = np.asarray(arr, dtype=np.float64).astype("<f4")  # astype copies contiguously
-        if not np.isfinite(a).all():
-            raise DomainError(f"checkpoint tensor {name!r} has a value that is not finite in f32")
+        a = _finite_f32(arr, f"checkpoint tensor {name!r}")
         manifest.append({"name": name, "shape": list(a.shape), "offset": offset})
         payloads.append(a.tobytes())
         offset += len(payloads[-1])
@@ -471,8 +478,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_sequences < 1 or self.slices_per_sequence < 1:
-            raise ContractError("sequence and slice counts must be >= 1")
+        if min(self.num_sequences, self.slices_per_sequence, self.image_size) < 1:
+            raise ContractError("sequence and slice counts and image_size must be >= 1")
+        if not 0 <= self.min_blobs <= self.max_blobs:
+            raise ContractError(
+                f"need 0 <= min_blobs <= max_blobs, got {self.min_blobs} and {self.max_blobs}"
+            )
+        gaps = self.z_gap_range  # NaN fails every comparison
+        if not (np.shape(gaps) == (2,) and 0.0 <= gaps[0] <= gaps[1] < math.inf):
+            raise DomainError(f"z_gap_range must be two finite numbers 0 <= lo <= hi, got {gaps}")
         if not (0.0 <= self.corrupt_prob <= 1.0):
             raise DomainError(f"corrupt_prob must be in [0, 1], got {self.corrupt_prob}")
 

@@ -12,8 +12,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data_io import SliceData, SliceSequence
+from .errors import ContractError
 from .losses import LossWeights, combined_loss, consistency_pairs
-from .model import MICRO_CONFIG, ModelConfig, forward_sequence, init_params
+from .model import MICRO_CONFIG, ModelConfig, ModelParams, forward_sequence, init_params
 from .rng import substream
 from .tensor import Tensor
 from .training import _sequence_targets
@@ -34,23 +35,21 @@ def numeric_grad(
     """Central differences, step FD_STEP, of loss_fn with respect to the
     entries of `param` at `indices`.
 
-    Mutates param.data in place around each probe and restores it.
+    Mutates param.data in place around each probe and restores it, also
+    when loss_fn raises.
     """
     out: dict[tuple[int, ...], float] = {}
     for idx in indices:
         orig = param.data[idx]
-        param.data[idx] = orig + FD_STEP
-        up = loss_fn().item()
-        param.data[idx] = orig - FD_STEP
-        down = loss_fn().item()
-        param.data[idx] = orig
+        try:
+            param.data[idx] = orig + FD_STEP
+            up = loss_fn().item()
+            param.data[idx] = orig - FD_STEP
+            down = loss_fn().item()
+        finally:
+            param.data[idx] = orig
         out[idx] = (up - down) / (2.0 * FD_STEP)
     return out
-
-
-def rel_error(analytic: float, numeric: float) -> float:
-    scale = max(abs(analytic), abs(numeric), REL_FLOOR)
-    return abs(analytic - numeric) / scale
 
 
 def max_rel_error(
@@ -66,7 +65,7 @@ def max_rel_error(
     which case a random subset is probed.
     """
     if param.grad is None:
-        raise ValueError("param has no gradient to compare against")
+        raise ContractError("param has no gradient to compare against")
     all_indices = list(np.ndindex(param.data.shape))
     if max_checks is not None and len(all_indices) > max_checks:
         if rng is None:
@@ -76,7 +75,8 @@ def max_rel_error(
     numeric = numeric_grad(loss_fn, param, all_indices)
     worst = 0.0
     for idx, num in numeric.items():
-        worst = max(worst, rel_error(float(param.grad[idx]), num))
+        analytic = float(param.grad[idx])
+        worst = max(worst, abs(analytic - num) / max(abs(analytic), abs(num), REL_FLOOR))
     return worst
 
 
@@ -109,45 +109,34 @@ def grad_check(seed: int = 0, max_checks_per_tensor: int = 24) -> dict:
         if name.startswith("lora.") and name.endswith(".B"):
             t.data = nudge.normal(0.0, 0.02, size=t.data.shape)
     seq = _micro_sequence(seed, config)
+    targets, weights = _sequence_targets(seq), LossWeights()
 
-    # The consistency weights are detached by contract, so the probe must
-    # hold them at their unperturbed values: finite differences verify the
-    # defined gradient, not a gradient through the frozen weights.
-    base_preds = forward_sequence(seq, params)
-    frozen_pairs = consistency_pairs(
-        [p.pooled_embedding for p in base_preds], LossWeights().similarity_threshold
-    )
+    def loss_of(preds, pairs=None) -> Tensor:
+        embeddings = [p.pooled_embedding for p in preds]
+        return combined_loss([p.probabilities for p in preds], targets, embeddings, weights, pairs)
+
+    # One taped forward gives the analytic gradients; its loss finds the
+    # consistency pairs itself, as training's does.
+    loss_of(forward_sequence(seq, params)).backward()
+    # The probes only read loss values, so they run on constants sharing the
+    # parameters' arrays: numeric_grad's writes reach the view, and no probe
+    # builds a tape. They hold the detached consistency weights at their
+    # unperturbed values, so finite differences verify the defined gradient.
+    view = ModelParams(config, {n: Tensor(t.data) for n, t in params.tensors.items()}, params.frozen)
+    embeddings = [p.pooled_embedding for p in forward_sequence(seq, view)]
+    frozen_pairs = consistency_pairs(embeddings, weights.similarity_threshold)
 
     def loss_fn() -> Tensor:
-        preds = forward_sequence(seq, params)
-        return combined_loss(
-            [p.probabilities for p in preds],
-            _sequence_targets(seq),
-            [p.pooled_embedding for p in preds],
-            LossWeights(),
-            pairs=frozen_pairs,
-        )
-
-    params.zero_grad()
-    loss_fn().backward()
+        return loss_of(forward_sequence(seq, view), frozen_pairs)
 
     pick = substream(seed, "gradcheck-pick")
     groups: dict[str, dict] = {}
-    trainable = params.trainable()
-    # The probes only read loss values: they run on constants, building no tape.
-    for tensor in trainable.values():
-        tensor.requires_grad = False
-    try:
-        for name, tensor in sorted(trainable.items()):
-            group = params.group_of(name)
-            if tensor.grad is None:
-                tensor.grad = np.zeros_like(tensor.data)
-            err = max_rel_error(loss_fn, tensor, max_checks=max_checks_per_tensor, rng=pick)
-            entry = groups.setdefault(group, {"max_rel_err": 0.0, "tensors": 0})
-            entry["max_rel_err"] = max(entry["max_rel_err"], err)
-            entry["tensors"] += 1
-    finally:
-        for tensor in trainable.values():
-            tensor.requires_grad = True
+    for name, tensor in sorted(params.trainable().items()):
+        if tensor.grad is None:
+            tensor.grad = np.zeros_like(tensor.data)
+        err = max_rel_error(loss_fn, tensor, max_checks=max_checks_per_tensor, rng=pick)
+        entry = groups.setdefault(params.group_of(name), {"max_rel_err": 0.0, "tensors": 0})
+        entry["max_rel_err"] = max(entry["max_rel_err"], err)
+        entry["tensors"] += 1
     passed = all(g["max_rel_err"] <= TOLERANCE for g in groups.values())
     return {"seed": seed, "pass": passed, "groups": groups, "tolerance": TOLERANCE}

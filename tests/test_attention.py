@@ -156,8 +156,8 @@ def test_weights_empty_context_is_contract_error():
 
 
 def test_context_validates_lengths_and_distances():
-    with pytest.raises(ContractError):
-        AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[])
+    with pytest.raises(ContractError, match="^context has 1 embeddings but 0 distances$"):
+        cross_slice_weights(AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[]), Tensor(0.1))
     # distances are checked once, by the modulation the weights apply
     for bad in (-2.0, math.nan, math.inf):
         ctx = AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[bad])
@@ -381,7 +381,7 @@ def test_context_cosines_must_match_the_slots_and_be_finite():
     two = [QUERY, embedding_with_sim(0.3)]
     for bad in ([1.0], [1.0, 0.3, 0.2], [[1.0, 0.3]], 1.0):
         with pytest.raises(ContractError, match="2 slots but cosines of shape"):
-            AttentionContext(QUERY, two, [0.0, 4.0], np.array(bad))
+            cross_slice_weights(AttentionContext(QUERY, two, [0.0, 4.0], np.array(bad)), Tensor(0.1))
     # an infinite cosine against a modulation of 0 would warn in the product: it never gets there
     for bad in (math.nan, math.inf, -math.inf):
         ctx = AttentionContext(QUERY, two, [0.0, 1e3], np.array([1.0, bad]))

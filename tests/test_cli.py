@@ -333,7 +333,8 @@ def test_infer_on_non_finite_raster_is_single_line_error(dataset, checkpoint, tm
     shutil.copytree(dataset / "seq_000", seq_dir)
     image = read_raster(seq_dir / "slice_1.psr")
     image[0, 2, 0] = np.nan
-    write_raster(seq_dir / "slice_1.psr", image)
+    h, w, c = image.shape  # raw bytes: write_raster refuses the value
+    (seq_dir / "slice_1.psr").write_bytes(b"PSR1" + struct.pack("<IIIB", w, h, c, 0) + image.astype("<f4").tobytes())
     out = tmp_path / "p"
     rc = main(["infer", "--ckpt", str(checkpoint), "--sequence", str(seq_dir), "--out", str(out)])
     assert rc == 1

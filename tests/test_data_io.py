@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -29,7 +30,7 @@ from sliceseg.data_io import (
     write_raster,
 )
 from sliceseg.errors import (
-    ConfigError, DomainError, FormatError, SlicesegError, UnsupportedVersionError,
+    ConfigError, ContractError, DomainError, FormatError, SlicesegError, UnsupportedVersionError,
 )
 from sliceseg.model import MICRO_CONFIG, init_params, load_params, save_params
 
@@ -93,10 +94,23 @@ def test_raster_non_finite_value_is_format_error_at_its_offset(tmp_path, bad):
     arr = np.zeros((4, 5, 2), dtype=np.float32)
     arr[2, 3, 1] = bad
     arr[3, 4, 0] = np.nan
-    write_raster(tmp_path / "n.psr", arr)
+    # raw bytes: write_raster refuses the value
+    (tmp_path / "n.psr").write_bytes(b"PSR1" + struct.pack("<IIIB", 5, 4, 2, 0) + arr.astype("<f4").tobytes())
     with pytest.raises(FormatError, match="not finite") as err:
         read_raster(tmp_path / "n.psr")
     assert err.value.offset == 17 + 4 * ((2 * 5 + 3) * 2 + 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -3.5e38])
+def test_write_raster_refuses_values_not_finite_in_f32(tmp_path, bad):
+    p = tmp_path / "n.psr"
+    arr = np.zeros((4, 5, 2))
+    arr[2, 3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"raster '{p}' has a value that is not finite in f32")):
+            write_raster(p, arr)
+    assert not p.exists()
 
 
 def test_raster_unknown_dtype_tag(tmp_path):
@@ -442,6 +456,34 @@ def test_generated_dataset_bytes_are_pinned(tmp_path):
             h.update(p.relative_to(root).as_posix().encode())
             h.update(p.read_bytes())
     assert h.hexdigest() == "d6983f8421f5a7314e39a0aa810a8a48a93f86970057e1cee34253d5cdd09419"
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        ({"min_blobs": 3, "max_blobs": 1}, ContractError, "min_blobs <= max_blobs, got 3 and 1"),
+        ({"min_blobs": -1}, ContractError, "min_blobs <= max_blobs, got -1 and 3"),
+        ({"image_size": -4}, ContractError, "image_size must be >= 1"),
+        ({"image_size": 0}, ContractError, "image_size must be >= 1"),
+        ({"z_gap_range": (5.0, -1.0)}, DomainError, "z_gap_range"),
+        ({"z_gap_range": (-1.0, 2.0)}, DomainError, "z_gap_range"),
+        ({"z_gap_range": (float("nan"), 2.0)}, DomainError, "z_gap_range"),
+        ({"z_gap_range": (0.0, float("nan"))}, DomainError, "z_gap_range"),
+        ({"z_gap_range": (0.0, float("inf"))}, DomainError, "z_gap_range"),
+        ({"z_gap_range": (2.0,)}, DomainError, "z_gap_range"),
+    ],
+)
+def test_synth_config_refuses_what_the_generator_cannot_draw(kwargs, error, match):
+    with pytest.raises(error, match=match):
+        SynthConfig(**kwargs)
+
+
+def test_synth_config_edge_settings_generate():
+    cfg = SynthConfig(num_sequences=1, slices_per_sequence=2, image_size=1, min_blobs=0, max_blobs=0,
+                      z_gap_range=(0.0, 0.0))
+    _, slices = generate_sequence(cfg, 0)
+    assert [sl.z_position_um for sl in slices] == [0.0, 0.0]
+    assert all(sl.image.shape == (1, 1) and not sl.mask.any() for sl in slices)
 
 
 def test_generation_counts(tmp_path):

@@ -397,6 +397,67 @@ def test_grad_check_probes_run_on_constants_and_restore_the_flags(monkeypatch):
     assert all(t.requires_grad for t in made[-1].trainable().values())
 
 
+def test_grad_check_builds_one_tape(monkeypatch):
+    taped = []
+
+    def counting(seq, params):
+        preds = forward_sequence(seq, params)
+        taped.append(any(p.probabilities._parents for p in preds))
+        return preds
+
+    monkeypatch.setattr(gradcheck, "forward_sequence", counting)
+    assert grad_check(seed=0, max_checks_per_tensor=1)["pass"]
+    assert taped.count(True) == 1 and len(taped) > 2
+
+
+@pytest.mark.parametrize(
+    "seed, max_checks, groups",
+    [
+        (1, 1, {
+            "decoder": ("0x1.15051061538d7p-24", 4),
+            "encoder": ("0x1.8472d16f7f5d7p-26", 23),
+            "lambda": ("0x1.2ef6dc67b8000p-23", 1),
+            "lora_A": ("0x1.ace8227900000p-32", 4),
+            "lora_B": ("0x1.5d19d51fc0000p-31", 4),
+        }),
+        (0, 24, {
+            "decoder": ("0x1.f799dd1200000p-26", 4),
+            "encoder": ("0x1.9bec14443423dp-24", 23),
+            "lambda": ("0x1.1653270887be3p-23", 1),
+            "lora_A": ("0x1.43537cfa00000p-30", 4),
+            "lora_B": ("0x1.6b04210000000p-30", 4),
+        }),
+    ],
+)
+def test_grad_check_report_is_pinned(seed, max_checks, groups):
+    report = grad_check(seed=seed, max_checks_per_tensor=max_checks)
+    assert report["pass"] and report["seed"] == seed and report["tolerance"] == 1e-3
+    got = {g: (e["max_rel_err"].hex(), e["tensors"]) for g, e in report["groups"].items()}
+    assert got == groups
+
+
+def test_numeric_grad_restores_the_entry_when_the_loss_raises():
+    param = Tensor(np.array([0.5, -1.25]), requires_grad=True)
+    calls = []
+
+    def loss_fn():
+        calls.append(param.data.copy())
+        if len(calls) == 2:  # the down-probe
+            raise DomainError("loss failed")
+        return Tensor(float(param.data.sum()))
+
+    with pytest.raises(DomainError, match="loss failed"):
+        gradcheck.numeric_grad(loss_fn, param, [(1,)])
+    assert calls[1][1] == -1.25 - gradcheck.FD_STEP
+    assert param.data.tolist() == [0.5, -1.25]
+
+
+def test_max_rel_error_without_a_gradient_is_contract_error():
+    param = Tensor(np.array([1.0]), requires_grad=True)
+    with pytest.raises(ContractError, match="no gradient"):
+        gradcheck.max_rel_error(lambda: Tensor(0.0), param)
+
+
 def test_grad_check_deterministic_per_seed():
     r1 = grad_check(seed=4, max_checks_per_tensor=3)
     r2 = grad_check(seed=4, max_checks_per_tensor=3)
