@@ -14,16 +14,21 @@ from sliceseg.tensor import Tensor, cosines
 
 # --- distance-aware attention -------------------------------------------
 # Weights come from similarity * exp(-lambda * d^2), softmax-normalized,
-# computed as one tape node.
+# computed as one tape node. The context carries each slot's cosine with
+# the query, as memory scoring gives it, and its gap in um (None when a
+# slice has no z: the gap is then estimated as 10 * (1 - cosine)).
 lam = Tensor(0.1)
 print("modulation at d=0, 5, 20 um:", np.round(distance_modulation([0.0, 5.0, 20.0], 0.1), 4))
 
 query = Tensor([1.0, 0.0])
 near_similar = Tensor([0.95, math.sqrt(1 - 0.95**2)])
 far_similar = Tensor([0.95, math.sqrt(1 - 0.95**2)])
-ctx = AttentionContext(query, [near_similar, far_similar], distances=[2.0, 30.0])
-alpha = cross_slice_weights(ctx, lam).data
+slots = [near_similar, far_similar]
+sims = cosines(query.data, np.array([e.data for e in slots]))
+alpha = cross_slice_weights(AttentionContext(query, slots, [2.0, 30.0], sims), lam).data
 print("equal similarity, distances 2 vs 30 um -> weights", np.round(alpha, 4))
+alpha = cross_slice_weights(AttentionContext(query, slots, [2.0, None], sims), lam).data
+print("the far slot's z unknown, its gap estimated -> weights", np.round(alpha, 4))
 
 # --- memory selection -----------------------------------------------------
 # The memory bank holds the earlier slices' pooled embeddings and the

@@ -6,9 +6,10 @@ exp(-lambda * d_j^2). The modulation discounts physically distant
 slices; lambda is a learned non-negative scalar, initialized to 0.1.
 ``cross_slice_weights`` computes the whole chain as one tape node with a
 hand-written backward; ``distance_modulation`` is its numpy factor. The
-cosines are the context's when it has them: the sequence pipeline passes
-the slots' entries of the cosine block it scored the memory bank with, so
-the forward scores nothing again, and only the backward stacks the slots.
+context carries each slot's cosine as memory scoring gave it (the
+sequence pipeline passes the slots' entries of the cosine block it scored
+the bank with), so the forward scores nothing again, and only the
+backward stacks the slots.
 ``fuse_memory`` blends the patch grids by those weights and
 layer-normalizes the blend, also as one node.
 
@@ -16,17 +17,18 @@ The caller decides which slots enter the context. The sequence pipeline
 always includes the current slice itself as slot 0 (similarity 1,
 distance 0), so a slice with no memory degenerates to self-attention.
 
-Distances come from the slices' z metadata when both positions are
-known. Otherwise the sequence pipeline derives one from the cosine it
-already scored the memory bank with: DISTANCE_SCALE_UM * (1 - cos), so
-identical features sit at 0, orthogonal ones at the scale and opposite
-ones at twice the scale (a degenerate pair, cosine 0, at the scale).
+A slot's distance is its z gap when both slices have a z position; the
+context holds None otherwise, and ``cross_slice_weights`` estimates the
+gap from the slot's cosine: DISTANCE_SCALE_UM * (1 - cos), so identical
+features sit at 0, orthogonal ones at the scale and opposite ones at
+twice the scale (a degenerate pair, cosine 0, at the scale). An
+estimated gap moves with the cosine, and its gradient flows with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +49,19 @@ MAX_SQUARABLE = 1.3407807929942596e154
 
 @dataclass
 class AttentionContext:
-    """Query embedding plus the memory slots it attends over: a plain
-    record, which ``cross_slice_weights`` checks.
+    """Query embedding plus what the caller knows of each memory slot it
+    attends over: a plain record, which ``cross_slice_weights`` checks.
 
     distances[j] is the physical gap (micrometers, finite, >= 0) between
-    the query slice and memory slot j; lists must be the same length.
-    cosines[j], if given, is ``tensor.cosines``' value for the query and
-    slot j, one per slot; if not, ``cross_slice_weights`` scores them.
+    the query slice and memory slot j, or None when it is not known;
+    cosines[j] is ``tensor.cosines``' value for the query and slot j. All
+    three are one per slot.
     """
 
     query: Tensor
-    memory_embeddings: list[Tensor] = field(default_factory=list)
-    distances: list[float] = field(default_factory=list)
-    cosines: np.ndarray | None = None
+    memory_embeddings: list[Tensor]
+    distances: list[float | None]
+    cosines: np.ndarray
 
 
 def distance_modulation(d, lam: float) -> np.ndarray:
@@ -87,17 +89,18 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
     The logit is the plain product of the two factors, unscaled. Output
     weights are positive and sum to 1 (within 1e-12); gradient flows to
     the query, the embeddings and lambda, not through which slots were
-    chosen. An embedding or query at or below the cosine norm floor has
-    cosine 0 and gets no gradient. Given the context's cosines, the forward
-    computes none; the backward stacks the slots, as it needs them anyway.
-    An empty context, unequal lists or cosines not one per slot are a
-    ContractError."""
+    chosen. A gap of None is DISTANCE_SCALE_UM * (1 - cosine), and the
+    gradient also flows through it. An embedding or query at or below the
+    cosine norm floor has cosine 0 and gets no gradient. The forward takes
+    the context's cosines; the backward stacks the slots, as it needs them
+    anyway. An empty context, unequal lists or cosines not one per slot
+    are a ContractError."""
     n = len(ctx.distances)
     if not ctx.memory_embeddings:
         raise ContractError("cross_slice_weights on an empty context")
     if len(ctx.memory_embeddings) != n:
         raise ContractError(f"context has {len(ctx.memory_embeddings)} embeddings but {n} distances")
-    if ctx.cosines is not None and np.shape(ctx.cosines) != (n,):
+    if np.shape(ctx.cosines) != (n,):
         raise ContractError(f"context has {n} slots but cosines of shape {np.shape(ctx.cosines)}")
     query, embeddings = T.as_tensor(ctx.query), [T.as_tensor(e) for e in ctx.memory_embeddings]
     if query.data.ndim != 1 or any(e.shape != query.shape for e in embeddings):
@@ -105,14 +108,14 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
             f"cross_slice_weights expects 1-D embeddings matching the query {query.shape}, "
             f"got {[e.shape for e in embeddings]}"
         )
-    q, d = query.data, np.asarray(ctx.distances, dtype=np.float64)
-    if ctx.cosines is None:
-        sims = T.cosines(q, np.array([e.data for e in embeddings]))
-    else:
-        sims = np.asarray(ctx.cosines, dtype=np.float64)
-    modulation = distance_modulation(d, lam.data)  # finite, in [0, 1]
-    if not np.isfinite(sims).all():  # so the logits are finite when the cosines are
+    q, sims = query.data, np.asarray(ctx.cosines, dtype=np.float64)
+    if not np.isfinite(sims).all():  # so the logits and the estimated gaps are finite
         raise DomainError("cross-slice logits must be finite")
+    d = np.asarray(ctx.distances, dtype=np.float64)  # a None reads as NaN here ...
+    estimated = np.equal(ctx.distances, None) if None in ctx.distances else None
+    if estimated is not None:  # ... and is replaced, so only a NaN gap stays NaN
+        d[estimated] = DISTANCE_SCALE_UM * (1.0 - sims[estimated])
+    modulation = distance_modulation(d, lam.data)  # finite, in [0, 1]
     logits = sims * modulation
     alpha = logits - logits.max()  # the stable softmax, in this one buffer
     np.exp(alpha, out=alpha)
@@ -122,6 +125,8 @@ def cross_slice_weights(ctx: AttentionContext, lam: Tensor) -> Tensor:
         # the products of the chain softmax(cosines * exp(lam * -d^2)), in its order
         g_logits = alpha * (g - (g * alpha).sum())
         g_sims = g_logits * modulation
+        if estimated is not None:  # d = S (1 - c) moves with c: d(logit)/dc = m (1 + 2 lam S c d)
+            g_sims[estimated] *= 1.0 + 2.0 * lam.data * DISTANCE_SCALE_UM * (sims * d)[estimated]
         g_lam = (g_logits * sims * modulation * -(d * d)).sum()
         E = np.array([e.data for e in embeddings])
         nq, ne, live, denom = T._norms(q, E)

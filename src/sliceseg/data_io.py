@@ -63,18 +63,21 @@ def _finite_f32(array, what: str) -> np.ndarray:
 
 
 def write_raster(path: str | Path, array: np.ndarray) -> None:
-    """Write a 2-D or channel-last 3-D array as an f32 or u8 raster. A value not finite
-    in f32, which read_raster refuses, is a DomainError naming the path, before any write."""
+    """Write a 2-D or channel-last 3-D array as an f32 or u8 raster. What read_raster
+    refuses is refused before the file is opened, naming the path: an extent above
+    MAX_EXTENT is a ContractError, a value not finite in f32 a DomainError."""
     arr = np.asarray(array)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ContractError(f"raster payload must be 2-D or 3-D, got shape {arr.shape}")
+    h, w, c = arr.shape
+    if max(w, h, c) > MAX_EXTENT:
+        raise ContractError(f"raster {str(path)!r}: dimensions {w}x{h}x{c} exceed {MAX_EXTENT}")
     if arr.dtype == np.uint8:
         tag, out = DTYPE_U8, arr
     else:
         tag, out = DTYPE_F32, _finite_f32(arr, f"raster {str(path)!r}")
-    h, w, c = arr.shape
     with open(path, "wb") as f:
         f.write(RASTER_MAGIC)
         f.write(struct.pack("<IIIB", w, h, c, tag))
@@ -429,13 +432,19 @@ def _read_mask(path: str) -> np.ndarray:
     return mask.astype(np.uint8)
 
 
+_RECORD_KEYS = frozenset(("image", "mask", "z_position_um", "corrupted"))
+
+
 def _record_problem(rec) -> str | None:
     """What is wrong with one record of sequence.json's slices, if anything."""
     if not isinstance(rec, dict) or not isinstance(rec.get("image"), str):
         return "image must be a file name"
+    unknown = rec.keys() - _RECORD_KEYS
+    if unknown:
+        return f"{min(unknown)} is not a slice field (those are {', '.join(sorted(_RECORD_KEYS))})"
     mask, z = rec.get("mask"), rec.get("z_position_um")
-    if mask and not isinstance(mask, str):
-        return "mask must be a file name or null"
+    if mask is not None and not (mask and isinstance(mask, str)):
+        return f"mask must be a file name or null, got {mask!r}"
     if z is not None and not _is_a(z, float):
         return f"z_position_um must be a finite number or null, got {z!r}"
     corrupted = rec.get("corrupted", False)

@@ -101,6 +101,14 @@ def grad_check(seed: int = 0, max_checks_per_tensor: int = 24) -> dict:
     Reports the max relative error per parameter group; the run passes
     when every group stays within TOLERANCE.
     """
+    groups = group_errors(_micro_sequence(seed, MICRO_CONFIG), seed, max_checks_per_tensor)
+    passed = all(g["max_rel_err"] <= TOLERANCE for g in groups.values())
+    return {"seed": seed, "pass": passed, "groups": groups, "tolerance": TOLERANCE}
+
+
+def group_errors(seq: SliceSequence, seed: int, max_checks_per_tensor: int) -> dict[str, dict]:
+    """{group: max relative error and tensor count} of the micro model, seeded
+    by `seed`, on `seq`: `grad_check`'s comparison for any micro sequence."""
     config = MICRO_CONFIG
     params = init_params(config, seed=seed)
     # Nudge the adapters off their zero init so their gradients are alive.
@@ -108,7 +116,6 @@ def grad_check(seed: int = 0, max_checks_per_tensor: int = 24) -> dict:
     for name, t in params.tensors.items():
         if name.startswith("lora.") and name.endswith(".B"):
             t.data = nudge.normal(0.0, 0.02, size=t.data.shape)
-    seq = _micro_sequence(seed, config)
     targets, weights = _sequence_targets(seq), LossWeights()
 
     def loss_of(preds, pairs=None) -> Tensor:
@@ -138,5 +145,4 @@ def grad_check(seed: int = 0, max_checks_per_tensor: int = 24) -> dict:
         entry = groups.setdefault(params.group_of(name), {"max_rel_err": 0.0, "tensors": 0})
         entry["max_rel_err"] = max(entry["max_rel_err"], err)
         entry["tensors"] += 1
-    passed = all(g["max_rel_err"] <= TOLERANCE for g in groups.values())
-    return {"seed": seed, "pass": passed, "groups": groups, "tolerance": TOLERANCE}
+    return groups

@@ -25,9 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    DISTANCE_SCALE_UM, LAMBDA_INIT, AttentionContext, cross_slice_weights, fuse_memory,
-)
+from .attention import LAMBDA_INIT, AttentionContext, cross_slice_weights, fuse_memory
 from .data_io import SliceSequence, dataclass_from_dict
 from .errors import ConfigError, ContractError, DomainError, FormatError, ShapeError
 from .lora import lora_forward
@@ -299,16 +297,14 @@ def _blame(params: ModelParams, exc: DomainError) -> DomainError:
 def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePrediction]:
     """Process one subject's slices in order through the memory pipeline.
 
-    A memory slot's distance is the z gap when both slices have a z
-    position, and is estimated from the embeddings otherwise.
-
     All slices are encoded and pooled first; only the memory path after that is
     causal. The memory bank is two arrays, every slice's pooled embedding and the
     earlier slices' confidences, so a chosen position is a slice index and no state
     leaks across sequences. The stack is scored once, one cosine block per encoder
     chunk (its rows against every slice up to its end); slice t's row, up to column
-    t, ranks the bank and gives the estimated distances, and its entries at t and the
-    chosen slices are the cross-slice weights' cosines.
+    t, ranks the bank, and its entries at t and the chosen slices are the cross-slice
+    weights' cosines. A slot's distance is the z gap when both slices have a z
+    position, and None otherwise: the cross-slice weights estimate it from the cosine.
     The config's k_memory=0 bypasses the memory path entirely (the
     independent per-slice baseline). Images are checked before any encoding: a
     wrong shape is a ShapeError, and a pixel beyond the float32 range (NaN and
@@ -335,13 +331,9 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
         if k >= 1 and t:
             sims = block[t % ENCODE_CHUNK]
             chosen = select_memory(sims[:t] * confidences[:t], k)
-            distances = [0.0]
-            for j in chosen:
-                z = seq.slices[j].z_position_um
-                if sl.z_position_um is not None and z is not None:
-                    distances.append(abs(sl.z_position_um - z))
-                else:  # estimated from the cosine scored above
-                    distances.append(DISTANCE_SCALE_UM * (1.0 - sims[j]))
+            z = sl.z_position_um
+            others = [seq.slices[j].z_position_um for j in chosen]
+            distances = [0.0] + [None if z is None or o is None else abs(z - o) for o in others]
             embeddings = [pooled[t]] + [pooled[j] for j in chosen]
             ctx = AttentionContext(pooled[t], embeddings, distances, sims[[t, *chosen]])
             fused = fuse_memory(grids[t], [grids[j] for j in chosen], cross_slice_weights(ctx, lam))
@@ -362,7 +354,7 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
 
 
 def save_params(path, params: ModelParams) -> None:
-    from .data_io import save_checkpoint
+    from .data_io import save_checkpoint  # per call: the bench tracer wraps it on data_io
 
     arrays = {name: t.data for name, t in sorted(params.tensors.items())}
     save_checkpoint(path, arrays, config=asdict(params.config), frozen=sorted(params.frozen))
@@ -375,7 +367,7 @@ def load_params(path) -> ModelParams:
     Every tensor loads as a constant (no ``requires_grad``), so a forward
     pass on the result records no tape. Training starts from
     `init_params`; `train_step` refuses these params."""
-    from .data_io import load_checkpoint
+    from .data_io import load_checkpoint  # per call: the bench tracer wraps it on data_io
 
     arrays, config, frozen = load_checkpoint(path)
     cfg = dataclass_from_dict(ModelConfig, config)

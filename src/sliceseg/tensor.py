@@ -86,7 +86,10 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor, of any shape; any other size is a ContractError."""
+        if self.data.size != 1:
+            raise ContractError(f"item of a tensor of shape {self.shape}")
+        return self.data.item()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -129,18 +132,12 @@ class Tensor:
                 continue
             if node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
-            if node._backward is not None:
-                node._backward_route(g, flowing)
-
-    def _backward_route(self, g: np.ndarray, flowing: dict[int, np.ndarray]) -> None:
-        for parent, pg in self._backward(g):
-            if pg is None:
+            if node._backward is None:
                 continue
-            key = id(parent)
-            if key in flowing:
-                flowing[key] = flowing[key] + pg
-            else:
-                flowing[key] = pg
+            for parent, pg in node._backward(g):
+                if pg is not None:
+                    key = id(parent)
+                    flowing[key] = flowing[key] + pg if key in flowing else pg
 
 
 def as_tensor(x) -> Tensor:

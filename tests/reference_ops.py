@@ -8,7 +8,9 @@ until the memory fusion and the decoder became one node each (``fuse``
 and ``decode``). Tests use them to build scalar losses and as the op
 chains those nodes are checked against, arithmetic for arithmetic.
 estimate_distance was ``sliceseg.attention``'s similarity-derived
-distance, which ``forward_sequence`` computes from its scored cosines.
+distance, which ``cross_slice_weights`` computes from its context's cosines.
+scored_context builds that context the way ``forward_sequence`` does, the
+cosines scored by ``tensor.cosines``.
 matmul was an op until a LoRA merge became one node (``lora``).
 """
 
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from sliceseg import tensor as T
-from sliceseg.attention import DISTANCE_SCALE_UM
+from sliceseg.attention import DISTANCE_SCALE_UM, AttentionContext
 from sliceseg.errors import ContractError, DomainError, ShapeError
 from sliceseg.tensor import Tensor
 
@@ -156,6 +158,13 @@ def estimate_distance(f_i: np.ndarray, f_j: np.ndarray) -> float:
     """Similarity-derived distance: DISTANCE_SCALE_UM * (1 - cos(F_i, F_j)).
     A degenerate pair has cosine 0, so it lands at DISTANCE_SCALE_UM itself."""
     return DISTANCE_SCALE_UM * (1.0 - float(T.cosines(np.ravel(f_i), np.ravel(f_j)[None])[0]))
+
+
+def scored_context(query, embeddings, distances) -> AttentionContext:
+    """The context of the slots `embeddings` at `distances`, each with its
+    cosine against `query` as memory scoring gives it."""
+    slots = np.array([T.as_tensor(e).data for e in embeddings])
+    return AttentionContext(query, embeddings, distances, T.cosines(T.as_tensor(query).data, slots))
 
 
 def fuse_chain(patch_feats, memory_patch_feats, alpha) -> Tensor:

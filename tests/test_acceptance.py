@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sliceseg.attention import AttentionContext, cross_slice_weights
+from sliceseg.attention import cross_slice_weights
 from sliceseg.cli import main
 from sliceseg.data_io import (
     SliceData,
@@ -39,6 +39,8 @@ from sliceseg.memory import select_memory
 from sliceseg.model import MICRO_CONFIG, ModelConfig, forward_sequence, init_params
 from sliceseg.tensor import Tensor, cosines
 from sliceseg.training import AdamState, TrainConfig, evaluate, train_step
+
+from reference_ops import scored_context
 
 
 @pytest.fixture
@@ -91,18 +93,16 @@ def test_criterion_attention_invariants(verdict):
         embeddings = [Tensor(rng.uniform(0.05, 1.0, 8)) for _ in range(n)]
         distances = list(rng.uniform(0.0, 40.0, n))
         lam = Tensor(rng.uniform(0.01, 0.4))
-        w = cross_slice_weights(AttentionContext(query, embeddings, distances), lam).data
+        w = cross_slice_weights(scored_context(query, embeddings, distances), lam).data
         sums_ok &= abs(w.sum() - 1.0) <= 1e-12
 
         j = int(rng.integers(0, n))
         farther = list(distances)
         farther[j] += float(rng.uniform(1.0, 20.0))
-        w2 = cross_slice_weights(AttentionContext(query, embeddings, farther), lam).data
+        w2 = cross_slice_weights(scored_context(query, embeddings, farther), lam).data
         monotone_ok &= w2[j] <= w[j] + 1e-15
 
-        w0 = cross_slice_weights(
-            AttentionContext(query, embeddings, distances), Tensor(0.0)
-        ).data
+        w0 = cross_slice_weights(scored_context(query, embeddings, distances), Tensor(0.0)).data
         sims = np.array([_plain_cosine(query.data, e.data) for e in embeddings])
         exps = np.exp(sims - sims.max())
         plain = exps / exps.sum()

@@ -8,6 +8,7 @@ import pytest
 
 from sliceseg import tensor as T
 from sliceseg.attention import (
+    DISTANCE_SCALE_UM,
     LAMBDA_INIT,
     MAX_SQUARABLE,
     AttentionContext,
@@ -20,7 +21,7 @@ from sliceseg.gradcheck import max_rel_error
 from sliceseg.model import MICRO_CONFIG, init_params
 from sliceseg.tensor import Tensor
 
-from reference_ops import cosine_sims, exp, mul, softmax
+from reference_ops import cosine_sims, exp, mul, scored_context, softmax
 
 
 def embedding_with_sim(sim: float) -> Tensor:
@@ -68,9 +69,9 @@ def test_distance_whose_square_overflows_is_a_domain_error_naming_it():
         with pytest.raises(DomainError, match=r"distance .*finite square.*1\.?e\+200"):
             distance_modulation([0.0, 1e200], LAMBDA_INIT)
         with pytest.raises(DomainError, match="finite square"):
-            cross_slice_weights(AttentionContext(QUERY, [QUERY], [1.4e154]), lam)
+            cross_slice_weights(scored_context(QUERY, [QUERY], [1.4e154]), lam)
     # the largest distances whose square is finite still modulate to 0 with a finite gradient
-    ctx = AttentionContext(QUERY, [QUERY, embedding_with_sim(0.5)], [0.0, 1.3e154])
+    ctx = scored_context(QUERY, [QUERY, embedding_with_sim(0.5)], [0.0, 1.3e154])
     T.mean(mul(cross_slice_weights(ctx, lam), [2.0, -1.0])).backward()
     assert np.isfinite(lam.grad)
 
@@ -103,7 +104,7 @@ def test_a_lambda_that_is_not_finite_or_overflows_with_the_distances_is_a_domain
             with pytest.raises(DomainError, match=r"^lambda \* d\^2 must be finite, got lambda "):
                 distance_modulation(d, bad)
         with pytest.raises(DomainError, match="lambda"):
-            cross_slice_weights(AttentionContext(QUERY, [QUERY, QUERY], [0.0, 5.0]), lam)
+            cross_slice_weights(scored_context(QUERY, [QUERY, QUERY], [0.0, 5.0]), lam)
         # finite lambda times d^2 keeps its bits, at the top of the range too
         for ok, d in ((1e308, [0.0, 1.0]), (0.1, [0.0, 3.0, MAX_SQUARABLE]), (1e300, [1e4])):
             d = np.asarray(d)
@@ -116,21 +117,13 @@ def test_modulation_monotone_in_distance():
 
 
 def test_weights_symmetry():
-    ctx = AttentionContext(
-        query=QUERY,
-        memory_embeddings=[embedding_with_sim(0.6), embedding_with_sim(0.6)],
-        distances=[5.0, 5.0],
-    )
+    ctx = scored_context(QUERY, [embedding_with_sim(0.6), embedding_with_sim(0.6)], [5.0, 5.0])
     out = cross_slice_weights(ctx, Tensor(0.1)).data
     assert np.allclose(out, [0.5, 0.5], atol=1e-12)
 
 
 def test_weights_lambda_zero_reduces_to_softmax_of_sims():
-    ctx = AttentionContext(
-        query=QUERY,
-        memory_embeddings=[embedding_with_sim(0.2), embedding_with_sim(0.9)],
-        distances=[3.0, 17.0],
-    )
+    ctx = scored_context(QUERY, [embedding_with_sim(0.2), embedding_with_sim(0.9)], [3.0, 17.0])
     out = cross_slice_weights(ctx, Tensor(0.0)).data
     expected = softmax(Tensor([0.2, 0.9])).data
     assert np.abs(out - expected).max() <= 1e-12
@@ -139,11 +132,7 @@ def test_weights_lambda_zero_reduces_to_softmax_of_sims():
 
 def test_weights_derived_distance_case():
     # sims [1, 1], distances [0, 10], lambda 0.1 -> softmax([1, exp(-10)])
-    ctx = AttentionContext(
-        query=QUERY,
-        memory_embeddings=[QUERY, Tensor([1.0, 0.0])],
-        distances=[0.0, 10.0],
-    )
+    ctx = scored_context(QUERY, [QUERY, Tensor([1.0, 0.0])], [0.0, 10.0])
     out = cross_slice_weights(ctx, Tensor(0.1)).data
     expected = softmax(Tensor([1.0, math.exp(-10.0)])).data
     assert np.abs(out - expected).max() <= 1e-12
@@ -152,15 +141,15 @@ def test_weights_derived_distance_case():
 
 def test_weights_empty_context_is_contract_error():
     with pytest.raises(ContractError):
-        cross_slice_weights(AttentionContext(query=QUERY), Tensor(0.1))
+        cross_slice_weights(AttentionContext(QUERY, [], [], np.array([])), Tensor(0.1))
 
 
 def test_context_validates_lengths_and_distances():
     with pytest.raises(ContractError, match="^context has 1 embeddings but 0 distances$"):
-        cross_slice_weights(AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[]), Tensor(0.1))
+        cross_slice_weights(AttentionContext(QUERY, [QUERY], [], np.array([1.0])), Tensor(0.1))
     # distances are checked once, by the modulation the weights apply
     for bad in (-2.0, math.nan, math.inf):
-        ctx = AttentionContext(query=QUERY, memory_embeddings=[QUERY], distances=[bad])
+        ctx = scored_context(QUERY, [QUERY], [bad])
         with pytest.raises(DomainError):
             cross_slice_weights(ctx, Tensor(0.1))
 
@@ -169,10 +158,10 @@ def test_context_validates_lengths_and_distances():
 def test_weights_sum_to_one_random_contexts(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
-    ctx = AttentionContext(
-        query=Tensor(rng.standard_normal(8)),
-        memory_embeddings=[Tensor(rng.standard_normal(8)) for _ in range(n)],
-        distances=list(rng.uniform(0, 40, n)),
+    ctx = scored_context(
+        Tensor(rng.standard_normal(8)),
+        [Tensor(rng.standard_normal(8)) for _ in range(n)],
+        list(rng.uniform(0, 40, n)),
     )
     out = cross_slice_weights(ctx, Tensor(rng.uniform(0, 0.5))).data
     assert abs(out.sum() - 1.0) <= 1e-12
@@ -191,24 +180,18 @@ def test_weight_never_increases_with_distance(seed):
     lam = Tensor(rng.uniform(0.01, 0.3))
     query = Tensor(rng.uniform(0.1, 1.0, 8))
     j = int(rng.integers(0, n))
-    before = cross_slice_weights(
-        AttentionContext(query, embeddings, distances), lam
-    ).data[j]
+    before = cross_slice_weights(scored_context(query, embeddings, distances), lam).data[j]
     for bump in (1.0, 5.0, 20.0):
         farther = list(distances)
         farther[j] = distances[j] + bump
-        after = cross_slice_weights(
-            AttentionContext(query, embeddings, farther), lam
-        ).data[j]
+        after = cross_slice_weights(scored_context(query, embeddings, farther), lam).data[j]
         assert after <= before + 1e-15
 
 
 def test_lambda_gradient_matches_finite_differences():
     lam = Tensor(LAMBDA_INIT, requires_grad=True)
-    ctx = AttentionContext(
-        query=Tensor([0.3, 1.2, -0.5]),
-        memory_embeddings=[Tensor([1.0, 0.4, 0.2]), Tensor([-0.2, 0.9, 0.1])],
-        distances=[4.0, 11.0],
+    ctx = scored_context(
+        Tensor([0.3, 1.2, -0.5]), [Tensor([1.0, 0.4, 0.2]), Tensor([-0.2, 0.9, 0.1])], [4.0, 11.0]
     )
 
     def loss():
@@ -235,7 +218,7 @@ def _weights_and_grads(weights, query, embeddings, distances, lam, c, self_slot)
     es = [Tensor(e, requires_grad=True) for e in embeddings]
     lam = Tensor(lam, requires_grad=True)
     slots = [q, *es] if self_slot else es
-    out = weights(AttentionContext(q, slots, distances), lam)
+    out = weights(scored_context(q, slots, distances), lam)
     T.mean(mul(out, c)).backward()
     return [out.data] + [t.grad for t in (q, *es, lam)]
 
@@ -275,24 +258,25 @@ def test_cross_slice_node_is_the_old_chain_bitwise(seed, case):
 
 def test_cross_slice_weights_is_one_node_and_checks_shapes():
     lam = Tensor(0.1, requires_grad=True)
-    out = cross_slice_weights(AttentionContext(QUERY, [QUERY, embedding_with_sim(0.3)], [0.0, 4.0]), lam)
+    out = cross_slice_weights(scored_context(QUERY, [QUERY, embedding_with_sim(0.3)], [0.0, 4.0]), lam)
     assert out._op == "cross_slice" and out._parents[-1] is lam
     with pytest.raises(ShapeError, match=r"\(2,\)"):
-        cross_slice_weights(AttentionContext(QUERY, [Tensor([1.0, 0.0, 0.0])], [1.0]), lam)
+        cross_slice_weights(AttentionContext(QUERY, [Tensor([1.0, 0.0, 0.0])], [1.0], np.array([0.0])), lam)
     with pytest.raises(DomainError, match="lambda"):
-        cross_slice_weights(AttentionContext(QUERY, [QUERY], [1.0]), Tensor(-0.1))
+        cross_slice_weights(scored_context(QUERY, [QUERY], [1.0]), Tensor(-0.1))
     with pytest.raises(DomainError, match="finite"):  # NaN passes the lambda >= 0 check
-        cross_slice_weights(AttentionContext(QUERY, [QUERY], [1.0]), Tensor(np.nan))
+        cross_slice_weights(scored_context(QUERY, [QUERY], [1.0]), Tensor(np.nan))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_cross_slice_weights_reject_an_embedding_or_query_whose_norm_is_not_finite(bad):
-    # a NaN embedding used to count as degenerate: cosine 0, finite weights, no gradient
+    # a NaN embedding used to count as degenerate: cosine 0, finite weights, no gradient;
+    # the context's cosines are scored as memory scoring scores the bank, which refuses it
     lam = Tensor(0.1, requires_grad=True)
     with pytest.raises(DomainError, match="row 1 has a norm that is not finite"):
-        cross_slice_weights(AttentionContext(QUERY, [QUERY, Tensor([bad, 1.0])], [0.0, 1.0]), lam)
+        cross_slice_weights(scored_context(QUERY, [QUERY, Tensor([bad, 1.0])], [0.0, 1.0]), lam)
     with pytest.raises(DomainError, match="the query has a norm that is not finite"):
-        cross_slice_weights(AttentionContext(Tensor([bad, 1.0]), [QUERY], [1.0]), lam)
+        cross_slice_weights(scored_context(Tensor([bad, 1.0]), [QUERY], [1.0]), lam)
 
 
 def test_lambda_initialized_to_point_one():
@@ -348,44 +332,52 @@ def test_fuse_permutation_equivariance(seed):
     assert np.abs(out - out_perm).max() <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["random", "self_slot", "zero_embedding", "zero_query"])
-@pytest.mark.parametrize("seed", range(4))
-def test_given_cosines_give_the_scored_weights_and_gradients_bitwise(seed, case):
-    # the sequence pipeline passes the cosines it scored the bank with; the forward
-    # scores nothing, and the backward still reaches the query, every slot and lambda
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 6))
-    query = rng.standard_normal(8) * (0.0 if case == "zero_query" else 1.0)
-    embeddings = list(rng.standard_normal((n, 8)))
-    if case == "zero_embedding":
-        embeddings[int(rng.integers(0, n))][:] = 0.0
-    self_slot = case == "self_slot"
-    distances = list(rng.uniform(0.0, 40.0, n + self_slot))
-    lam, c = float(rng.uniform(0.01, 0.3)), rng.standard_normal(n + self_slot)
-    slots = np.array([query, *embeddings] if self_slot else embeddings)
-    given = T.cosines(query, slots)
-
-    def with_cosines(ctx, lam):
-        return cross_slice_weights(AttentionContext(ctx.query, ctx.memory_embeddings, ctx.distances, given), lam)
-
-    args = (query, embeddings, distances, lam, c, self_slot)
-    scored = _weights_and_grads(cross_slice_weights, *args)
-    passed = _weights_and_grads(with_cosines, *args)
-    for got, want in zip(passed, scored, strict=True):
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
 def test_context_cosines_must_match_the_slots_and_be_finite():
     two = [QUERY, embedding_with_sim(0.3)]
     for bad in ([1.0], [1.0, 0.3, 0.2], [[1.0, 0.3]], 1.0):
         with pytest.raises(ContractError, match="2 slots but cosines of shape"):
             cross_slice_weights(AttentionContext(QUERY, two, [0.0, 4.0], np.array(bad)), Tensor(0.1))
-    # an infinite cosine against a modulation of 0 would warn in the product: it never gets there
+    with pytest.raises(ContractError, match="2 slots but cosines of shape"):  # they are required
+        cross_slice_weights(AttentionContext(QUERY, two, [0.0, None], None), Tensor(0.1))
+    # an infinite cosine against a modulation of 0 would warn in the product: it never gets there,
+    # nor into the gap it would estimate
     for bad in (math.nan, math.inf, -math.inf):
-        ctx = AttentionContext(QUERY, two, [0.0, 1e3], np.array([1.0, bad]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="^cross-slice logits must be finite$"):
-                cross_slice_weights(ctx, Tensor(0.1))
+        for gap in (1e3, None):
+            ctx = AttentionContext(QUERY, two, [0.0, gap], np.array([1.0, bad]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="^cross-slice logits must be finite$"):
+                    cross_slice_weights(ctx, Tensor(0.1))
+
+
+def test_an_unknown_gap_is_estimated_from_the_slot_cosine():
+    slots = [QUERY, embedding_with_sim(0.6), Tensor([0.0, 0.0]), embedding_with_sim(-0.5)]
+    lam = Tensor(0.1)
+    estimated = cross_slice_weights(scored_context(QUERY, slots, [0.0, None, None, 7.0]), lam)
+    # 10 * (1 - cos): a degenerate slot, cosine 0, at the scale
+    gaps = [0.0, DISTANCE_SCALE_UM * (1.0 - 0.6), DISTANCE_SCALE_UM, 7.0]
+    given = cross_slice_weights(scored_context(QUERY, slots, gaps), lam)
+    assert estimated.data.tobytes() == given.data.tobytes()
+    # a NaN gap is not an unknown one
+    with pytest.raises(DomainError, match="distance must be >= 0"):
+        cross_slice_weights(scored_context(QUERY, slots, [0.0, None, math.nan, 7.0]), lam)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_estimated_gap_carries_the_gradient_of_its_cosine(seed):
+    # d = S (1 - cos) moves with the slot and the query; a known gap keeps its arithmetic
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    q = rng.standard_normal(8)
+    query = Tensor(q, requires_grad=True)  # slots near the query: gaps of a few um, modulation alive
+    slots = [query] + [Tensor(q + 0.5 * rng.standard_normal(8), requires_grad=True) for _ in range(n)]
+    gaps = [0.0] + [None if rng.random() < 0.6 else float(rng.uniform(0.0, 20.0)) for _ in range(n)]
+    gaps[1] = None
+    lam, c = Tensor(float(rng.uniform(0.01, 0.3)), requires_grad=True), rng.standard_normal(n + 1)
+
+    def loss():
+        return T.mean(mul(cross_slice_weights(scored_context(query, slots, gaps), lam), c))
+
+    loss().backward()
+    for t in (*slots, lam):
+        assert max_rel_error(loss, t) <= 1e-5

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sliceseg.data_io import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    MAX_EXTENT,
     SynthConfig,
     ellipse_mask,
     generate_dataset,
@@ -111,6 +112,22 @@ def test_write_raster_refuses_values_not_finite_in_f32(tmp_path, bad):
         with pytest.raises(DomainError, match=re.escape(f"raster '{p}' has a value that is not finite in f32")):
             write_raster(p, arr)
     assert not p.exists()
+
+
+@pytest.mark.parametrize(
+    "shape, dtype, whc",
+    [((1, MAX_EXTENT + 1), np.uint8, "1048577x1x1"), ((MAX_EXTENT + 1, 1), np.float32, "1x1048577x1"),
+     ((1, 1, MAX_EXTENT + 1), float, "1x1x1048577")],
+)
+def test_write_raster_refuses_an_extent_read_raster_refuses(tmp_path, shape, dtype, whc):
+    # a (1, 2^20 + 1) u8 array used to write 1,048,594 bytes that read back as a FormatError
+    arr = np.broadcast_to(np.zeros((), dtype), shape)  # no payload is allocated
+    for p in (tmp_path / "wide.psr", tmp_path / "no_such_dir" / "wide.psr"):  # checked before the open
+        with pytest.raises(ContractError, match=re.escape(f"raster '{p}': dimensions {whc} exceed 1048576")):
+            write_raster(p, arr)
+        assert not p.exists()
+    write_raster(tmp_path / "edge.psr", np.zeros((1, MAX_EXTENT), np.uint8))
+    assert read_raster(tmp_path / "edge.psr").shape == (1, MAX_EXTENT, 1)
 
 
 def test_raster_unknown_dtype_tag(tmp_path):
@@ -695,11 +712,16 @@ def _edit_sequence_json(seq_dir: Path, edit) -> None:
         (lambda m: m["slices"][0].update(corrupted="false"), r"slices\[0\]\.corrupted"),
         (lambda m: m["slices"][2].update(corrupted=0.5), r"slices\[2\]\.corrupted"),
         (lambda m: m["slices"][1].update(corrupted=None), r"slices\[1\]\.corrupted"),
+        (lambda m: m["slices"][1].update(z_postion_um=3.0), r"slices\[1\]\.z_postion_um is not a slice field"),
+        (lambda m: m["slices"][0].update(mask=False), r"slices\[0\]\.mask .*got False"),
+        (lambda m: m["slices"][2].update(mask=0), r"slices\[2\]\.mask .*got 0"),
+        (lambda m: m["slices"][1].update(mask=""), r"slices\[1\]\.mask .*got ''"),
     ],
     ids=[
         "no_slices", "slices_not_a_list", "no_sequence_id", "no_image", "int_image",
         "record_not_an_object", "list_mask", "string_z", "nan_z", "bool_z",
         "string_corrupted", "float_corrupted", "null_corrupted",
+        "misspelled_z_key", "false_mask", "zero_mask", "empty_mask",
     ],
 )
 def test_malformed_sequence_json_is_format_error_naming_file_and_field(tmp_path, edit, field):

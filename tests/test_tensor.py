@@ -18,16 +18,16 @@ from hypothesis import strategies as st
 
 from sliceseg import attention, lora, losses, model
 from sliceseg import tensor as T
-from sliceseg.attention import AttentionContext, cross_slice_weights, fuse_memory
+from sliceseg.attention import cross_slice_weights, fuse_memory
 from sliceseg.data_io import SynthConfig, generate_dataset, load_dataset
 from sliceseg.errors import ContractError, DomainError, ShapeError
-from sliceseg.gradcheck import max_rel_error
+from sliceseg.gradcheck import max_rel_error, numeric_grad
 from sliceseg.losses import BCE_CLIP, LossWeights, combined_loss, consistency_pairs
 from sliceseg.model import ModelConfig, decode_mask, forward_sequence, init_params
 from sliceseg.tensor import Tensor
 
 from reference_ops import (
-    cosine_sims, exp, matmul, mul, reshape, softmax, transpose, unpatchify, weighted_sum,
+    cosine_sims, exp, matmul, mul, reshape, scored_context, softmax, transpose, unpatchify, weighted_sum,
 )
 
 
@@ -330,8 +330,8 @@ _DECODER = init_params(
             lambda x, c: T.mean(
                 mul(
                     cross_slice_weights(
-                        AttentionContext(T.mean(x, axis=0), [T.take(x, 1), T.tanh(T.take(x, 2)), c.data[0]],
-                                         [0.0, 3.0, 5.0]),
+                        scored_context(T.mean(x, axis=0), [T.take(x, 1), T.tanh(T.take(x, 2)), c.data[0]],
+                                       [0.0, 3.0, 5.0]),
                         Tensor(0.05),
                     ),
                     [1.0, -2.0, 0.5],
@@ -866,7 +866,7 @@ def test_accumulating_kernels_leave_their_inputs_unmodified():
         decode_mask(f, _DECODER),
         T.multi_head_attention(q, k, v, 2),
         T.sigmoid(a),
-        cross_slice_weights(AttentionContext(b, [b, alpha, x.data[0, :3]], [0.0, 2.0, 4.0]), Tensor(0.1)),
+        cross_slice_weights(scored_context(b, [b, alpha, x.data[0, :3]], [0.0, 2.0, 4.0]), Tensor(0.1)),
     ]
     for node in nodes:
         g = rng.standard_normal(node.shape)
@@ -875,6 +875,17 @@ def test_accumulating_kernels_leave_their_inputs_unmodified():
         assert g.tobytes() == snapshot.tobytes(), node._op
     for t, data in zip(inputs, before):
         assert t.data.tobytes() == data.tobytes()
+
+
+def test_item_is_the_value_of_any_one_element_tensor():
+    # numpy 2 refuses float() of a (1,) array; backward accepts such a loss, so item does too
+    assert [Tensor(v).item() for v in (2.5, [2.5], [[[2.5]]])] == [2.5, 2.5, 2.5]
+    assert type(Tensor([2.5]).item()) is float
+    x = Tensor([1.5, -0.5])
+    assert numeric_grad(lambda: Tensor(3.0 * x.data[:1]), x, [(0,)]) == {(0,): pytest.approx(3.0)}
+    for bad in ([1.0, 2.0], np.zeros((0,)), np.ones((2, 1))):
+        with pytest.raises(ContractError, match=r"item of a tensor of shape"):
+            Tensor(bad).item()
 
 
 def test_take_is_a_row_and_rejects_an_index_out_of_range():

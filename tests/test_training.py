@@ -436,6 +436,22 @@ def test_grad_check_report_is_pinned(seed, max_checks, groups):
     assert got == groups
 
 
+@pytest.mark.parametrize(
+    "n_slices, missing", [(2, 1), (8, 1), (12, 3)], ids=["2_no_z", "8_no_z", "12_every_third"]
+)
+@pytest.mark.parametrize("seed", range(2))
+def test_estimated_gaps_pass_the_finite_difference_check(seed, n_slices, missing):
+    # a slot whose slice lacks z has its gap estimated from its cosine, so the gap
+    # moves with the embeddings; the tape carries that, as the forward computes it
+    seq = gradcheck._micro_sequence(seed, MICRO_CONFIG, n_slices)
+    for sl in seq.slices[::missing]:
+        sl.z_position_um = None
+    groups = gradcheck.group_errors(seq, seed, max_checks_per_tensor=4)
+    assert set(groups) == {"encoder", "decoder", "lambda", "lora_A", "lora_B"}
+    for group, entry in groups.items():
+        assert entry["max_rel_err"] <= 1e-3, group
+
+
 def test_numeric_grad_restores_the_entry_when_the_loss_raises():
     param = Tensor(np.array([0.5, -1.25]), requires_grad=True)
     calls = []
