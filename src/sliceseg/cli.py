@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import SynthConfig, dataclass_from_dict, generate_dataset, load_sequence, write_raster
+from .data_io import _JSON_ERRORS, SynthConfig, dataclass_from_dict, generate_dataset
+from .data_io import load_sequence, write_raster
 from .errors import ConfigError, SlicesegError
 from .gradcheck import grad_check
 from .model import forward_sequence, load_params
@@ -81,7 +82,7 @@ def _cmd_train(args) -> None:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_bytes())
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        except _JSON_ERRORS as exc:
             raise ConfigError(f"config {args.config}: not a JSON document: {exc}") from None
     # replace() re-runs the config's checks on the flag values
     flags = {"steps": args.steps, "seed": args.seed}

@@ -19,7 +19,8 @@ Every file is read through one raw descriptor (``os.open``, ``os.fstat``,
 ``os.read``, ``os.close``), with no buffered file object. A raster's payload
 is read (``os.readv``) straight into its own array, which numpy aligns, so
 no byte of it is copied after the read; its declared size is checked
-against the file's before that array is allocated.
+against the file's before that array is allocated. A pipe has no size to
+check, so its payload is read to the end first and copied into the array.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ DTYPE_F32 = 0
 DTYPE_U8 = 1
 MAX_EXTENT = 1 << 20
 _RASTER_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype(np.uint8)}
+# What json.loads raises on bytes that are not a JSON document: UnicodeDecodeError and
+# JSONDecodeError are ValueErrors, and nesting past the recursion limit is a RecursionError.
+_JSON_ERRORS = (ValueError, RecursionError)
 
 
 # ------------------------------------------------------------------ rasters
@@ -81,7 +85,7 @@ def write_raster(path: str | Path, array: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(RASTER_MAGIC)
         f.write(struct.pack("<IIIB", w, h, c, tag))
-        f.write(np.ascontiguousarray(out).tobytes())
+        f.write(np.ascontiguousarray(out))
 
 
 def read_raster(path: str | Path) -> np.ndarray:
@@ -102,13 +106,19 @@ def read_raster(path: str | Path) -> np.ndarray:
         if dtype is None:
             raise FormatError(f"unknown raster dtype tag {tag}", offset=16)
         need = 17 + w * h * c * dtype.itemsize
-        if size is not None and size < need:  # before the array is allocated
+        piped = None
+        if size is None:  # a pipe, say: what it holds, not its header, bounds the array
+            piped = _read_bytes(fd, None)
+            size = 17 + len(piped)
+        if size < need:  # before the array is allocated
             raise _truncated_payload(need, size)
         data = np.empty((h, w, c), dtype)
-        # an empty array holds no bytes, and its view cannot be cast to them
-        got = 17 + (_fill(fd, memoryview(data).cast("B")) if data.size else 0)
-        if got < need:  # the file shrank after fstat, or is not a regular file
-            raise _truncated_payload(need, got)
+        if piped is not None:
+            data.reshape(-1)[:] = np.frombuffer(piped, dtype, data.size)
+        elif data.size:  # an empty array holds no bytes, and its view cannot be cast to them
+            got = 17 + _fill(fd, memoryview(data).cast("B"))
+            if got < need:  # the file shrank after fstat
+                raise _truncated_payload(need, got)
     finally:
         os.close(fd)
     if tag == DTYPE_F32 and not np.isfinite(data).all():
@@ -251,8 +261,8 @@ def save_checkpoint(
     for name, arr in tensors.items():
         a = _finite_f32(arr, f"checkpoint tensor {name!r}")
         manifest.append({"name": name, "shape": list(a.shape), "offset": offset})
-        payloads.append(a.tobytes())
-        offset += len(payloads[-1])
+        payloads.append(a)
+        offset += a.nbytes
     header = json.dumps(
         {"config": config, "frozen": sorted(frozen or []), "tensors": manifest}
     ).encode("utf-8")
@@ -282,7 +292,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
         raise FormatError("checkpoint header extends past end of file", offset=len(blob))
     try:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+    except _JSON_ERRORS as exc:
         raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}", offset=12) from None
     if not isinstance(header, dict) or not {"tensors", "config"} <= header.keys():
         raise FormatError("checkpoint header lacks a 'tensors' or 'config' entry", offset=12)
@@ -379,7 +389,7 @@ def _load_sequence(seq_dir: str) -> SliceSequence:
     path = os.path.join(seq_dir, "sequence.json")
     try:
         meta = json.loads(_read_file(path))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+    except _JSON_ERRORS as exc:
         raise FormatError(f"{path}: not UTF-8 JSON: {exc}") from None
     if not isinstance(meta, dict) or not isinstance(meta.get("sequence_id"), str):
         raise FormatError(f"{path}: 'sequence_id' must be a string")
@@ -634,8 +644,8 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
         for t, sl in enumerate(slices):
             image_name = f"slice_{t}.psr"
             mask_name = f"mask_{t}.psr"
-            write_raster(seq_dir / image_name, sl.image[:, :, None].astype(np.float32))
-            write_raster(seq_dir / mask_name, sl.mask.astype(np.uint8))
+            write_raster(seq_dir / image_name, sl.image)
+            write_raster(seq_dir / mask_name, sl.mask)
             records.append(
                 {
                     "image": image_name,

@@ -118,20 +118,20 @@ def group_errors(seq: SliceSequence, seed: int, max_checks_per_tensor: int) -> d
             t.data = nudge.normal(0.0, 0.02, size=t.data.shape)
     targets, weights = _sequence_targets(seq), LossWeights()
 
-    def loss_of(preds, pairs=None) -> Tensor:
+    def loss_of(preds, pairs) -> Tensor:
         embeddings = [p.pooled_embedding for p in preds]
         return combined_loss([p.probabilities for p in preds], targets, embeddings, weights, pairs)
 
-    # One taped forward gives the analytic gradients; its loss finds the
-    # consistency pairs itself, as training's does.
-    loss_of(forward_sequence(seq, params)).backward()
+    # One taped forward gives both the analytic gradients and the consistency
+    # pairs, found once from its embeddings, as training's loss would find them.
+    preds = forward_sequence(seq, params)
+    frozen_pairs = consistency_pairs([p.pooled_embedding for p in preds], weights.similarity_threshold)
+    loss_of(preds, frozen_pairs).backward()
     # The probes only read loss values, so they run on constants sharing the
     # parameters' arrays: numeric_grad's writes reach the view, and no probe
     # builds a tape. They hold the detached consistency weights at their
     # unperturbed values, so finite differences verify the defined gradient.
     view = ModelParams(config, {n: Tensor(t.data) for n, t in params.tensors.items()}, params.frozen)
-    embeddings = [p.pooled_embedding for p in forward_sequence(seq, view)]
-    frozen_pairs = consistency_pairs(embeddings, weights.similarity_threshold)
 
     def loss_fn() -> Tensor:
         return loss_of(forward_sequence(seq, view), frozen_pairs)

@@ -388,8 +388,10 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
     [h*d/heads, (h+1)*d/heads) of each, and the head outputs are laid
     side by side in the same columns of the (..., N, d) result. Given at
     least 2 leading indices, forward and backward each run as two halves
-    of them at once (``run_pair``), to the same bits: every product goes
-    into a buffer allocated here, through head-split views.
+    of them at once (``run_pair``), to the same bits, through head-split
+    views of buffers allocated here; the backward's d(scores), all heads at
+    once, takes one temporary per half, measured under the pinned heap
+    (``_keep_freed_heap``) that a ``MALLOC_*_`` or ``GLIBC_TUNABLES`` unpins.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
@@ -424,15 +426,12 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
     def backward(g):
         gh = split(g)
         gs = np.empty_like(p)  # d(loss)/dp, then d(loss)/d(scores)
-        scratch = np.empty((rows, n, n))  # gs * p, one head at a time
         gq, gk, gv = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape)
 
         def half(s: slice) -> None:
             gss, ps = gs[s], p[s]
             np.matmul(gh[s], vh[s].swapaxes(-1, -2), out=gss)
-            for h in range(heads):
-                prod = np.multiply(gss[:, h], ps[:, h], out=scratch[s])
-                gss[:, h] -= prod.sum(axis=-1, keepdims=True)
+            gss -= (gss * ps).sum(axis=-1, keepdims=True)
             gss *= ps
             gss *= scale
             np.matmul(gss, kh[s], out=split(gq)[s])

@@ -127,7 +127,11 @@ def test_negative_seed_is_single_line_error(dataset, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe\x7b", b'{"steps": 5'], ids=["undecodable", "invalid_json"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x7b", b'{"steps": 5', b"[" * 200_000 + b"]" * 200_000],
+    ids=["undecodable", "invalid_json", "too_deep"],
+)
 def test_unreadable_config_is_single_line_error_naming_the_file(dataset, tmp_path, capsys, content):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(content)

@@ -239,8 +239,9 @@ def _with_header(path: Path, header: bytes) -> None:
         b'{"config": {}, "frozen": []}',
         b'{"tensors": [], "frozen": []}',
         b"[1, 2]",
+        b"[" * 200_000 + b"]" * 200_000,
     ],
-    ids=["non_utf8", "invalid_json", "no_tensors", "no_config", "not_an_object"],
+    ids=["non_utf8", "invalid_json", "no_tensors", "no_config", "not_an_object", "too_deep"],
 )
 def test_checkpoint_malformed_header_is_format_error_at_12(tmp_path, header):
     p = tmp_path / "h.psc"
@@ -734,7 +735,9 @@ def test_malformed_sequence_json_is_format_error_naming_file_and_field(tmp_path,
 
 
 @pytest.mark.parametrize(
-    "text", [b'{"slices": [', b'{"slices": "\xff"}'], ids=["invalid_json", "non_utf8"]
+    "text",
+    [b'{"slices": [', b'{"slices": "\xff"}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["invalid_json", "non_utf8", "too_deep"],
 )
 def test_undecodable_sequence_json_is_format_error(tmp_path, text):
     (tmp_path / "sequence.json").write_bytes(text)
@@ -826,6 +829,26 @@ def test_a_header_promising_more_than_the_file_holds_allocates_nothing(tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert err.value.offset == 17
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_header_promising_more_than_a_pipe_holds_allocates_nothing():
+    # a pipe has no size to check the header against: its payload is read first
+    r, w = os.pipe()
+    try:
+        os.write(w, b"PSR1" + struct.pack("<IIIB", 2**20, 2**20, 1, 0))
+        os.close(w)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="raster payload truncated") as err:
+                read_raster(f"/proc/self/fd/{r}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        os.close(r)
     assert err.value.offset == 17
     assert peak < 1 << 20
 

@@ -398,16 +398,25 @@ def test_grad_check_probes_run_on_constants_and_restore_the_flags(monkeypatch):
 
 
 def test_grad_check_builds_one_tape(monkeypatch):
-    taped = []
+    taped, probes = [], []
+    max_rel_error = gradcheck.max_rel_error
 
     def counting(seq, params):
         preds = forward_sequence(seq, params)
         taped.append(any(p.probabilities._parents for p in preds))
         return preds
 
+    def probing(loss_fn, tensor, **kwargs):
+        probes.append(min(kwargs["max_checks"], tensor.size))
+        return max_rel_error(loss_fn, tensor, **kwargs)
+
     monkeypatch.setattr(gradcheck, "forward_sequence", counting)
+    monkeypatch.setattr(gradcheck, "max_rel_error", probing)
     assert grad_check(seed=0, max_checks_per_tensor=1)["pass"]
-    assert taped.count(True) == 1 and len(taped) > 2
+    # the taped forward comes first and is the only one besides the probes' loss
+    # evaluations, two per probed entry
+    assert taped[0] and taped.count(True) == 1
+    assert taped.count(False) == 2 * sum(probes) == 72
 
 
 @pytest.mark.parametrize(
