@@ -8,7 +8,8 @@ Three byte-exact formats:
   image/mask filenames, z positions and corruption flags.
 * checkpoint (.psc): magic "PSC1", u32 version (= 1), u32 header length,
   a JSON header (config echo, frozen-tensor names, tensor manifest with
-  names/shapes/byte offsets), then concatenated f32 LE tensor payloads.
+  names/shapes/byte offsets), then concatenated f32 LE tensor payloads,
+  which load as float32 views of one copy of the payload region.
 
 The generator lays ``<root>/<sequence_id>/{sequence.json, slice_<t>.psr,
 mask_<t>.psr}``: drifting elliptical blobs over a textured background,
@@ -275,71 +276,72 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list[str]]:
-    """Read back (tensors, config, frozen names); tensors come out float64.
-    A NaN or infinite payload value is a FormatError naming its tensor."""
+    """Read back (tensors, config, frozen names); tensors come out float32, as
+    stored, each a writable view of one copy of the payload region. Every
+    FormatError begins with the path; a NaN or infinite payload value is one
+    naming its tensor."""
+
+    def bad(message: str, offset: int) -> FormatError:
+        return FormatError(f"{path}: {message}", offset=offset)
+
     blob = _read_file(path)
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}", offset=0)
+        raise bad(f"bad checkpoint magic {blob[:4]!r}", 0)
     if len(blob) < 12:
-        raise FormatError("truncated checkpoint header", offset=len(blob))
+        raise bad("truncated checkpoint header", len(blob))
     version, header_len = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(
-            f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})",
+            f"{path}: checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})",
             offset=4,
         )
     if len(blob) < 12 + header_len:
-        raise FormatError("checkpoint header extends past end of file", offset=len(blob))
+        raise bad("checkpoint header extends past end of file", len(blob))
     try:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except _JSON_ERRORS as exc:
-        raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}", offset=12) from None
+        raise bad(f"checkpoint header is not UTF-8 JSON: {exc}", 12) from None
     if not isinstance(header, dict) or not {"tensors", "config"} <= header.keys():
-        raise FormatError("checkpoint header lacks a 'tensors' or 'config' entry", offset=12)
+        raise bad("checkpoint header lacks a 'tensors' or 'config' entry", 12)
     entries, frozen = header["tensors"], header.get("frozen", [])
     if not isinstance(entries, list) or not (
         isinstance(frozen, list) and all(isinstance(n, str) for n in frozen)
     ):
-        raise FormatError("checkpoint 'tensors' and 'frozen' must be lists", offset=12)
+        raise bad("checkpoint 'tensors' and 'frozen' must be lists", 12)
     base = 12 + header_len
     spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}  # name: (start, stop, shape)
     for entry in entries:
         if not _is_manifest_entry(entry) or entry["name"] in spans:
-            raise FormatError(
+            raise bad(
                 f"bad checkpoint manifest entry {entry!r}: want a unique name, a shape of "
                 "ints >= 0 and an offset >= 0",
-                offset=12,
+                12,
             )
         shape = tuple(entry["shape"])
         start = base + entry["offset"]
         stop = start + 4 * math.prod(shape)
         if stop > len(blob):
-            raise FormatError(
-                f"tensor {entry['name']!r} payload truncated", offset=len(blob)
-            )
+            raise bad(f"tensor {entry['name']!r} payload truncated", len(blob))
         spans[entry["name"]] = (start, stop, shape)
     # The payloads must tile the rest of the file: no overlap, gap or tail.
     end = base
     for start, stop in sorted(span[:2] for span in spans.values()):
         if start != end:
-            raise FormatError(
-                f"checkpoint payloads {'overlap' if start < end else 'leave a gap'}",
-                offset=min(start, end),
-            )
+            what = "overlap" if start < end else "leave a gap"
+            raise bad(f"checkpoint payloads {what}", min(start, end))
         end = stop
     if end != len(blob):
-        raise FormatError(
-            f"{len(blob) - end} trailing bytes after the checkpoint payloads", offset=end
-        )
-    # One scan of the whole payload region, before the float64 cast.
+        raise bad(f"{len(blob) - end} trailing bytes after the checkpoint payloads", end)
+    # One scan of the whole payload region, then one writable copy of it.
     payload = np.frombuffer(blob, dtype="<f4", offset=base)
     if not np.isfinite(payload).all():
         first = int(np.flatnonzero(~np.isfinite(payload))[0])
         at = base + 4 * first
         name = next(name for name, (start, stop, _) in spans.items() if start <= at < stop)
-        raise FormatError(f"tensor {name!r} value {payload[first]} is not finite", offset=at)
+        raise bad(f"tensor {name!r} value {payload[first]} is not finite", at)
+    payload = payload.astype(np.float32)  # one writable copy, in native byte order
     tensors = {
-        name: payload[(start - base) // 4 : (stop - base) // 4].reshape(shape).astype(np.float64)
+        name: payload[(start - base) // 4 : (stop - base) // 4].reshape(shape)
         for name, (start, stop, shape) in spans.items()
     }
     return tensors, header["config"], frozen

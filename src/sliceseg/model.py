@@ -10,12 +10,14 @@ are low-rank adapted: their weight is W + B @ A, with the base
 sees each slice on its own, so a sequence is first encoded in chunks of
 ENCODE_CHUNK slices; given two or more, the calling thread encodes the
 first half of the chunks while the tensor module's one helper thread
-encodes the rest (``tensor._in_halves``), to the same bits. Every slice
-is pooled next, and the memory bank is scored with one cosine block per
-chunk. Then, slice by slice, the pooled embedding queries the memory bank,
-distance-aware attention weights fuse the retrieved patch grids with the
-current one, and a per-patch MLP decoder emits the pixel logits (one
-``decode`` node with a hand-written backward).
+encodes the rest (``tensor._in_halves``), to the same bits. The encoder
+computes in its parameters' dtype, float32 for a loaded checkpoint, and each
+chunk's output is widened to float64. Every slice is pooled next, and the
+memory bank is scored with one cosine block per chunk. Then, slice by slice,
+the pooled embedding queries the memory bank, distance-aware attention
+weights fuse the retrieved patch grids with the current one, and a
+per-patch MLP decoder emits the pixel logits (one ``decode`` node with a
+hand-written backward).
 """
 
 from __future__ import annotations
@@ -181,6 +183,9 @@ ENCODE_CHUNK = 8
 
 # The largest pixel a raster can hold; a larger one overflows the encoder.
 F32_MAX = float(np.finfo(np.float32).max)
+# Past this pixel magnitude a float32 encoder's products can overflow (a pixel of 1e20 did),
+# so a stack holding one is encoded with float64 widenings of the parameters.
+_F32_PIXEL_LIMIT = 2.0**16
 
 
 def _extract_patches(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -200,18 +205,18 @@ def encode_slice(images, params: ModelParams) -> Tensor:
 
     The encoder sees each image on its own, so a chunk is S independent
     encodings done by one pass of batched kernels (and one LoRA merge).
-    The chunk is cast to float64 here, exactly: a float32 image gives the same bits.
+    It computes in the dtype of its parameters: the chunk is cast to that of
+    ``encoder.patch_proj.W`` here, float64 for ``init_params`` and float32 for
+    ``load_params``, exactly for a float32 image either way.
     An image of the wrong shape is a ShapeError; ``forward_sequence`` checks pixel ranges."""
     cfg = params.config
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
     for image in images:
         if np.shape(image) != expected:
             raise ShapeError(f"image shape {np.shape(image)} != expected {expected}")
-    patches = _extract_patches(np.asarray(images, dtype=np.float64), cfg)
-    x = T.add(
-        T.linear(patches, params["encoder.patch_proj.W"], params["encoder.patch_proj.b"]),
-        params["encoder.pos_embed"],
-    )
+    W, b = params["encoder.patch_proj.W"], params["encoder.patch_proj.b"]
+    patches = _extract_patches(np.asarray(images, dtype=W.data.dtype), cfg)
+    x = T.add(T.linear(patches, W, b), params["encoder.pos_embed"])
     for i in range(cfg.encoder_blocks):
         block, lora = f"encoder.block{i}", f"lora.block{i}"
         attn = T.multi_head_attention(
@@ -232,20 +237,29 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     the rest on the lane (``tensor._in_halves``; one chunk runs here, leaving the lane to
     its attention halves). Every image is checked first, in slice order, so a bad stack
     encodes nothing: one of the wrong shape is a ShapeError, and one with a pixel beyond
-    the float32 range (NaN and infinity included) a DomainError, each naming its slice."""
+    the float32 range (NaN and infinity included) a DomainError, each naming its slice.
+    Each chunk comes out float64: a float32 encoder's output (a constant) is widened."""
     cfg = params.config
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
+    peak = 0.0
     for i, image in enumerate(images):
         if np.shape(image) != expected:
             raise ShapeError(f"slice {i}: image shape {np.shape(image)} != expected {expected}")
-        if not np.abs(image).max(initial=0.0) <= F32_MAX:  # false for NaN too
+        top = np.abs(image).max(initial=0.0)
+        if not top <= F32_MAX:  # false for NaN too
             what = "beyond the float32 range" if np.isfinite(image).all() else "that is not finite"
             raise DomainError(f"slice {i}: image has a pixel {what}")
+        peak = max(peak, top)
+    if peak > _F32_PIXEL_LIMIT:
+        wide = {n: Tensor(t.data.astype(np.float64)) if t.data.dtype == np.float32 else t
+                for n, t in params.tensors.items()}
+        params = ModelParams(cfg, wide, params.frozen)
     chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
 
     def encode(half: slice) -> None:
         for c in range(half.start, half.stop):
-            chunks[c] = encode_slice(images[c * ENCODE_CHUNK : (c + 1) * ENCODE_CHUNK], params)
+            x = encode_slice(images[c * ENCODE_CHUNK : (c + 1) * ENCODE_CHUNK], params)
+            chunks[c] = x if x.data.dtype == np.float64 else Tensor(x.data.astype(np.float64))
 
     T._in_halves(len(chunks), encode)
     return chunks
@@ -365,8 +379,11 @@ def load_params(path) -> ModelParams:
     config implies; anything else is a FormatError.
 
     Every tensor loads as a constant (no ``requires_grad``), so a forward
-    pass on the result records no tape. Training starts from
-    `init_params`; `train_step` refuses these params."""
+    pass on the result records no tape. The encoder's and the adapters'
+    (``encoder.*``, ``lora.*``) stay in the float32 they are stored in, so the
+    encoder computes in float32; ``lambda`` and ``decoder.*`` are widened to
+    float64, so the memory path and the decoder compute in float64.
+    Training starts from `init_params`; `train_step` refuses these params."""
     from .data_io import load_checkpoint  # per call: the bench tracer wraps it on data_io
 
     arrays, config, frozen = load_checkpoint(path)
@@ -386,5 +403,8 @@ def load_params(path) -> ModelParams:
         raise FormatError(
             f"checkpoint {path} freezes {sorted(frozen_set)}, not the q/v bases", offset=12
         )
-    tensors = {name: Tensor(arr) for name, arr in arrays.items()}
+    tensors = {
+        name: Tensor(arr if name.startswith(("encoder.", "lora.")) else arr.astype(np.float64))
+        for name, arr in arrays.items()
+    }
     return ModelParams(config=cfg, tensors=tensors, frozen=frozen_set)

@@ -1,4 +1,8 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
+
+A tensor holds float64, except a constant given a float32 array, which keeps
+it; every op computes in its inputs' dtype, so a loaded checkpoint's encoder
+runs in the float32 it is stored in. A ``requires_grad`` leaf is float64, so the tape is too.
 
 Every operation builds a node in an implicit tape: the output tensor keeps
 references to its parents and a closure that routes the upstream gradient
@@ -58,17 +62,21 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeError
 
 NORM_EPS = 1e-12
+_F32 = np.dtype(np.float32)
 # Added to the variance under layer_norm's square root.
 LN_EPS = 1e-5
 
 
 class Tensor:
-    """A node in the autodiff tape wrapping a float64 ndarray."""
+    """A node in the autodiff tape wrapping an ndarray: float64, or the float32
+    array of a constant (no ``requires_grad``) as given, not widened."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if requires_grad or type(data) is not np.ndarray or data.dtype is not _F32:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -392,6 +400,7 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
     views of buffers allocated here; the backward's d(scores), all heads at
     once, takes one temporary per half, measured under the pinned heap
     (``_keep_freed_heap``) that a ``MALLOC_*_`` or ``GLIBC_TUNABLES`` unpins.
+    The forward computes in the inputs' common dtype: float32 when all three are.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
@@ -402,15 +411,16 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)  # a Python float: a float32 product stays in float32
     rows = math.prod(q.shape[:-2])  # the leading indices, as one axis
 
     def split(a: np.ndarray) -> np.ndarray:  # (..., N, d) -> (rows, heads, N, dh), a view
         return a.reshape(rows, n, heads, dh).swapaxes(1, 2)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = np.empty((rows, heads, n, n))  # the scores, then the softmax
-    out = np.empty(q.shape)
+    dtype = np.result_type(q.data, k.data, v.data)
+    p = np.empty((rows, heads, n, n), dtype)  # the scores, then the softmax
+    out = np.empty(q.shape, dtype)
 
     def forward(s: slice) -> None:
         ps = p[s]

@@ -382,6 +382,56 @@ def test_checkpoint_zero_patch_size_is_config_error(tmp_path):
         load_params(tmp_path / "p.psc")
 
 
+def _checkpoint_defects() -> dict:
+    """{case: (edit of a valid checkpoint's bytes, error class, offset or None for its base)}:
+    one case for each FormatError load_checkpoint raises."""
+    def header(h: bytes):
+        return lambda blob: CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(h)) + h
+
+    def manifest(edit):
+        def apply(blob):
+            (n,) = struct.unpack_from("<I", blob, 8)
+            h = json.loads(blob[12 : 12 + n])
+            edit(h["tensors"])
+            return header(json.dumps(h).encode("utf-8"))(b"") + blob[12 + n :]
+        return apply
+
+    def poked(blob):
+        blob = bytearray(blob)
+        struct.pack_into("<f", blob, len(blob) - 4, np.nan)
+        return bytes(blob)
+
+    return {
+        "magic": (lambda b: b"NOPE" + b[4:], FormatError, 0),
+        "short_header": (lambda b: b[:10], FormatError, 10),
+        "version": (lambda b: b[:4] + struct.pack("<I", 99) + b[8:], UnsupportedVersionError, 4),
+        "header_past_end": (lambda b: b[:12] + b"{}", FormatError, 14),
+        "not_json": (header(b"{\xff"), FormatError, 12),
+        "too_deep": (header(b"[" * 200_000 + b"]" * 200_000), FormatError, 12),
+        "no_tensors": (header(b'{"config": {}}'), FormatError, 12),
+        "not_lists": (header(b'{"config": {}, "tensors": {}}'), FormatError, 12),
+        "manifest_entry": (manifest(lambda e: e[0].update(offset=-8)), FormatError, 12),
+        "payload_truncated": (lambda b: b[:-8], FormatError, None),
+        "overlap": (manifest(lambda e: e[1].update(offset=e[0]["offset"])), FormatError, None),
+        "trailing": (lambda b: b + b"\0" * 8, FormatError, None),
+        "not_finite": (poked, FormatError, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_checkpoint_defects()))
+def test_every_checkpoint_format_error_names_its_file(tmp_path, case):
+    # with a checkpoint and a sequence on one command line, the error says which file is bad
+    edit, error, offset = _checkpoint_defects()[case]
+    good, bad = tmp_path / "good.psc", tmp_path / "bad.psc"
+    save_checkpoint(good, {"x": np.ones((2, 3)), "y": np.zeros(4)}, {})
+    bad.write_bytes(edit(good.read_bytes()))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(bad)
+    assert type(err.value) is error
+    assert str(err.value).startswith(f"{bad}: ")
+    assert offset is None or err.value.offset == offset
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """A valid f32 raster, u8 raster and MICRO_CONFIG checkpoint, by kind."""
@@ -642,7 +692,9 @@ def test_load_dataset_and_load_params_match_the_pathlib_decode(tmp_path, monkeyp
     for e in entries:
         want = np.frombuffer(
             blob, "<f4", count=int(np.prod(e["shape"])), offset=12 + header_len + e["offset"]
-        ).reshape(e["shape"]).astype(np.float64)
+        ).reshape(e["shape"]).astype(np.float32)
+        if not e["name"].startswith(("encoder.", "lora.")):  # the float32 encoder's tensors stay float32
+            want = want.astype(np.float64)
         got = params.tensors[e["name"]].data
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()

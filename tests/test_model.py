@@ -399,6 +399,42 @@ def test_reference_train_step_tape_size(tmp_path):
     assert sum(nodes.values()) == 66
 
 
+def test_load_params_keeps_the_encoder_in_float32_and_widens_the_rest(tmp_path):
+    save_params(tmp_path / "m.psc", init_params(ModelConfig(), seed=0))
+    params = load_params(tmp_path / "m.psc")
+    wide = {n for n, t in params.tensors.items() if t.data.dtype == np.float64}
+    narrow = {n for n, t in params.tensors.items() if t.data.dtype == np.float32}
+    assert wide == {"lambda", "decoder.fc1.W", "decoder.fc1.b", "decoder.fc2.W", "decoder.fc2.b"}
+    assert narrow == set(params.tensors) - wide
+    assert all(n.startswith(("encoder.", "lora.")) for n in narrow)
+    seq = make_sequence(np.random.default_rng(24), ModelConfig(), 9)
+    assert encode_slice([sl.image for sl in seq.slices[:8]], params).data.dtype == np.float32
+    # pooling, memory and decoding compute in float64 from the widened chunk outputs
+    for chunk in model._encode_chunks([sl.image for sl in seq.slices], params):
+        assert chunk.data.dtype == np.float64
+    for p in forward_sequence(seq, params):
+        assert p.probabilities.data.dtype == p.pooled_embedding.data.dtype == np.float64
+
+
+def test_initialized_params_and_a_train_step_tape_are_float64():
+    params = init_params(MICRO_CONFIG, seed=0)
+    assert {t.data.dtype for t in params.tensors.values()} == {np.dtype(np.float64)}
+    seq = make_sequence(np.random.default_rng(25), MICRO_CONFIG, 3)
+    for sl in seq.slices:
+        sl.image = sl.image.astype(np.float32)  # as read from disk
+    _, loss = _sequence_loss(seq, params)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert node.data.dtype == np.float64, node._op
+            stack.extend(node._parents)
+    assert len(seen) > 50
+    train_step(params, seq, AdamState(), TrainConfig(model=MICRO_CONFIG, seed=0))
+    assert {t.data.dtype for t in params.tensors.values()} == {np.dtype(np.float64)}
+
+
 @pytest.fixture(scope="module")
 def stack64(tmp_path_factory):
     """A 64-slice stack (data seed 3, 30 % corrupted) and the default model
@@ -418,17 +454,55 @@ def test_forward_on_a_loaded_checkpoint_builds_no_tape(stack64):
             assert t._parents == () and not t.requires_grad
 
 
-def test_loaded_forward_equals_the_taped_forward_bitwise(stack64):
+def _widened(params) -> model.ModelParams:
+    """params as float64 constants: a loaded checkpoint's values at the encoder's old precision."""
+    tensors = {n: Tensor(t.data.astype(np.float64)) for n, t in params.tensors.items()}
+    return model.ModelParams(params.config, tensors, params.frozen)
+
+
+def test_loaded_forward_is_the_taped_forward_on_the_loaded_encoder_output_bitwise(stack64, monkeypatch):
+    # everything after the encoder computes as it did: given the float32 encoder's
+    # output, widened, the taped float64 forward gives the loaded forward's bits
     seq, ckpt = stack64
+    loaded = load_params(ckpt)
+    got = forward_sequence(seq, loaded)
+    assert not any(p.probabilities._parents for p in got)
     taped = init_params(ModelConfig(), seed=1)
     for t in taped.tensors.values():
         t.data = t.data.astype(np.float32).astype(np.float64)
+    encode = model.encode_slice
+    outputs = []
+
+    def loaded_encoder(images, params):
+        outputs.append(encode(images, loaded).data)
+        return Tensor(outputs[-1].astype(np.float64))
+
+    monkeypatch.setattr(model, "encode_slice", loaded_encoder)
     expected = forward_sequence(seq, taped)
+    assert {x.dtype for x in outputs} == {np.dtype(np.float32)} and len(outputs) == 8
     assert all(p.probabilities._parents for p in expected)
-    got = forward_sequence(seq, load_params(ckpt))
-    assert not any(p.probabilities._parents for p in got)
     for e, g in zip(expected, got, strict=True):
-        assert np.array_equal(e.probabilities.data, g.probabilities.data)
+        for name in ("probabilities", "logits", "pooled_embedding"):
+            assert getattr(e, name).data.tobytes() == getattr(g, name).data.tobytes(), name
+        assert e.confidence.hex() == g.confidence.hex()
+
+
+def test_the_float32_encoder_is_within_1e_6_of_the_float64_encoder(stack64, monkeypatch):
+    # the one precision change: probabilities and pooled embeddings move by at most
+    # 1e-6 (1.6e-7 and 1.7e-7 measured), no thresholded pixel flips, and every
+    # slice chooses the same memory slots
+    seq, ckpt = stack64
+    select, chosen = model.select_memory, []
+    monkeypatch.setattr(model, "select_memory", lambda *a: chosen.append(select(*a)) or chosen[-1])
+    loaded = load_params(ckpt)
+    runs = [forward_sequence(seq, params) for params in (loaded, _widened(loaded))]
+    half = len(chosen) // 2
+    assert half == 63 and all(np.array_equal(a, b) for a, b in zip(chosen[:half], chosen[half:]))
+    for a, b in zip(*runs, strict=True):
+        assert a.probabilities.data.dtype == a.pooled_embedding.data.dtype == np.float64
+        assert np.abs(a.probabilities.data - b.probabilities.data).max() <= 1e-6
+        assert np.abs(a.pooled_embedding.data - b.pooled_embedding.data).max() <= 1e-6
+        assert np.array_equal(a.probabilities.data >= 0.5, b.probabilities.data >= 0.5)
 
 
 def _probabilities_digest(seq, params) -> str:
@@ -449,20 +523,35 @@ def _without_z(seq, drop) -> SliceSequence:
 def test_stack_probabilities_are_pinned(stack64):
     # 64 slices with k=5: top-k truncation and the tie rule pick the slots
     seq, ckpt = stack64
-    assert _probabilities_digest(seq, load_params(ckpt)) == "502eca44f3595d86"
+    assert _probabilities_digest(seq, _widened(load_params(ckpt))) == "502eca44f3595d86"
 
 
 def test_stack_without_z_is_pinned(stack64):
     # every memory distance is estimated from the scored cosines
     seq, ckpt = stack64
-    assert _probabilities_digest(_without_z(seq, lambda t: True), load_params(ckpt)) == "514d5e32221a66f1"
+    assert _probabilities_digest(_without_z(seq, lambda t: True), _widened(load_params(ckpt))) == "514d5e32221a66f1"
 
 
 def test_stack_with_every_third_z_removed_is_pinned(stack64):
     # slices 0, 3, 6, ...: a slot's distance is the z gap only when both slices have z
     seq, ckpt = stack64
     mixed = _without_z(seq, lambda t: t % 3 == 0)
-    assert _probabilities_digest(mixed, load_params(ckpt)) == "61f65a4ad55df2fa"
+    assert _probabilities_digest(mixed, _widened(load_params(ckpt))) == "61f65a4ad55df2fa"
+
+
+@pytest.mark.parametrize(
+    "drop, digest",
+    [
+        (lambda t: False, "85c6e934e143d3c0"),
+        (lambda t: True, "7fe960f7c09de697"),
+        (lambda t: t % 3 == 0, "b03645f203109fbb"),
+    ],
+    ids=["z", "no_z", "every_third_z"],
+)
+def test_a_loaded_stack_with_its_float32_encoder_is_pinned(stack64, drop, digest):
+    # the three stacks above, on the checkpoint as loaded: encoder and adapters in float32
+    seq, ckpt = stack64
+    assert _probabilities_digest(_without_z(seq, drop), load_params(ckpt)) == digest
 
 
 def test_memory_scoring_rejects_an_embedding_whose_norm_is_not_finite(micro_params, monkeypatch):
@@ -516,6 +605,22 @@ def test_a_pixel_at_the_float32_limit_gives_finite_probabilities(config):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         preds = forward_sequence(seq, init_params(config, seed=1))
+    assert all(np.isfinite(p.probabilities.data).all() for p in preds)
+
+
+@pytest.mark.parametrize("pixel", [model.F32_MAX, -model.F32_MAX, 1e20], ids=["max", "min", "1e20"])
+@pytest.mark.parametrize("config", [ModelConfig(), MICRO_CONFIG], ids=["default", "micro"])
+def test_a_pixel_at_the_float32_limit_gives_finite_probabilities_on_a_loaded_checkpoint(
+    config, pixel, tmp_path
+):
+    # a float32 encoder overflows on such a pixel, so its stack is encoded in float64
+    save_params(tmp_path / "m.psc", init_params(config, seed=1))
+    seq = make_sequence(np.random.default_rng(22), config, 12)
+    seq.slices[3].image = seq.slices[3].image.astype(np.float32)
+    seq.slices[3].image[3, 2, 0] = pixel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        preds = forward_sequence(seq, load_params(tmp_path / "m.psc"))
     assert all(np.isfinite(p.probabilities.data).all() for p in preds)
 
 

@@ -127,6 +127,56 @@ def test_cosine_sim_degenerate_zero_vector():
     assert u.grad is None  # no gradient through the degenerate pair
 
 
+# ------------------------------------------------------------------ dtypes
+
+
+def test_only_a_constant_keeps_a_float32_array():
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    assert Tensor(a).data is a  # kept, not copied
+    assert Tensor(a, requires_grad=True).data.dtype == np.float64
+    for other in (a.astype(np.float16), a.astype(np.int64), np.float32(1.5), [1.0, 2.0], 3):
+        assert Tensor(other).data.dtype == np.float64
+
+
+def _float32_ops(x, W, b, gamma, A, B) -> dict:
+    """One node per op the encoder builds, over the given tensors."""
+    return {
+        "add": T.add(x, b),
+        "tanh": T.tanh(x),
+        "sigmoid": T.sigmoid(x),
+        "mean": T.mean(x, axis=1),
+        "take": T.take(x, 1),
+        "linear": T.linear(x, W, b),
+        "layer_norm": T.layer_norm(x, gamma, b),
+        "attention": T.multi_head_attention(x, x, x, 2),
+        "lora": lora.merge(W, A, B),
+    }
+
+
+def test_ops_over_float32_constants_stay_float32_and_near_their_float64_values():
+    rng = np.random.default_rng(40)
+    shapes = [(3, 5, 8), (8, 8), (8,), (8,), (2, 8), (8, 2)]
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    narrow = _float32_ops(*(Tensor(a) for a in arrays))
+    wide = _float32_ops(*(Tensor(a.astype(np.float64)) for a in arrays))
+    for op, out in narrow.items():
+        assert out.data.dtype == np.float32 and out._parents == (), op
+        assert wide[op].data.dtype == np.float64, op
+        np.testing.assert_allclose(out.data, wide[op].data, rtol=1e-5, atol=1e-5, err_msg=op)
+
+
+def test_a_trainable_input_puts_the_op_on_a_float64_tape():
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
+    leaves = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in ((8, 8), (8,))]
+    W, b = leaves
+    for op, out in _float32_ops(x, W, b, b, Tensor(np.ones((2, 8))), Tensor(np.ones((8, 2)))).items():
+        # tanh, sigmoid, mean, take and attention read only the float32 constant x
+        assert (out.data.dtype == np.float64) == bool(out._parents), op
+    mixed = T.multi_head_attention(x, T.linear(x, W), x, 2)
+    assert mixed.data.dtype == np.float64 and mixed._parents
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):

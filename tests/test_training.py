@@ -397,6 +397,20 @@ def test_grad_check_probes_run_on_constants_and_restore_the_flags(monkeypatch):
     assert all(t.requires_grad for t in made[-1].trainable().values())
 
 
+def test_grad_check_forwards_and_probes_in_float64(monkeypatch):
+    # its constant view shares the float64 parameters: none of it takes the float32 encoder
+    seen = []
+    forward = gradcheck.forward_sequence
+
+    def recording(seq, params):
+        seen.append({t.data.dtype for t in params.tensors.values()})
+        return forward(seq, params)
+
+    monkeypatch.setattr(gradcheck, "forward_sequence", recording)
+    assert grad_check(seed=0, max_checks_per_tensor=1)["pass"]
+    assert len(seen) > 2 and all(dtypes == {np.dtype(np.float64)} for dtypes in seen)
+
+
 def test_grad_check_builds_one_tape(monkeypatch):
     taped, probes = [], []
     max_rel_error = gradcheck.max_rel_error
