@@ -240,7 +240,10 @@ def _is_a(value, kind: type) -> bool:
     """Exact type match, except that a float takes an int and must be
     finite. Exact, so that a JSON true or false is never a number."""
     if kind is float:
-        return type(value) in (int, float) and math.isfinite(value)
+        try:
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
     return type(value) is kind
 
 
@@ -421,9 +424,9 @@ def _dir_prefix(directory: str | Path) -> str:
     """`directory` as pathlib spells it, or "" for the current directory, so
     that ``os.path.join(prefix, name)`` names a file exactly as
     ``Path(directory) / name`` did (error messages included) without
-    building a Path per file."""
-    directory = Path(directory)
-    return str(directory) if directory.parts else ""
+    building a Path per file. A Path is spelled already; only a str is parsed."""
+    spelled = str(directory if isinstance(directory, Path) else Path(directory))
+    return "" if spelled == "." else spelled
 
 
 def _read_mask(path: str) -> np.ndarray:

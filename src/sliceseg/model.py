@@ -7,8 +7,8 @@ connections and layer norm. The query and value projections of block i
 are low-rank adapted: their weight is W + B @ A, with the base
 ``encoder.block<i>.attn.{q,v}.W`` frozen and the factors
 ``lora.block<i>.{q,v}.{A,B}`` trained (B starts at zero). The encoder
-sees each slice on its own, so a sequence is first encoded in chunks of
-ENCODE_CHUNK slices; given two or more, the calling thread encodes the
+sees each slice on its own, so a sequence is first encoded in chunks of up
+to ENCODE_CHUNK slices (``chunk_bounds``); the calling thread encodes the
 first half of the chunks while the tensor module's one helper thread
 encodes the rest (``tensor._in_halves``), to the same bits. The encoder
 computes in its parameters' dtype, float32 for a loaded checkpoint, and each
@@ -175,11 +175,11 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 # ------------------------------------------------------------ forward pass
 
-# Slices per encoder pass. On a 64-slice forward (1 BLAS thread), chunks
-# of 4 to 16 took 20-25 % less time than one slice at a time, but one
-# chunk of all 64 only 9 % less: its attention scores (8 MB per block)
-# outgrow the cache.
-ENCODE_CHUNK = 8
+# The most slices per encoder pass. With the float32 encoder, chunks of up to 16
+# made a 64-slice forward about 10 % cheaper than chunks of 8: per-op overhead is
+# paid per chunk. One float64 chunk of all 64 was slower: its attention scores outgrow
+# the cache.
+ENCODE_CHUNK = 16
 
 # The largest pixel a raster can hold; a larger one overflows the encoder.
 F32_MAX = float(np.finfo(np.float32).max)
@@ -232,8 +232,19 @@ def encode_slice(images, params: ModelParams) -> Tensor:
     return x
 
 
+def chunk_bounds(n: int) -> list[int]:
+    """Where an n-slice stack's encoder chunks start, then n. Up to ENCODE_CHUNK // 2
+    slices are one chunk; more split into m = 2 ceil(n / (2 ENCODE_CHUNK)) chunks whose
+    sizes differ by at most one, so none exceeds ENCODE_CHUNK and the two halves of
+    ``tensor._in_halves`` are equal work: 64 slices make 4 x 16, 40 make 4 x 10, 9 make 5 + 4."""
+    if n <= ENCODE_CHUNK // 2:
+        return [0, n]
+    m = 2 * -(-n // (2 * ENCODE_CHUNK))
+    return [-(-c * n // m) for c in range(m + 1)]
+
+
 def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
-    """encode_slice per run of ENCODE_CHUNK images, the first half of the chunks here and
+    """encode_slice per chunk of ``chunk_bounds``, the first half of the chunks here and
     the rest on the lane (``tensor._in_halves``; one chunk runs here, leaving the lane to
     its attention halves). Every image is checked first, in slice order, so a bad stack
     encodes nothing: one of the wrong shape is a ShapeError, and one with a pixel beyond
@@ -254,11 +265,12 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
         wide = {n: Tensor(t.data.astype(np.float64)) if t.data.dtype == np.float32 else t
                 for n, t in params.tensors.items()}
         params = ModelParams(cfg, wide, params.frozen)
-    chunks: list = [None] * -(-len(images) // ENCODE_CHUNK)
+    bounds = chunk_bounds(len(images))
+    chunks: list = [None] * (len(bounds) - 1)
 
     def encode(half: slice) -> None:
         for c in range(half.start, half.stop):
-            x = encode_slice(images[c * ENCODE_CHUNK : (c + 1) * ENCODE_CHUNK], params)
+            x = encode_slice(images[bounds[c] : bounds[c + 1]], params)
             chunks[c] = x if x.data.dtype == np.float64 else Tensor(x.data.astype(np.float64))
 
     T._in_halves(len(chunks), encode)
@@ -331,19 +343,22 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     k = params.config.k_memory
     lam = params["lambda"]
     chunks = _encode_chunks([sl.image for sl in seq.slices], params)
-    grids = [T.take(chunks[t // ENCODE_CHUNK], t % ENCODE_CHUNK) for t in range(len(seq.slices))]
+    grids = [T.take(x, i) for x in chunks for i in range(x.shape[0])]
     pooled = [T.mean(g, axis=0) for g in grids]
     bank = np.array([p.data for p in pooled])  # row t: slice t's pooled embedding
     confidences = np.empty(len(seq.slices))
     predictions: list[SlicePrediction] = []
+    bounds = chunk_bounds(len(seq.slices))
+    ends = dict(zip(bounds, bounds[1:]))  # a chunk's first slice -> its end
     for t, sl in enumerate(seq.slices):
-        if k >= 1 and t % ENCODE_CHUNK == 0:
+        if k >= 1 and t in ends:
+            first = t
             try:
-                block = cosines(bank[t : t + ENCODE_CHUNK], bank[: t + ENCODE_CHUNK])
+                block = cosines(bank[t : ends[t]], bank[: ends[t]])
             except DomainError as exc:
                 raise _blame(params, exc) from None
         if k >= 1 and t:
-            sims = block[t % ENCODE_CHUNK]
+            sims = block[t - first]
             chosen = select_memory(sims[:t] * confidences[:t], k)
             z = sl.z_position_um
             others = [seq.slices[j].z_position_um for j in chosen]

@@ -401,6 +401,8 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
     once, takes one temporary per half, measured under the pinned heap
     (``_keep_freed_heap``) that a ``MALLOC_*_`` or ``GLIBC_TUNABLES`` unpins.
     The forward computes in the inputs' common dtype: float32 when all three are.
+    Each score row is shifted by its ``np.fmax`` maximum, which ignores a NaN that
+    ``max`` would return; a row holding a NaN comes out all-NaN either way.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
@@ -426,7 +428,7 @@ def multi_head_attention(q, k, v, heads: int) -> Tensor:
         ps = p[s]
         np.matmul(qh[s], kh[s].swapaxes(-1, -2), out=ps)
         ps *= scale
-        ps -= ps.max(axis=-1, keepdims=True)
+        ps -= np.fmax.reduce(ps, axis=-1, keepdims=True)
         np.exp(ps, out=ps)
         ps /= ps.sum(axis=-1, keepdims=True)
         np.matmul(ps, vh[s], out=split(out)[s])

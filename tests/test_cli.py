@@ -316,6 +316,36 @@ def test_infer_on_malformed_sequence_json_is_single_line_error(
     assert "sequence.json" in _single_json_error(capsys)["error"]
 
 
+@pytest.mark.parametrize("command", ["infer", "eval", "train"])
+def test_an_int_z_beyond_the_float_range_is_single_line_error(dataset, checkpoint, tmp_path, capsys, command):
+    # JSON reads 1 followed by 400 zeros as an int, which does not convert to a float
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    meta_path = data / "seq_000" / "sequence.json"
+    meta = json.loads(meta_path.read_text())
+    meta["slices"][1]["z_position_um"] = 10**400
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    argv = {
+        "infer": ["--ckpt", str(checkpoint), "--sequence", str(data / "seq_000"), "--out", str(out)],
+        "eval": ["--data", str(data), "--ckpt", str(checkpoint), "--report", str(out)],
+        "train": ["--data", str(data), "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 1
+    assert "slices[1].z_position_um must be a finite number or null" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
+def test_train_on_a_learning_rate_int_beyond_the_float_range_is_single_line_error(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"learning_rate": 1' + "0" * 400 + ', "steps": 1}')
+    out = tmp_path / "x.psc"
+    rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert "'learning_rate' must be a finite number" in _single_json_error(capsys)["error"]
+    assert not out.exists()
+
+
 def test_infer_on_a_z_gap_whose_square_overflows_is_single_line_error(
     dataset, checkpoint, tmp_path, capsys
 ):

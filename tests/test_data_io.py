@@ -641,6 +641,15 @@ def test_a_loaded_image_stays_the_float32_raster(tmp_path):
         assert sl.image.tobytes() == read_raster(root / "seq_000" / f"slice_{t}.psr").tobytes()
 
 
+@pytest.mark.parametrize("spelling", [".", "", "./", "d//", "./d/", "..", "//a", "///a", "a/b/."])
+@pytest.mark.parametrize("kind", [str, Path])
+def test_a_directory_prefix_is_spelled_as_pathlib_spells_it(spelling, kind):
+    from sliceseg.data_io import _dir_prefix
+
+    old = Path(kind(spelling))  # the expression the prefix replaced
+    assert _dir_prefix(kind(spelling)) == (str(old) if old.parts else "")
+
+
 def test_load_dataset_and_load_params_match_the_pathlib_decode(tmp_path, monkeypatch):
     """Against an oracle of the decode as it was when files were read through
     pathlib, byte for byte; `read_raster` and `load_checkpoint` run once per
@@ -762,6 +771,7 @@ def _edit_sequence_json(seq_dir: Path, edit) -> None:
         (lambda m: m["slices"][2].update(z_position_um="12.5"), r"slices\[2\]\.z_position_um"),
         (lambda m: m["slices"][1].update(z_position_um=float("nan")), r"slices\[1\]\.z_position_um"),
         (lambda m: m["slices"][1].update(z_position_um=True), r"slices\[1\]\.z_position_um"),
+        (lambda m: m["slices"][1].update(z_position_um=10**400), r"slices\[1\]\.z_position_um must be a finite"),
         (lambda m: m["slices"][0].update(corrupted="false"), r"slices\[0\]\.corrupted"),
         (lambda m: m["slices"][2].update(corrupted=0.5), r"slices\[2\]\.corrupted"),
         (lambda m: m["slices"][1].update(corrupted=None), r"slices\[1\]\.corrupted"),
@@ -772,7 +782,7 @@ def _edit_sequence_json(seq_dir: Path, edit) -> None:
     ],
     ids=[
         "no_slices", "slices_not_a_list", "no_sequence_id", "no_image", "int_image",
-        "record_not_an_object", "list_mask", "string_z", "nan_z", "bool_z",
+        "record_not_an_object", "list_mask", "string_z", "nan_z", "bool_z", "int_z_beyond_float",
         "string_corrupted", "float_corrupted", "null_corrupted",
         "misspelled_z_key", "false_mask", "zero_mask", "empty_mask",
     ],

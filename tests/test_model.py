@@ -200,16 +200,27 @@ def _sequence_loss(seq, params):
     return preds, loss
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_chunk_bounds_split_a_stack_into_an_even_number_of_chunks_of_at_most_16():
+    for n in range(1, 201):
+        bounds = model.chunk_bounds(n)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n and sizes.min() >= 1, n
+        assert sizes.max() - sizes.min() <= 1 and sizes.max() <= model.ENCODE_CHUNK == 16, n
+        assert len(sizes) == 1 if n <= 8 else len(sizes) % 2 == 0, n
+    sizes = {n: np.diff(model.chunk_bounds(n)).tolist() for n in (64, 40, 16, 9)}
+    assert sizes == {64: [16] * 4, 40: [10] * 4, 16: [8, 8], 9: [5, 4]}
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 33, 64])
 def test_chunked_encoding_equals_one_slice_chunks(n, monkeypatch):
-    # chunks of ENCODE_CHUNK = 8: one partial, one full, full plus one, and three chunks
+    # sizes straddling the chunk rule: one chunk (1, 8), two (9, 16, 17), four (33, 64)
     params = init_params(ModelConfig(), seed=1)
     seq = make_sequence(np.random.default_rng(n), ModelConfig(), n)
     preds, loss = _sequence_loss(seq, params)
     params.zero_grad()
     loss.backward()
     grads = {name: t.grad for name, t in params.trainable().items()}
-    monkeypatch.setattr(model, "ENCODE_CHUNK", 1)
+    monkeypatch.setattr(model, "chunk_bounds", lambda n: list(range(n + 1)))
     solo, solo_loss = _sequence_loss(seq, params)
     for p, q in zip(preds, solo, strict=True):
         for a, b in [(p.logits, q.logits), (p.pooled_embedding, q.pooled_embedding)]:
@@ -479,7 +490,8 @@ def test_loaded_forward_is_the_taped_forward_on_the_loaded_encoder_output_bitwis
 
     monkeypatch.setattr(model, "encode_slice", loaded_encoder)
     expected = forward_sequence(seq, taped)
-    assert {x.dtype for x in outputs} == {np.dtype(np.float32)} and len(outputs) == 8
+    assert {x.dtype for x in outputs} == {np.dtype(np.float32)}
+    assert len(outputs) == len(model.chunk_bounds(64)) - 1 == 4
     assert all(p.probabilities._parents for p in expected)
     for e, g in zip(expected, got, strict=True):
         for name in ("probabilities", "logits", "pooled_embedding"):
@@ -661,7 +673,7 @@ def test_a_non_finite_parameter_is_named_by_the_forward_error(name, k, monkeypat
 
 
 def test_a_stack_is_scored_with_one_cosine_block_per_encoder_chunk(monkeypatch):
-    # 8 calls on 64 slices, not one per slice, and none in the cross-slice forward
+    # 4 calls on 64 slices, not one per slice, and none in the cross-slice forward
     seq = make_sequence(np.random.default_rng(19), MICRO_CONFIG, 64)
     params = init_params(MICRO_CONFIG, seed=1)
     calls = Counter()
@@ -676,7 +688,7 @@ def test_a_stack_is_scored_with_one_cosine_block_per_encoder_chunk(monkeypatch):
     monkeypatch.setattr(model, "cosines", counting("forward_sequence", model.cosines))
     monkeypatch.setattr(T, "cosines", counting("elsewhere", T.cosines))
     forward_sequence(seq, params)
-    assert calls == {"forward_sequence": -(-64 // model.ENCODE_CHUNK)} == {"forward_sequence": 8}
+    assert calls == {"forward_sequence": len(model.chunk_bounds(64)) - 1} == {"forward_sequence": 4}
 
 
 # ------------------------------------------------ the decode and fuse nodes
@@ -864,7 +876,7 @@ def _spoil(seq, t, bad):
 @pytest.mark.parametrize("t", [3, 40])
 @pytest.mark.parametrize("bad", ["misshapen", "nan"])
 def test_a_stack_with_a_bad_slice_encodes_no_chunk(bad, t, cpus, micro_params, monkeypatch):
-    # slice 3 is in chunk 0, the caller's half, slice 40 in chunk 5, the lane's; slice 60
+    # slice 3 is in chunk 0, the caller's half, slice 40 in chunk 2, the lane's; slice 60
     # is bad the other way too, so the earliest bad slice is the one named
     _cpus(monkeypatch, cpus)
     seq = make_sequence(np.random.default_rng(9), MICRO_CONFIG, 64)
@@ -884,7 +896,7 @@ def test_a_stack_with_a_bad_slice_encodes_no_chunk(bad, t, cpus, micro_params, m
 
 
 def test_every_chunk_is_encoded_once_under_fast_thread_switching(micro_params, monkeypatch):
-    # 200 slices make 25 chunks, 13 in the caller's half; a chunk encoded twice or never
+    # 200 slices make 14 chunks, 7 in the caller's half; a chunk encoded twice or never
     # would show here
     seq = make_sequence(np.random.default_rng(13), MICRO_CONFIG, 200)
     _cpus(monkeypatch, 1)
@@ -904,7 +916,9 @@ def test_every_chunk_is_encoded_once_under_fast_thread_switching(micro_params, m
         got = forward_sequence(seq, micro_params)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(firsts) == sorted(id(sl.image) for sl in seq.slices[::model.ENCODE_CHUNK])
+    starts = model.chunk_bounds(200)[:-1]
+    assert len(starts) == 14
+    assert sorted(firsts) == sorted(id(seq.slices[t].image) for t in starts)
     for a, b in zip(expected, got, strict=True):
         assert a.logits.data.tobytes() == b.logits.data.tobytes()
 
@@ -918,14 +932,16 @@ def test_the_lane_is_one_daemon_thread_reused_across_forwards(micro_params, monk
     assert len(forward_sequence(seq, micro_params)) == 20
     assert len(forward_sequence(make_sequence(np.random.default_rng(11), MICRO_CONFIG, 6), micro_params)) == 6
     encode = model.encode_slice
+    bounds = model.chunk_bounds(20)
+    assert bounds == [0, 10, 20]
 
     def failing(images, params):
-        if images[0] is seq.slices[16].image:  # chunk 2, the lane's half
-            raise ShapeError("chunk 2 failed")
+        if images[0] is seq.slices[bounds[1]].image:  # chunk 1, the lane's half
+            raise ShapeError("chunk 1 failed")
         return encode(images, params)
 
     monkeypatch.setattr(model, "encode_slice", failing)
-    with pytest.raises(ShapeError, match="chunk 2 failed"):
+    with pytest.raises(ShapeError, match="chunk 1 failed"):
         forward_sequence(seq, micro_params)
     assert not T._LANE.claim.locked()
     monkeypatch.setattr(model, "encode_slice", encode)
@@ -936,10 +952,11 @@ def test_the_lane_is_one_daemon_thread_reused_across_forwards(micro_params, monk
 
 
 def test_the_lane_encodes_the_second_half_of_a_stacks_chunks(micro_params, monkeypatch):
-    # 24 slices make 3 chunks: chunks 0 and 1 are the caller's half, chunk 2 the lane's;
-    # the caller's first chunk waits, so the lane begins its half before it could be taken back
+    # 40 slices make 4 chunks: chunks 0 and 1 are the caller's half, chunks 2 and 3 the
+    # lane's; the caller's first chunk waits, so the lane begins its half before it could
+    # be taken back
     _cpus(monkeypatch, 2)
-    seq = make_sequence(np.random.default_rng(14), MICRO_CONFIG, 24)
+    seq = make_sequence(np.random.default_rng(14), MICRO_CONFIG, 40)
     encoded_on = {}
     encode = model.encode_slice
 
@@ -951,9 +968,10 @@ def test_the_lane_encodes_the_second_half_of_a_stacks_chunks(micro_params, monke
         return encode(images, params)
 
     monkeypatch.setattr(model, "encode_slice", recorded)
-    assert len(forward_sequence(seq, micro_params)) == 24
-    caller = threading.current_thread()
-    assert encoded_on == {0: caller, 8: caller, 16: T._LANE.thread}
+    assert len(forward_sequence(seq, micro_params)) == 40
+    caller, lane = threading.current_thread(), T._LANE.thread
+    starts = model.chunk_bounds(40)[:-1]
+    assert encoded_on == dict(zip(starts, [caller, caller, lane, lane])) and starts == [0, 10, 20, 30]
 
 
 def test_a_forward_and_a_train_step_on_one_cpu_start_no_thread(micro_params, monkeypatch, started):
@@ -974,7 +992,7 @@ def _train(config, seq, cpus, monkeypatch, steps=3):
 
 
 def test_training_through_the_helper_thread_is_bitwise_the_same(monkeypatch, started):
-    # 19 slices: three chunks, so the lane encodes chunks in every forward,
+    # 19 slices: two chunks, so the lane encodes one in every forward,
     # and every backward runs attention in halves on it
     config = TrainConfig(seed=2)
     seq = make_sequence(np.random.default_rng(12), config.model, 19)

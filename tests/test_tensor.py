@@ -611,7 +611,7 @@ def _attention_oracle(q, k, v, heads, g):
 
 @pytest.mark.parametrize("shape,heads", [((6, 8), 1), ((6, 8), 2), ((6, 8), 4), ((3, 6, 8), 4)])
 @pytest.mark.parametrize("seed", range(2))
-def test_multi_head_attention_is_the_old_expression_bitwise(seed, shape, heads):
+def test_multi_head_attention_is_the_old_expression_bitwise(seed, shape, heads, monkeypatch):
     rng = np.random.default_rng(seed)
     q, k, v = _leaves(rng, shape, shape, shape)
     c = Tensor(rng.standard_normal(shape))
@@ -620,6 +620,22 @@ def test_multi_head_attention_is_the_old_expression_bitwise(seed, shape, heads):
     expected = _attention_oracle(q.data, k.data, v.data, heads, (1.0 / c.size) * c.data)
     for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # score rows holding ties, -inf, +inf and NaN: the row max (np.fmax) ignores a NaN
+    # that the old max returned, but such a row comes out all-NaN either way
+    qs, ks = np.abs(q.data) + 0.5, k.data.copy()  # positive queries
+    ks[..., 1, :] = ks[..., 2, :] = 10.0  # every row's max is a tie of columns 1 and 2
+    ks[..., 5, :] = -np.inf  # column 5 scores -inf in every row
+    qs[..., 3, 0] = np.inf  # row 3 of head 0 holds +inf (and -inf)
+    qs[..., 4, -1] = np.nan  # row 4 of the last head is NaN
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # errstate is per thread
+    with np.errstate(all="ignore"):
+        out = T.multi_head_attention(*(Tensor(a, requires_grad=True) for a in (qs, ks, v.data)), heads)
+        grads = [pg for _, pg in out._backward(c.data)]
+        expected = _attention_oracle(qs, ks, v.data, heads, c.data)
+    assert 0 < np.isnan(out.data).sum() < out.data.size
+    for got, want in zip((out.data, *grads), expected):
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -101,6 +101,13 @@ def test_wrongly_typed_config_value_is_config_error(doc, key, shown):
         dataclass_from_dict(TrainConfig, doc)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_beyond_the_float_range_is_not_a_finite_number(sign):
+    # JSON reads 1 followed by 400 zeros as an int, which math.isfinite cannot convert
+    with pytest.raises(ConfigError, match="'learning_rate' must be a finite number, got -?10{400}$"):
+        dataclass_from_dict(TrainConfig, {"learning_rate": sign * 10**400})
+
+
 def test_config_values_of_the_declared_types_load():
     cfg = dataclass_from_dict(
         TrainConfig,
