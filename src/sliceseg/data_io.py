@@ -16,12 +16,11 @@ mask_<t>.psr}``: drifting elliptical blobs over a textured background,
 with optional per-slice heavy-noise corruption that never touches the
 ground-truth mask. Everything is deterministic per seed.
 
-Every file is read through one raw descriptor (``os.open``, ``os.fstat``,
-``os.read``, ``os.close``), with no buffered file object. A raster's payload
-is read (``os.readv``) straight into its own array, which numpy aligns, so
-no byte of it is copied after the read; its declared size is checked
-against the file's before that array is allocated. A pipe has no size to
-check, so its payload is read to the end first and copied into the array.
+Every file is read whole through one raw descriptor (``os.open``,
+``os.fstat``, ``os.read``, ``os.close``), with no buffered file object. A
+raster is one copy out of those bytes, so a read briefly holds about twice
+the raster; its declared size is checked against the bytes read before the
+array is made.
 """
 
 from __future__ import annotations
@@ -91,47 +90,31 @@ def write_raster(path: str | Path, array: np.ndarray) -> None:
 
 def read_raster(path: str | Path) -> np.ndarray:
     """Read a raster back as (H, W, C) float32 or uint8, never widened; a NaN
-    or infinite f32 value is a FormatError at its byte offset."""
-    fd = os.open(path, _READ_FLAGS)
-    try:
-        size = _regular_size(fd, path)
-        head = _read_bytes(fd, 17)
-        if head[:4] != RASTER_MAGIC:
-            raise FormatError(f"bad raster magic {head[:4]!r}", offset=0)
-        if len(head) < 17:
-            raise FormatError("truncated raster header", offset=len(head))
-        w, h, c, tag = struct.unpack_from("<IIIB", head, 4)
-        if max(w, h, c) > MAX_EXTENT:
-            raise FormatError(f"raster dimensions {w}x{h}x{c} overflow sane bounds", offset=4)
-        dtype = _RASTER_DTYPES.get(tag)
-        if dtype is None:
-            raise FormatError(f"unknown raster dtype tag {tag}", offset=16)
-        need = 17 + w * h * c * dtype.itemsize
-        piped = None
-        if size is None:  # a pipe, say: what it holds, not its header, bounds the array
-            piped = _read_bytes(fd, None)
-            size = 17 + len(piped)
-        if size < need:  # before the array is allocated
-            raise _truncated_payload(need, size)
-        data = np.empty((h, w, c), dtype)
-        if piped is not None:
-            data.reshape(-1)[:] = np.frombuffer(piped, dtype, data.size)
-        elif data.size:  # an empty array holds no bytes, and its view cannot be cast to them
-            got = 17 + _fill(fd, memoryview(data).cast("B"))
-            if got < need:  # the file shrank after fstat
-                raise _truncated_payload(need, got)
-    finally:
-        os.close(fd)
+    or infinite f32 value is a FormatError at its byte offset. The array is
+    one copy out of the file's bytes, so the read briefly holds about twice
+    the raster; it is sized by the bytes read, never by the header alone."""
+    blob = _read_file(path)
+    if blob[:4] != RASTER_MAGIC:
+        raise FormatError(f"bad raster magic {blob[:4]!r}", offset=0)
+    if len(blob) < 17:
+        raise FormatError("truncated raster header", offset=len(blob))
+    w, h, c, tag = struct.unpack_from("<IIIB", blob, 4)
+    if max(w, h, c) > MAX_EXTENT:
+        raise FormatError(f"raster dimensions {w}x{h}x{c} overflow sane bounds", offset=4)
+    dtype = _RASTER_DTYPES.get(tag)
+    if dtype is None:
+        raise FormatError(f"unknown raster dtype tag {tag}", offset=16)
+    need = 17 + w * h * c * dtype.itemsize
+    if len(blob) < need:
+        raise FormatError(
+            f"raster payload truncated: header declares {need} bytes, file has {len(blob)}",
+            offset=len(blob),
+        )
+    data = np.frombuffer(blob, dtype, w * h * c, 17).reshape(h, w, c).copy()
     if tag == DTYPE_F32 and not np.isfinite(data).all():
         first = int(np.flatnonzero(~np.isfinite(data))[0])
         raise FormatError(f"raster value {data.flat[first]} is not finite", offset=17 + 4 * first)
     return data
-
-
-def _truncated_payload(need: int, have: int) -> FormatError:
-    return FormatError(
-        f"raster payload truncated: header declares {need} bytes, file has {have}", offset=have
-    )
 
 
 # ------------------------------------------------------------ raw reads
@@ -140,55 +123,28 @@ def _truncated_payload(need: int, have: int) -> FormatError:
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: Windows only
 
 
-def _regular_size(fd: int, path: str | Path) -> int | None:
-    """The size of the open file `fd`, or None when it is not a regular file
-    (a pipe, say). Raw `os.open` accepts a directory, which `open` refuses;
-    refuse it the same way, with an IsADirectoryError naming the path."""
-    st = os.fstat(fd)
-    if stat.S_ISREG(st.st_mode):
-        return st.st_size
-    if stat.S_ISDIR(st.st_mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-    return None
-
-
 def _read_file(path: str | Path) -> bytes:
-    """The whole file at `path`, read through one raw descriptor."""
+    """The whole file at `path`, read through one raw descriptor: its `fstat`
+    size in one `os.read` (looping on short reads), or, when it is not a
+    regular file (a pipe, say), 64 KiB parts to end of file. Raw `os.open`
+    accepts a directory, which `open` refuses; refuse it the same way, with an
+    IsADirectoryError naming the path."""
     fd = os.open(path, _READ_FLAGS)
     try:
-        return _read_bytes(fd, _regular_size(fd, path))
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        n = st.st_size if stat.S_ISREG(st.st_mode) else None
+        parts, got = [], 0
+        while n is None or got < n:
+            part = os.read(fd, 1 << 16 if n is None else n - got)
+            if not part:
+                break
+            parts.append(part)
+            got += len(part)
+        return b"".join(parts)  # one part is returned as it is, not copied
     finally:
         os.close(fd)
-
-
-def _read_bytes(fd: int, n: int | None) -> bytes:
-    """The next `n` bytes of `fd`, or fewer if the file ends first; with `n`
-    None, every byte to the end. One read when the first returns them all."""
-    parts, got = [], 0
-    while n is None or got < n:
-        part = os.read(fd, 1 << 16 if n is None else n - got)
-        if not part:
-            break
-        parts.append(part)
-        got += len(part)
-    return b"".join(parts)  # one part is returned as it is, not copied
-
-
-def _fill(fd: int, view: memoryview) -> int:
-    """Read from `fd` into the bytes `view` until it is full or the file
-    ends, looping on short reads; the number of bytes read."""
-    got = 0
-    while got < len(view):
-        if hasattr(os, "readv"):  # not on Windows, which reads and then copies
-            n = os.readv(fd, [view[got:]])
-        else:
-            part = os.read(fd, len(view) - got)
-            n = len(part)
-            view[got : got + n] = part
-        if n == 0:
-            break
-        got += n
-    return got
 
 
 # ------------------------------------------------------------------ configs

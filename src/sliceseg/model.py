@@ -13,8 +13,8 @@ first half of the chunks while the tensor module's one helper thread
 encodes the rest (``tensor._in_halves``), to the same bits. The encoder
 computes in its parameters' dtype, float32 for a loaded checkpoint, and each
 chunk's output is widened to float64. Every slice is pooled next, and the
-memory bank is scored with one cosine block per chunk. Then, slice by slice,
-the pooled embedding queries the memory bank, distance-aware attention
+memory bank is scored in cosine blocks of ENCODE_CHUNK rows. Then, slice by
+slice, the pooled embedding queries the memory bank, distance-aware attention
 weights fuse the retrieved patch grids with the current one, and a
 per-patch MLP decoder emits the pixel logits (one ``decode`` node with a
 hand-written backward).
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import LAMBDA_INIT, AttentionContext, cross_slice_weights, fuse_memory
-from .data_io import SliceSequence, dataclass_from_dict
+from .data_io import MAX_EXTENT, SliceSequence, dataclass_from_dict
 from .errors import ConfigError, ContractError, DomainError, FormatError, ShapeError
 from .lora import lora_forward
 from .memory import prediction_confidence, select_memory
@@ -53,6 +53,9 @@ class ModelConfig:
         too_small = [f"{name}={getattr(self, name)}" for name in sizes if getattr(self, name) < 1]
         if too_small:
             raise ConfigError(f"sizes must be >= 1, got {', '.join(too_small)}")
+        too_large = [n for n in (*sizes, "encoder_blocks") if getattr(self, n) > MAX_EXTENT]
+        if too_large:  # named, not shown: printing a huge int is slow, or refused
+            raise ConfigError(f"{', '.join(too_large)} must be <= {MAX_EXTENT}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError("image_size must be divisible by patch_size")
         if self.d_model % self.heads != 0:
@@ -326,10 +329,10 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     All slices are encoded and pooled first; only the memory path after that is
     causal. The memory bank is two arrays, every slice's pooled embedding and the
     earlier slices' confidences, so a chosen position is a slice index and no state
-    leaks across sequences. The stack is scored once, one cosine block per encoder
-    chunk (its rows against every slice up to its end); slice t's row, up to column
-    t, ranks the bank, and its entries at t and the chosen slices are the cross-slice
-    weights' cosines. A slot's distance is the z gap when both slices have a z
+    leaks across sequences. The stack is scored once, in cosine blocks of
+    ENCODE_CHUNK rows (each against every slice up to its last row); slice t's row,
+    up to column t, ranks the bank, and its entries at t and the chosen slices are
+    the cross-slice weights' cosines. A slot's distance is the z gap when both slices have a z
     position, and None otherwise: the cross-slice weights estimate it from the cosine.
     The config's k_memory=0 bypasses the memory path entirely (the
     independent per-slice baseline). Images are checked before any encoding: a
@@ -348,17 +351,14 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     bank = np.array([p.data for p in pooled])  # row t: slice t's pooled embedding
     confidences = np.empty(len(seq.slices))
     predictions: list[SlicePrediction] = []
-    bounds = chunk_bounds(len(seq.slices))
-    ends = dict(zip(bounds, bounds[1:]))  # a chunk's first slice -> its end
     for t, sl in enumerate(seq.slices):
-        if k >= 1 and t in ends:
-            first = t
+        if k >= 1 and t % ENCODE_CHUNK == 0:
             try:
-                block = cosines(bank[t : ends[t]], bank[: ends[t]])
+                block = cosines(bank[t : t + ENCODE_CHUNK], bank[: t + ENCODE_CHUNK])
             except DomainError as exc:
                 raise _blame(params, exc) from None
         if k >= 1 and t:
-            sims = block[t - first]
+            sims = block[t % ENCODE_CHUNK]
             chosen = select_memory(sims[:t] * confidences[:t], k)
             z = sl.z_position_um
             others = [seq.slices[j].z_position_um for j in chosen]
@@ -403,6 +403,12 @@ def load_params(path) -> ModelParams:
 
     arrays, config, frozen = load_checkpoint(path)
     cfg = dataclass_from_dict(ModelConfig, config)
+    implied = 8 + 16 * cfg.encoder_blocks  # len(_layout(cfg)), before it is built
+    if len(arrays) != implied:
+        raise FormatError(
+            f"checkpoint {path} holds {len(arrays)} tensors; its config implies {implied}",
+            offset=12,
+        )
     expected = {name: shape for name, shape, _ in _layout(cfg)}
     missing = sorted(expected.keys() - arrays.keys())
     unexpected = sorted(arrays.keys() - expected.keys())

@@ -25,7 +25,7 @@ weighted sum of patch grids, layer-normalized) in ``attention``,
 ``lora`` (an adapted weight, W + B A) in ``lora``.
 ``Tensor`` has no operator overloads. ``cosines`` is the detached numpy
 kernel of cosine similarity, for one query or a block of them: memory
-scoring scores a stack once, one block per encoder chunk, whose rows the
+scoring scores a stack once, in blocks of ``model.ENCODE_CHUNK`` rows, which the
 cross-slice weights reuse; consistency pairs are one block too.
 Shapes are checked eagerly; only numpy-style broadcasting needed by the
 model is supported. Kernels compute in place only in arrays they allocated,

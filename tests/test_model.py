@@ -21,9 +21,11 @@ import pytest
 from sliceseg import model
 from sliceseg import tensor as T
 from sliceseg.data_io import (
+    MAX_EXTENT,
     SliceData,
     SliceSequence,
     SynthConfig,
+    dataclass_from_dict,
     generate_dataset,
     load_checkpoint,
     load_dataset,
@@ -88,6 +90,20 @@ def test_zero_size_is_config_error(size):
     # a zero patch_size or heads would otherwise divide by zero in the checks
     with pytest.raises(ConfigError, match=">= 1"):
         ModelConfig(**{size: 0})
+
+
+@pytest.mark.parametrize(
+    "size",
+    ["image_size", "patch_size", "channels", "d_model", "heads", "decoder_hidden", "encoder_blocks"],
+)
+@pytest.mark.parametrize("value", [MAX_EXTENT + 1, 10**400])
+def test_a_size_above_max_extent_is_a_config_error_naming_it(size, value):
+    # refused before any layout is drawn: init_params would allocate first
+    with pytest.raises(ConfigError, match=rf"^{size} must be <= {MAX_EXTENT}$"):
+        ModelConfig(**{size: value})
+    with pytest.raises(ConfigError, match=rf"^{size} must be <= {MAX_EXTENT}$"):
+        dataclass_from_dict(ModelConfig, {size: value})
+    assert ModelConfig(encoder_blocks=MAX_EXTENT).encoder_blocks == MAX_EXTENT
 
 
 def test_encode_rejects_wrong_shape(micro_params):
@@ -340,13 +356,14 @@ def _rewrite_checkpoint(path, edit) -> None:
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda a, f: a.pop("lambda"), r"missing \['lambda'\]"),
-        (lambda a, f: a.update(extra=np.zeros(2)), r"unexpected \['extra'\]"),
+        (lambda a, f: a.pop("lambda"), "holds 39 tensors; its config implies 40 "),
+        (lambda a, f: a.update(extra=np.zeros(2)), "holds 41 tensors; its config implies 40 "),
+        (lambda a, f: a.update(extra=a.pop("lambda")), r"missing \['lambda'\], unexpected \['extra'\]"),
         (lambda a, f: a.update({"decoder.fc1.b": np.zeros(3)}), r"wrong shape \['decoder"),
         (lambda a, f: f.pop(), "freezes"),
         (lambda a, f: f.append("decoder.fc1.W"), "freezes"),
     ],
-    ids=["missing", "unexpected", "wrong_shape", "unfrozen_base", "frozen_extra"],
+    ids=["missing", "unexpected", "renamed", "wrong_shape", "unfrozen_base", "frozen_extra"],
 )
 def test_load_params_rejects_a_manifest_its_config_does_not_imply(tmp_path, edit, match):
     path = tmp_path / "p.psc"
@@ -354,6 +371,34 @@ def test_load_params_rejects_a_manifest_its_config_does_not_imply(tmp_path, edit
     _rewrite_checkpoint(path, edit)
     with pytest.raises(FormatError, match=match):
         load_params(path)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2, 5])
+def test_the_implied_tensor_count_is_the_layout_length(blocks):
+    cfg = dataclasses.replace(MICRO_CONFIG, encoder_blocks=blocks)
+    assert len(model._layout(cfg)) == 8 + 16 * blocks
+
+
+@pytest.mark.parametrize(
+    "blocks, error, match",
+    [
+        (10**6, FormatError, "holds 40 tensors; its config implies 16000008 "),
+        (10**18, ConfigError, rf"^encoder_blocks must be <= {MAX_EXTENT}$"),
+    ],
+)
+def test_a_header_with_huge_encoder_blocks_fails_fast_and_briefly(tmp_path, blocks, error, match):
+    # the tensor count is compared before the config's layout is built
+    path = tmp_path / "p.psc"
+    save_params(path, init_params(ModelConfig(), seed=0))
+    arrays, config, frozen = load_checkpoint(path)
+    save_checkpoint(path, arrays, {**config, "encoder_blocks": blocks}, frozen=frozen)
+    start = time.perf_counter()
+    with pytest.raises(error, match=match) as err:
+        load_params(path)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(err.value)) < 1024
+    if error is FormatError:
+        assert err.value.offset == 12
 
 
 def test_fresh_checkpoint_contains_lambda_at_point_one(tmp_path):
@@ -672,9 +717,10 @@ def test_a_non_finite_parameter_is_named_by_the_forward_error(name, k, monkeypat
     assert len(scans) == 1
 
 
-def test_a_stack_is_scored_with_one_cosine_block_per_encoder_chunk(monkeypatch):
-    # 4 calls on 64 slices, not one per slice, and none in the cross-slice forward
-    seq = make_sequence(np.random.default_rng(19), MICRO_CONFIG, 64)
+@pytest.mark.parametrize("n, blocks", [(64, 4), (40, 3)])
+def test_a_stack_is_scored_in_cosine_blocks_of_encode_chunk_rows(n, blocks, monkeypatch):
+    # one call per ENCODE_CHUNK slices, not one per slice, and none in the cross-slice forward
+    seq = make_sequence(np.random.default_rng(19), MICRO_CONFIG, n)
     params = init_params(MICRO_CONFIG, seed=1)
     calls = Counter()
 
@@ -688,7 +734,22 @@ def test_a_stack_is_scored_with_one_cosine_block_per_encoder_chunk(monkeypatch):
     monkeypatch.setattr(model, "cosines", counting("forward_sequence", model.cosines))
     monkeypatch.setattr(T, "cosines", counting("elsewhere", T.cosines))
     forward_sequence(seq, params)
-    assert calls == {"forward_sequence": len(model.chunk_bounds(64)) - 1} == {"forward_sequence": 4}
+    assert calls == {"forward_sequence": -(-n // model.ENCODE_CHUNK)} == {"forward_sequence": blocks}
+
+
+def test_one_slice_encoding_and_scoring_equal_the_default_forward_bitwise(monkeypatch):
+    # ENCODE_CHUNK sets both the encoder chunks and the scoring blocks
+    seq = make_sequence(np.random.default_rng(20), MICRO_CONFIG, 40)
+    params = init_params(MICRO_CONFIG, seed=2)
+    preds = forward_sequence(seq, params)
+    monkeypatch.setattr(model, "ENCODE_CHUNK", 1)
+    assert len(model.chunk_bounds(40)) == 41
+    solo = forward_sequence(seq, params)
+    for p, q in zip(preds, solo, strict=True):
+        for a, b in [(p.logits, q.logits), (p.probabilities, q.probabilities),
+                     (p.pooled_embedding, q.pooled_embedding)]:
+            assert a.data.tobytes() == b.data.tobytes()
+        assert p.confidence == q.confidence
 
 
 # ------------------------------------------------ the decode and fuse nodes
