@@ -15,7 +15,7 @@ w = Tensor(np.array([[0.5, -0.2], [0.1, 0.3]]), requires_grad=True)
 
 # Ops compose into a graph (linear is x @ w.T); backward() walks it in reverse.
 y = T.tanh(T.linear(x, w))
-loss = T.mean(T.sigmoid(y))
+loss = T.mean(y)
 loss.backward()
 
 print("loss          :", loss.item())
@@ -25,7 +25,7 @@ print("dloss/dw      :\n", w.grad)
 w_first = w.grad.copy()
 w.zero_grad()
 x.zero_grad()
-loss2 = T.mean(T.sigmoid(T.tanh(T.linear(x, w))))
+loss2 = T.mean(T.tanh(T.linear(x, w)))
 loss2.backward()
 print("same graph twice, same gradient:", np.allclose(w.grad, w_first))
 
@@ -35,7 +35,7 @@ x.zero_grad()
 
 
 def probe():
-    return T.mean(T.sigmoid(T.tanh(T.linear(x, w))))
+    return T.mean(T.tanh(T.linear(x, w)))
 
 
 probe().backward()

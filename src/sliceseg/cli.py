@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import _JSON_ERRORS, SynthConfig, dataclass_from_dict, generate_dataset
+from .data_io import _JSON_ERRORS, SynthConfig, _read_file, dataclass_from_dict, generate_dataset
 from .data_io import load_sequence, write_raster
 from .errors import ConfigError, SlicesegError
 from .gradcheck import grad_check
@@ -78,17 +78,19 @@ def _cmd_gen_data(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    doc = {}
-    if args.config:
+    config = TrainConfig()
+    if args.config:  # every error in the document names the file
         try:
-            doc = json.loads(Path(args.config).read_bytes())
+            doc = json.loads(_read_file(args.config))
         except _JSON_ERRORS as exc:
             raise ConfigError(f"config {args.config}: not a JSON document: {exc}") from None
+        try:
+            config = dataclass_from_dict(TrainConfig, doc)
+        except ConfigError as exc:
+            raise ConfigError(f"config {args.config}: {exc}") from None
     # replace() re-runs the config's checks on the flag values
     flags = {"steps": args.steps, "seed": args.seed}
-    config = dataclasses.replace(
-        dataclass_from_dict(TrainConfig, doc), **{k: v for k, v in flags.items() if v is not None}
-    )
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     trace = train(config, args.data, args.out)
     print(f"trained {config.steps} steps, final loss {trace[-1]:.6f}, checkpoint {args.out}")
 

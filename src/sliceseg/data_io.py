@@ -214,7 +214,10 @@ def save_checkpoint(
 ) -> None:
     """Write named tensors plus a config document; payloads are f32 LE.
     A value that is not finite in f32 is a DomainError naming its tensor,
-    raised before the file is opened."""
+    raised before the file is opened. The bytes go to ``<path>.partial``,
+    which then replaces `path`, so a failed write leaves an earlier checkpoint
+    as it was and removes the partial file; a link, a device or a FIFO at
+    `path` is written through, in place."""
     manifest = []
     offset = 0
     payloads = []
@@ -226,12 +229,21 @@ def save_checkpoint(
     header = json.dumps(
         {"config": config, "frozen": sorted(frozen or []), "tensors": manifest}
     ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
-        f.write(header)
-        for p in payloads:
-            f.write(p)
+    direct = os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+    out = Path(path if direct else f"{os.fspath(path)}.partial")
+    try:
+        with open(out, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
+            f.write(header)
+            for p in payloads:
+                f.write(p)
+        if not direct:
+            out.replace(path)
+    except BaseException:
+        if not direct:
+            out.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list[str]]:

@@ -16,8 +16,8 @@ chunk's output is widened to float64. Every slice is pooled next, and the
 memory bank is scored in cosine blocks of ENCODE_CHUNK rows. Then, slice by
 slice, the pooled embedding queries the memory bank, distance-aware attention
 weights fuse the retrieved patch grids with the current one, and a
-per-patch MLP decoder emits the pixel logits (one ``decode`` node with a
-hand-written backward).
+per-patch MLP decoder emits the pixel probabilities, the sigmoid of its
+logits (one ``decode`` node with a hand-written backward).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import LAMBDA_INIT, AttentionContext, cross_slice_weights, fuse_memory
-from .data_io import MAX_EXTENT, SliceSequence, dataclass_from_dict
+from .data_io import MAX_EXTENT, SliceSequence, _is_a, dataclass_from_dict
 from .errors import ConfigError, ContractError, DomainError, FormatError, ShapeError
 from .lora import lora_forward
 from .memory import prediction_confidence, select_memory
@@ -88,7 +88,7 @@ MICRO_CONFIG = ModelConfig(
 
 @dataclass
 class SlicePrediction:
-    logits: Tensor  # (H, W)
+    logits: Tensor  # (H, W), a constant: the decoder's pre-sigmoid values
     probabilities: Tensor  # (H, W)
     confidence: float
     pooled_embedding: Tensor  # (d_model,)
@@ -250,8 +250,9 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     """encode_slice per chunk of ``chunk_bounds``, the first half of the chunks here and
     the rest on the lane (``tensor._in_halves``; one chunk runs here, leaving the lane to
     its attention halves). Every image is checked first, in slice order, so a bad stack
-    encodes nothing: one of the wrong shape is a ShapeError, and one with a pixel beyond
-    the float32 range (NaN and infinity included) a DomainError, each naming its slice.
+    encodes nothing: one of the wrong shape is a ShapeError, one whose dtype is not a
+    real number type (bool, integer or float) a ContractError, and one with a pixel
+    beyond the float32 range (NaN and infinity included) a DomainError, each naming its slice.
     Each chunk comes out float64: a float32 encoder's output (a constant) is widened."""
     cfg = params.config
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
@@ -259,7 +260,10 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     for i, image in enumerate(images):
         if np.shape(image) != expected:
             raise ShapeError(f"slice {i}: image shape {np.shape(image)} != expected {expected}")
-        top = np.abs(image).max(initial=0.0)
+        dtype = np.asarray(image).dtype
+        if dtype.kind not in "biuf":  # a str or complex pixel would fail, or lose its imaginary part
+            raise ContractError(f"slice {i}: image dtype {dtype} is not a real number type")
+        top = float(np.abs(image).max(initial=0.0))  # a float16 image's max, widened before the compare
         if not top <= F32_MAX:  # false for NaN too
             what = "beyond the float32 range" if np.isfinite(image).all() else "that is not finite"
             raise DomainError(f"slice {i}: image has a pixel {what}")
@@ -280,14 +284,15 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     return chunks
 
 
-def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
-    """Per-patch MLP to patch logits, reassembled to an (H, W) map, as one
-    node (op ``decode``): tanh(x @ W1.T + b1) @ W2.T + b2, row p of which
-    fills the patch window at grid cell (p // grid, p % grid).
+def decode_mask(fused_features: Tensor, params: ModelParams) -> tuple[np.ndarray, Tensor]:
+    """Per-patch MLP to patch logits, reassembled to an (H, W) map, then the
+    sigmoid of each pixel: tanh(x @ W1.T + b1) @ W2.T + b2, row p of which
+    fills the patch window at grid cell (p // grid, p % grid). Returns the
+    logits as an array and the probabilities as one node (op ``decode``).
 
-    The backward repeats the products of the chain it replaces (``linear``,
-    ``tanh``, ``linear``, then the patch reassembly) in their order; a
-    constant input gets no gradient."""
+    The backward takes the gradient through the sigmoid, then repeats the
+    products of the chain it replaces (``linear``, ``tanh``, ``linear``, then
+    the patch reassembly) in their order; a constant input gets no gradient."""
     cfg = params.config
     x = T.as_tensor(fused_features)
     if x.shape != (cfg.num_patches, cfg.d_model):
@@ -299,9 +304,14 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
     np.tanh(hidden, out=hidden)
     patch_logits = hidden @ W2.data.T
     patch_logits += b2.data
-    image = patch_logits.reshape(g, g, ps, ps).transpose(0, 2, 1, 3).reshape(g * ps, g * ps)
+    logits = patch_logits.reshape(g, g, ps, ps).transpose(0, 2, 1, 3).reshape(g * ps, g * ps)
+    probs = np.negative(logits, out=np.empty_like(logits))  # 1 / (1 + exp(-logits))
+    np.exp(probs, out=probs)
+    probs += 1.0
+    np.divide(1.0, probs, out=probs)
 
     def backward(grad):
+        grad = grad * probs * (1.0 - probs)
         gp = grad.reshape(g, ps, g, ps).transpose(0, 2, 1, 3).reshape(g * g, ps * ps)
         gh = gp @ W2.data  # d(loss)/d(hidden), then through tanh in place
         gh *= 1.0 - hidden * hidden
@@ -311,7 +321,7 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> Tensor:
             grads.append((x, gh @ W1.data))
         return grads
 
-    return _node(image, (x, W1, b1, W2, b2), backward, "decode")
+    return logits, _node(probs, (x, W1, b1, W2, b2), backward, "decode")
 
 
 def _blame(params: ModelParams, exc: DomainError) -> DomainError:
@@ -335,14 +345,21 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
     the cross-slice weights' cosines. A slot's distance is the z gap when both slices have a z
     position, and None otherwise: the cross-slice weights estimate it from the cosine.
     The config's k_memory=0 bypasses the memory path entirely (the
-    independent per-slice baseline). Images are checked before any encoding: a
-    wrong shape is a ShapeError, and a pixel beyond the float32 range (NaN and
-    infinity included) or a probability map the confidence refuses a DomainError,
-    each naming its slice. When the cosine or probability check fails, a parameter
-    tensor with a value that is not finite is named instead.
+    independent per-slice baseline). Z positions and images are checked before any
+    encoding: a z that is not None or a finite int or float (a bool, a str, NaN) or an
+    image whose dtype is not a real number type is a ContractError, a wrong shape a
+    ShapeError, and a pixel beyond the float32 range (NaN and infinity included) or a
+    probability map the confidence refuses a DomainError, each naming its slice. When
+    the cosine or probability check fails, a parameter tensor with a value that is not
+    finite is named instead.
     """
     if not seq.slices:
         raise ContractError("forward_sequence on an empty sequence")
+    for t, sl in enumerate(seq.slices):
+        z = sl.z_position_um
+        if z is not None and not _is_a(z, float):  # the check sequence.json's z passes
+            shown = "an int beyond the float range" if type(z) is int else repr(z)
+            raise ContractError(f"slice {t}: z_position_um must be a finite int or float or None, got {shown}")
     k = params.config.k_memory
     lam = params["lambda"]
     chunks = _encode_chunks([sl.image for sl in seq.slices], params)
@@ -368,14 +385,13 @@ def forward_sequence(seq: SliceSequence, params: ModelParams) -> list[SlicePredi
             fused = fuse_memory(grids[t], [grids[j] for j in chosen], cross_slice_weights(ctx, lam))
         else:
             fused = fuse_memory(grids[t], [], Tensor([1.0]))
-        logits = decode_mask(fused, params)
-        probabilities = T.sigmoid(logits)
+        logits, probabilities = decode_mask(fused, params)
         try:
             confidence = prediction_confidence(probabilities.data)
         except DomainError as exc:
             raise _blame(params, DomainError(f"slice {t}: {exc}")) from None
         confidences[t] = confidence
-        predictions.append(SlicePrediction(logits, probabilities, confidence, pooled[t]))
+        predictions.append(SlicePrediction(Tensor(logits), probabilities, confidence, pooled[t]))
     return predictions
 
 

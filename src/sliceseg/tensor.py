@@ -10,19 +10,19 @@ to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
 ``requires_grad`` tensor (call ``zero_grad`` between steps).
 
-The op set is 8 of the 13 ops the model builds: ``add``, ``tanh``,
-``sigmoid``, ``mean``, ``take`` (row i of the first axis) and
-``layer_norm`` (which optionally folds the affine gain and bias,
-``gamma`` and ``beta``, both or neither, each as wide as the last axis,
-into its one node), plus two fused primitives that each replace a whole
-op chain with one node and a hand-written backward, ``linear`` and
-``multi_head_attention`` (op ``attention``); both take any leading axes,
-so one node serves a chunk of slices. The other five are fused too:
-``cross_slice`` (the distance-aware memory weights) and ``fuse`` (their
-weighted sum of patch grids, layer-normalized) in ``attention``,
-``decode`` (the per-patch MLP decoder and the patch reassembly) in
-``model``, ``sequence_loss`` (the training objective) in ``losses``, and
-``lora`` (an adapted weight, W + B A) in ``lora``.
+The op set is 7 of the 12 ops the model builds: ``add``, ``tanh``,
+``mean``, ``take`` (row i of the first axis) and ``layer_norm`` (which
+folds the affine gain and bias, ``gamma`` and ``beta``, each as wide as
+the last axis, into its one node), plus two fused primitives that each
+replace a whole op chain with one node and a hand-written backward,
+``linear`` and ``multi_head_attention`` (op ``attention``); both take any
+leading axes, so one node serves a chunk of slices. The other five are
+fused too: ``cross_slice`` (the distance-aware memory weights) and
+``fuse`` (their weighted sum of patch grids, layer-normalized) in
+``attention``, ``decode`` (the per-patch MLP decoder, the patch reassembly
+and the sigmoid to probabilities) in ``model``, ``sequence_loss`` (the
+training objective) in ``losses``, and ``lora`` (an adapted weight,
+W + B A) in ``lora``.
 ``Tensor`` has no operator overloads. ``cosines`` is the detached numpy
 kernel of cosine similarity, for one query or a block of them: memory
 scoring scores a stack once, in blocks of ``model.ENCODE_CHUNK`` rows, which the
@@ -314,19 +314,6 @@ def tanh(a) -> Tensor:
     return _node(out_data, (a,), backward, "tanh")
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.negative(a.data, out=np.empty_like(a.data))
-    np.exp(out_data, out=out_data)
-    out_data += 1.0
-    np.divide(1.0, out_data, out=out_data)
-
-    def backward(g):
-        return ((a, g * out_data * (1.0 - out_data)),)
-
-    return _node(out_data, (a,), backward, "sigmoid")
-
-
 # --------------------------------------------------------------- reductions
 
 
@@ -501,36 +488,26 @@ def _normalize_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.
     return ga
 
 
-def layer_norm(a, gamma=None, beta=None) -> Tensor:
-    """Normalize over the last axis to zero mean, unit variance, then
-    (given both) scale by gamma and shift by beta, each of shape
-    (a.shape[-1],); their gradients sum over every leading axis."""
-    a = as_tensor(a)
-    if (gamma is None) != (beta is None):
-        raise ContractError("layer_norm takes gamma and beta together or neither")
+def layer_norm(a, gamma, beta) -> Tensor:
+    """Normalize over the last axis to zero mean, unit variance, then scale
+    by gamma and shift by beta, each of shape (a.shape[-1],); their
+    gradients sum over every leading axis."""
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    width = a.shape[-1:]
+    if gamma.shape != width or beta.shape != width:
+        raise ShapeError(
+            f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must both be {width} "
+            f"for input {a.shape}"
+        )
     xhat, inv = _normalize(a.data)
-    if gamma is None:
-        parents, out_data = (a,), xhat
-    else:
-        gamma, beta = as_tensor(gamma), as_tensor(beta)
-        width = a.shape[-1:]
-        if gamma.shape != width or beta.shape != width:
-            raise ShapeError(
-                f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must both be {width} "
-                f"for input {a.shape}"
-            )
-        parents = (a, gamma, beta)
-        out_data = xhat * gamma.data
-        out_data += beta.data
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def backward(g):
-        grads = []
-        if gamma is not None:
-            grads += [(gamma, _unbroadcast(g * xhat, width)), (beta, _unbroadcast(g, width))]
-            g = g * gamma.data
-        return [(a, _normalize_backward(g, xhat, inv)), *grads]
+        ga = _normalize_backward(g * gamma.data, xhat, inv)
+        return ((a, ga), (gamma, _unbroadcast(g * xhat, width)), (beta, _unbroadcast(g, width)))
 
-    return _node(out_data, parents, backward, "layer_norm")
+    return _node(out_data, (a, gamma, beta), backward, "layer_norm")
 
 
 def _norms(q: np.ndarray, E: np.ndarray):

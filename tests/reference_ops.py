@@ -11,7 +11,8 @@ estimate_distance was ``sliceseg.attention``'s similarity-derived
 distance, which ``cross_slice_weights`` computes from its context's cosines.
 scored_context builds that context the way ``forward_sequence`` does, the
 cosines scored by ``tensor.cosines``.
-matmul was an op until a LoRA merge became one node (``lora``).
+matmul was an op until a LoRA merge became one node (``lora``), and
+sigmoid until the decoder's node emitted the probabilities itself.
 """
 
 import math
@@ -41,6 +42,20 @@ def exp(a) -> Tensor:
     a = T.as_tensor(a)
     out_data = np.exp(a.data)
     return T._node(out_data, (a,), lambda g: ((a, g * out_data),), "exp")
+
+
+def sigmoid(a) -> Tensor:
+    """1 / (1 + exp(-a)), computed in place in one new array."""
+    a = T.as_tensor(a)
+    out_data = np.negative(a.data, out=np.empty_like(a.data))
+    np.exp(out_data, out=out_data)
+    out_data += 1.0
+    np.divide(1.0, out_data, out=out_data)
+
+    def backward(g):
+        return ((a, g * out_data * (1.0 - out_data)),)
+
+    return T._node(out_data, (a,), backward, "sigmoid")
 
 
 def softmax(a) -> Tensor:
@@ -167,14 +182,22 @@ def scored_context(query, embeddings, distances) -> AttentionContext:
     return AttentionContext(query, embeddings, distances, T.cosines(T.as_tensor(query).data, slots))
 
 
+def plain_layer_norm(a) -> Tensor:
+    """layer_norm with unit gain and zero bias: the normalization alone."""
+    a = T.as_tensor(a)
+    return T.layer_norm(a, np.ones(a.shape[-1]), np.zeros(a.shape[-1]))
+
+
 def fuse_chain(patch_feats, memory_patch_feats, alpha) -> Tensor:
     """The chain the ``fuse`` node replaced: layer_norm(weighted_sum(...))."""
-    return T.layer_norm(weighted_sum(alpha, [patch_feats, *memory_patch_feats]))
+    return plain_layer_norm(weighted_sum(alpha, [patch_feats, *memory_patch_feats]))
 
 
-def decode_chain(fused_features, params) -> Tensor:
-    """The chain the ``decode`` node replaced: linear, tanh, linear, unpatchify."""
+def decode_chain(fused_features, params) -> tuple[np.ndarray, Tensor]:
+    """The chain the ``decode`` node replaced: linear, tanh, linear, unpatchify,
+    sigmoid; the logits as an array and the probabilities, as ``decode_mask``."""
     cfg = params.config
     h1 = T.tanh(T.linear(fused_features, params["decoder.fc1.W"], params["decoder.fc1.b"]))
     patch_logits = T.linear(h1, params["decoder.fc2.W"], params["decoder.fc2.b"])
-    return unpatchify(patch_logits, cfg.grid, cfg.patch_size)
+    logits = unpatchify(patch_logits, cfg.grid, cfg.patch_size)
+    return logits.data, sigmoid(logits)

@@ -142,6 +142,25 @@ def test_unreadable_config_is_single_line_error_naming_the_file(dataset, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"steps": 0}, "steps must be >= 1"),
+        ({"stepz": 5}, "unknown config key: 'stepz'"),
+        ({"model": {"d_model": 10**400, "heads": 1}}, "d_model must be <= 1048576"),
+    ],
+    ids=["refused_value", "unknown_key", "too_large_size"],
+)
+def test_a_config_the_checks_refuse_is_an_error_naming_the_file(dataset, tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "x.psc"
+    rc = main(["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(out), "--steps", "1"])
+    assert rc == 1
+    assert _single_json_error(capsys)["error"] == f"config {cfg_path}: {message}"
+    assert not out.exists()
+
+
 def test_train_to_values_not_finite_in_f32_writes_no_checkpoint(dataset, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"learning_rate": 1e308, "steps": 1}))

@@ -1,5 +1,7 @@
 """On-disk formats, synthetic generation and distance estimation."""
 
+import builtins
+import errno
 import functools
 import hashlib
 import json
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sliceseg import data_io
 from sliceseg.data_io import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -181,6 +184,51 @@ def test_checkpoint_truncated_tensor(tmp_path):
     p.write_bytes(blob[:-8])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(p)
+
+
+class _FullDisk:
+    """A file opened for writing whose 4th write fails with ENOSPC; the
+    first three (magic, version and length, header) reach the file."""
+
+    def __init__(self, *args, **kwargs):
+        self.file = builtins.open(*args, **kwargs)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 4:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.file.write(data)
+
+
+@pytest.mark.parametrize("earlier", [True, False])
+def test_a_failed_checkpoint_write_keeps_the_earlier_checkpoint(tmp_path, monkeypatch, earlier):
+    p = tmp_path / "m.psc"
+    if earlier:
+        save_checkpoint(p, {"x": np.ones((2, 3)), "y": np.zeros(4)}, {"run": 1})
+    before = sorted((q.name, q.read_bytes()) for q in tmp_path.iterdir())
+    monkeypatch.setattr(data_io, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError) as raised:
+        save_checkpoint(p, {"x": np.full((2, 3), 2.0), "y": np.ones(4)}, {"run": 2})
+    assert raised.value.errno == errno.ENOSPC
+    assert sorted((q.name, q.read_bytes()) for q in tmp_path.iterdir()) == before
+
+
+def test_a_checkpoint_write_through_a_link_or_to_a_device_is_in_place(tmp_path):
+    real, link = tmp_path / "real.psc", tmp_path / "link.psc"
+    save_checkpoint(real, {"x": np.ones(2)}, {"run": 1})
+    link.symlink_to(real)
+    save_checkpoint(link, {"x": np.zeros(2)}, {"run": 2})
+    assert link.is_symlink() and load_checkpoint(real)[1] == {"run": 2}
+    if os.path.exists(os.devnull):  # not a regular file: no partial file beside it
+        save_checkpoint(os.devnull, {"x": np.ones(2)}, {})
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["link.psc", "real.psc"]
 
 
 def _two_tensor_checkpoint(path: Path, offsets: tuple[int, int]) -> int:
@@ -655,7 +703,6 @@ def test_load_dataset_and_load_params_match_the_pathlib_decode(tmp_path, monkeyp
     """Against an oracle of the decode as it was when files were read through
     pathlib, byte for byte; `read_raster` and `load_checkpoint` run once per
     file, through the module globals the benchmark's tracer wraps."""
-    import sliceseg.data_io as data_io
 
     root = generate_dataset(SynthConfig(seed=5, corrupt_prob=0.5), tmp_path / "d")
     ckpt = tmp_path / "m.psc"

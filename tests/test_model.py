@@ -134,13 +134,14 @@ def test_decode_zero_weights_gives_half_probabilities(micro_params):
     params = init_params(MICRO_CONFIG, seed=0)
     for name in ("decoder.fc1.W", "decoder.fc1.b", "decoder.fc2.W", "decoder.fc2.b"):
         params.tensors[name].data = np.zeros_like(params.tensors[name].data)
-    logits = decode_mask(Tensor(np.zeros((4, 8))), params)
-    assert np.array_equal(logits.data, np.zeros((8, 8)))
+    logits, probabilities = decode_mask(Tensor(np.zeros((4, 8))), params)
+    assert np.array_equal(logits, np.zeros((8, 8)))
+    assert np.array_equal(probabilities.data, np.full((8, 8), 0.5))
 
 
 def test_decode_output_shape(micro_params):
-    logits = decode_mask(Tensor(np.random.default_rng(0).standard_normal((4, 8))), micro_params)
-    assert logits.shape == (8, 8)
+    logits, probabilities = decode_mask(Tensor(np.random.default_rng(0).standard_normal((4, 8))), micro_params)
+    assert logits.shape == probabilities.shape == (8, 8)
     with pytest.raises(ShapeError):
         decode_mask(Tensor(np.zeros((3, 8))), micro_params)
 
@@ -155,7 +156,7 @@ def test_decoder_patch_reassembly_layout():
     params.tensors["decoder.fc2.b"].data = np.zeros(16)
     feats = np.zeros((4, 8))
     feats[2] = 5.0
-    logits = decode_mask(Tensor(feats), params).data
+    logits, _ = decode_mask(Tensor(feats), params)
     window = logits[4:8, 0:4]
     rest = logits.copy()
     rest[4:8, 0:4] = 0.0
@@ -169,8 +170,9 @@ def test_single_slice_equals_memoryless_path(micro_params):
     [pred] = forward_sequence(seq, micro_params)
     feats = T.take(encode_slice([seq.slices[0].image], micro_params), 0)
     fused = fuse_memory(feats, [], Tensor([1.0]))
-    direct = decode_mask(fused, micro_params)
-    assert np.array_equal(pred.logits.data, direct.data)
+    logits, probabilities = decode_mask(fused, micro_params)
+    assert np.array_equal(pred.logits.data, logits)
+    assert np.array_equal(pred.probabilities.data, probabilities.data)
 
 
 def test_duplicated_slice_prediction_matches_first():
@@ -280,8 +282,8 @@ def test_k_zero_equals_independent_per_slice():
     preds = forward_sequence(seq, params)
     for sl, pred in zip(seq.slices, preds):
         feats = T.take(encode_slice([sl.image], params), 0)
-        solo = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
-        assert np.array_equal(pred.logits.data, solo.data)
+        logits, _ = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
+        assert np.array_equal(pred.logits.data, logits)
 
 
 def test_forward_deterministic_across_runs(micro_params):
@@ -450,9 +452,9 @@ def test_reference_train_step_tape_size(tmp_path):
     nodes = _tape_nodes(loss)
     assert nodes == Counter(
         add=5, attention=2, cross_slice=5, decode=6, fuse=6, layer_norm=4, linear=13, lora=4,
-        mean=6, sequence_loss=1, sigmoid=6, take=6, tanh=2,
+        mean=6, sequence_loss=1, take=6, tanh=2,
     )
-    assert sum(nodes.values()) == 66
+    assert sum(nodes.values()) == 60
 
 
 def test_load_params_keeps_the_encoder_in_float32_and_widens_the_rest(tmp_path):
@@ -652,6 +654,31 @@ def test_a_pixel_beyond_the_float32_range_is_a_domain_error_naming_its_slice(mic
             forward_sequence(seq, micro_params)
 
 
+# slice 1 of an in-memory stack, poisoned: what forward_sequence must say, or None for a finite result
+POISONED_SLICES = {
+    "float16_image": (lambda sl: setattr(sl, "image", sl.image.astype(np.float16)), None),
+    "str_image": (lambda sl: setattr(sl, "image", np.full(sl.image.shape, "0.5")), "image dtype <U3"),
+    "complex_image": (lambda sl: setattr(sl, "image", sl.image + 0.5j), "image dtype complex128"),
+    "str_z": (lambda sl: setattr(sl, "z_position_um", "3"), "z_position_um .* got '3'"),
+    "bool_z": (lambda sl: setattr(sl, "z_position_um", True), "z_position_um .* got True"),
+}
+
+
+@pytest.mark.parametrize("case", POISONED_SLICES)
+def test_a_poisoned_in_memory_slice_ends_in_a_typed_error_or_a_finite_result(micro_params, case):
+    poison, message = POISONED_SLICES[case]
+    seq = make_sequence(np.random.default_rng(23), MICRO_CONFIG, 4)
+    poison(seq.slices[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            preds = forward_sequence(seq, micro_params)
+            assert all(np.isfinite(p.probabilities.data).all() for p in preds)
+        else:
+            with pytest.raises(ContractError, match=rf"^slice 1: {message}"):
+                forward_sequence(seq, micro_params)
+
+
 @pytest.mark.parametrize("config", [ModelConfig(), MICRO_CONFIG], ids=["default", "micro"])
 def test_a_pixel_at_the_float32_limit_gives_finite_probabilities(config):
     seq = make_sequence(np.random.default_rng(22), config, 12)
@@ -762,13 +789,15 @@ DECODE_CONFIGS = {
 
 
 def _decoded(build, x, params, c):
-    """Output bytes, then every gradient's bytes, of mean(build(x) * c)."""
+    """The logits' and the probabilities' bytes, then every gradient's bytes, of
+    mean(probabilities * c) for (logits, probabilities) = build(x)."""
     for t in (x, *params.tensors.values()):
         t.zero_grad()
-    out = build(x, params)
+    logits, out = build(x, params)
     T.mean(mul(out, c)).backward()
     names = [f"decoder.{n}" for n in ("fc1.W", "fc1.b", "fc2.W", "fc2.b")]
-    return [out.data.tobytes()] + [t.grad.tobytes() for t in [x] + [params[n] for n in names]]
+    grads = [t.grad.tobytes() for t in [x] + [params[n] for n in names]]
+    return [logits.tobytes(), out.data.tobytes()] + grads
 
 
 @pytest.mark.parametrize("name", DECODE_CONFIGS)
@@ -780,8 +809,24 @@ def test_decode_is_the_old_chain_bitwise(name):
         t.data = t.data + rng.normal(0.0, 0.1, t.shape)
     x = Tensor(rng.standard_normal((config.num_patches, config.d_model)), requires_grad=True)
     c = rng.standard_normal((config.image_size, config.image_size))
-    out = decode_mask(x, params)
+    _, out = decode_mask(x, params)
     assert out._op == "decode" and out._parents[0] is x
+    assert _decoded(decode_mask, x, params, c) == _decoded(decode_chain, x, params, c)
+
+
+@pytest.mark.parametrize("name", DECODE_CONFIGS)
+def test_decode_probabilities_are_the_sigmoid_of_its_logits_bitwise(name):
+    # decoder weights scaled so the logits reach past +-40, where the sigmoid saturates
+    config = DECODE_CONFIGS[name]
+    params = init_params(config, seed=3)
+    params.tensors["decoder.fc2.W"].data = params["decoder.fc2.W"].data * 60.0
+    rng = np.random.default_rng(len(name) + 7)
+    x = Tensor(rng.standard_normal((config.num_patches, config.d_model)), requires_grad=True)
+    logits, probabilities = decode_mask(x, params)
+    assert np.abs(logits).max() > 40.0
+    assert probabilities.data.tobytes() == (1.0 / (1.0 + np.exp(-logits))).tobytes()
+    # the node's gradient is the sigmoid oracle's on top of the logits' chain
+    c = rng.standard_normal(logits.shape)
     assert _decoded(decode_mask, x, params, c) == _decoded(decode_chain, x, params, c)
 
 
@@ -789,7 +834,7 @@ def test_decode_gives_a_constant_input_no_gradient(micro_params):
     rng = np.random.default_rng(19)
     data = rng.standard_normal((4, 8))
     g = rng.standard_normal((8, 8))
-    taped, constant = (decode_mask(Tensor(data, requires_grad=req), micro_params) for req in (True, False))
+    taped, constant = (decode_mask(Tensor(data, requires_grad=req), micro_params)[1] for req in (True, False))
     routed_taped = [(t, gt.tobytes()) for t, gt in taped._backward(g)]
     routed_constant = [(t, gt.tobytes()) for t, gt in constant._backward(g)]
     assert routed_taped[-1][0] is taped._parents[0]

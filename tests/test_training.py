@@ -349,8 +349,8 @@ def test_k_zero_training_is_served_without_memory(tiny_dataset, tmp_path):
         preds = forward_sequence(seq, params)
         for sl, pred in zip(seq.slices, preds):
             feats = T.take(encode_slice([sl.image], params), 0)
-            solo = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
-            assert np.array_equal(pred.logits.data, solo.data)
+            logits, _ = decode_mask(fuse_memory(feats, [], Tensor([1.0])), params)
+            assert np.array_equal(pred.logits.data, logits)
         expected = [
             dice_score((p.probabilities.data >= 0.5).astype(np.uint8), sl.mask)
             for sl, p in zip(seq.slices, preds)
