@@ -20,7 +20,9 @@ Every file is read whole through one raw descriptor (``os.open``,
 ``os.fstat``, ``os.read``, ``os.close``), with no buffered file object. A
 raster is one copy out of those bytes, so a read briefly holds about twice
 the raster; its declared size is checked against the bytes read before the
-array is made.
+array is made. Every file is written through ``_write_file``, to
+``<path>.partial``, which then replaces the path: a failed write leaves the
+earlier file as it was and no partial file behind.
 """
 
 from __future__ import annotations
@@ -82,10 +84,7 @@ def write_raster(path: str | Path, array: np.ndarray) -> None:
         tag, out = DTYPE_U8, arr
     else:
         tag, out = DTYPE_F32, _finite_f32(arr, f"raster {str(path)!r}")
-    with open(path, "wb") as f:
-        f.write(RASTER_MAGIC)
-        f.write(struct.pack("<IIIB", w, h, c, tag))
-        f.write(np.ascontiguousarray(out))
+    _write_file(path, (RASTER_MAGIC, struct.pack("<IIIB", w, h, c, tag), np.ascontiguousarray(out)))
 
 
 def read_raster(path: str | Path) -> np.ndarray:
@@ -117,7 +116,7 @@ def read_raster(path: str | Path) -> np.ndarray:
     return data
 
 
-# ------------------------------------------------------------ raw reads
+# ------------------------------------------------------- raw reads and writes
 
 
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: Windows only
@@ -145,6 +144,24 @@ def _read_file(path: str | Path) -> bytes:
         return b"".join(parts)  # one part is returned as it is, not copied
     finally:
         os.close(fd)
+
+
+def _write_file(path: str | Path, parts) -> None:
+    """Write `parts` (bytes or arrays, from any iterable), one `write` each, in order, to
+    ``<path>.partial``, which then replaces `path`; any failure removes the partial file.
+    A link, a device or a FIFO at `path` is written through, in place."""
+    direct = os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+    out = Path(path if direct else f"{os.fspath(path)}.partial")
+    try:
+        with open(out, "wb") as f:
+            for part in parts:
+                f.write(part)
+        if not direct:
+            out.replace(path)
+    except BaseException:
+        if not direct:
+            out.unlink(missing_ok=True)
+        raise
 
 
 # ------------------------------------------------------------------ configs
@@ -214,10 +231,7 @@ def save_checkpoint(
 ) -> None:
     """Write named tensors plus a config document; payloads are f32 LE.
     A value that is not finite in f32 is a DomainError naming its tensor,
-    raised before the file is opened. The bytes go to ``<path>.partial``,
-    which then replaces `path`, so a failed write leaves an earlier checkpoint
-    as it was and removes the partial file; a link, a device or a FIFO at
-    `path` is written through, in place."""
+    raised before the file is opened; a failed save leaves an earlier checkpoint as it was."""
     manifest = []
     offset = 0
     payloads = []
@@ -229,21 +243,8 @@ def save_checkpoint(
     header = json.dumps(
         {"config": config, "frozen": sorted(frozen or []), "tensors": manifest}
     ).encode("utf-8")
-    direct = os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
-    out = Path(path if direct else f"{os.fspath(path)}.partial")
-    try:
-        with open(out, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
-            f.write(header)
-            for p in payloads:
-                f.write(p)
-        if not direct:
-            out.replace(path)
-    except BaseException:
-        if not direct:
-            out.unlink(missing_ok=True)
-        raise
+    lengths = struct.pack("<II", CHECKPOINT_VERSION, len(header))
+    _write_file(path, [CHECKPOINT_MAGIC, lengths, header, *payloads])
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list[str]]:
@@ -522,11 +523,6 @@ def _quadric_min(blobs: list[Ellipse], grid: np.ndarray) -> np.ndarray:
     return q_min
 
 
-def ellipse_mask(blobs: list[Ellipse], size: int) -> np.ndarray:
-    """Exact per-pixel membership union of the ellipses."""
-    return (_quadric_min(blobs, _pixel_grid(size)) <= 1.0).astype(np.uint8)
-
-
 def _render_clean(q_min: np.ndarray, jitter: float) -> np.ndarray:
     """The noise-free image of the ellipses whose `_quadric_min` is q_min."""
     # Soft-edged bright blobs on a darker background. Far from every blob
@@ -628,5 +624,5 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
                 }
             )
         meta = {"sequence_id": seq_id, "slices": records}
-        (seq_dir / "sequence.json").write_text(json.dumps(meta, indent=2) + "\n")
+        _write_file(seq_dir / "sequence.json", [(json.dumps(meta, indent=2) + "\n").encode()])
     return root

@@ -19,6 +19,8 @@ from .errors import ContractError, DomainError
 
 def prediction_confidence(p: np.ndarray) -> float:
     """Mean pixel margin |2p - 1|: 0 at p=0.5 everywhere, 1 at hard masks."""
+    if p.dtype.kind not in "biuf":
+        raise ContractError(f"probability map dtype {p.dtype} is not a real number type")
     if p.size == 0:
         raise DomainError("confidence of an empty probability map")
     if not (p.min() >= 0.0 and p.max() <= 1.0):  # false for NaN too

@@ -306,7 +306,8 @@ def decode_mask(fused_features: Tensor, params: ModelParams) -> tuple[np.ndarray
     patch_logits += b2.data
     logits = patch_logits.reshape(g, g, ps, ps).transpose(0, 2, 1, 3).reshape(g * ps, g * ps)
     probs = np.negative(logits, out=np.empty_like(logits))  # 1 / (1 + exp(-logits))
-    np.exp(probs, out=probs)
+    with np.errstate(over="ignore"):  # a logit below about -709 overflows to inf: probability 0
+        np.exp(probs, out=probs)
     probs += 1.0
     np.divide(1.0, probs, out=probs)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import load_dataset
+from .data_io import _write_file, load_dataset
 from .errors import ConfigError, ContractError, DomainError, EvaluationError
 from .losses import LossWeights, combined_loss, dice_score
 from .model import (
@@ -100,9 +100,11 @@ def adam_step(
 
 def _sequence_targets(seq):
     targets = []
-    for sl in seq.slices:
+    for t, sl in enumerate(seq.slices):
         if sl.mask is None:
             raise EvaluationError(f"sequence {seq.sequence_id} is missing a mask")
+        if sl.mask.dtype.kind not in "biuf":  # astype would parse a str mask as numbers
+            raise ContractError(f"slice {t}: mask dtype {sl.mask.dtype} is not a real number type")
         targets.append(Tensor(sl.mask.astype(np.float64)))
     return targets
 
@@ -148,37 +150,32 @@ def train(
 
     Sequences are visited one per step in a per-epoch shuffled order
     drawn from the seed's "order" substream. The trace, one JSON record
-    per line, replaces ``<out_checkpoint>.trace.jsonl`` only once the
-    checkpoint is saved.
+    per line, is written to ``<out_checkpoint>.trace.jsonl`` once the
+    checkpoint is saved, so a run that fails writes no trace.
     """
+    out_dir = Path(out_checkpoint).parent
+    if not out_dir.is_dir():  # refused before training, not after it, at the first save
+        raise ConfigError(f"cannot write {out_checkpoint}: {out_dir} is not a directory")
     sequences = load_dataset(dataset_dir)
     if not sequences:
         raise ConfigError(f"no sequences found under {dataset_dir}")
     params = init_params(config.model, seed=config.seed)
     state = AdamState()
     order_rng = substream(config.seed, "order")
-    trace: list[float] = []
+    records: list[dict] = []
     schedule: list[int] = []
-    trace_path = Path(f"{out_checkpoint}.trace.jsonl")
-    partial = trace_path.with_name(f"{trace_path.name}.partial")
-    try:
-        with open(partial, "w") as tf:
-            for step in range(1, config.steps + 1):
-                if not schedule:
-                    schedule = list(order_rng.permutation(len(sequences)))
-                seq = sequences[schedule.pop(0)]
-                loss = train_step(params, seq, state, config)
-                trace.append(loss)
-                tf.write(json.dumps({"step": step, "sequence": seq.sequence_id, "loss": loss}) + "\n")
-                if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
-                    save_params(f"{out_checkpoint}.step{step}", params)
-        save_params(out_checkpoint, params)
-        partial.replace(trace_path)
-    except BaseException:
-        # no trace of steps no checkpoint holds; an earlier run keeps its own
-        partial.unlink(missing_ok=True)
-        raise
-    return trace
+    for step in range(1, config.steps + 1):
+        if not schedule:
+            schedule = list(order_rng.permutation(len(sequences)))
+        seq = sequences[schedule.pop(0)]
+        loss = train_step(params, seq, state, config)
+        records.append({"step": step, "sequence": seq.sequence_id, "loss": loss})
+        if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
+            save_params(f"{out_checkpoint}.step{step}", params)
+    save_params(out_checkpoint, params)
+    lines = "".join(json.dumps(record) + "\n" for record in records)
+    _write_file(f"{out_checkpoint}.trace.jsonl", [lines.encode()])
+    return [record["loss"] for record in records]
 
 
 # ------------------------------------------------------------- evaluation
@@ -233,4 +230,4 @@ def evaluate(dataset_dir: str | Path, checkpoint: str | Path) -> EvalReport:
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n")
+    _write_file(path, [(json.dumps(asdict(report), indent=2) + "\n").encode()])

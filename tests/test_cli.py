@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sliceseg import training
 from sliceseg.cli import main
 from sliceseg.data_io import load_dataset, read_raster, write_raster
 
@@ -183,6 +184,15 @@ def test_train_stopped_by_a_non_finite_loss_leaves_no_trace(dataset, tmp_path, c
     assert rc == 1
     assert "non-finite loss" in _single_json_error(capsys)["error"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_train_into_a_missing_directory_fails_before_the_first_step(dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(training, "train_step", lambda *a: pytest.fail("a step ran"))
+    out = tmp_path / "missing" / "m.psc"
+    assert main(["train", "--data", str(dataset), "--out", str(out), "--steps", "1"]) == 1
+    error = _single_json_error(capsys)["error"]
+    assert error == f"cannot write {out}: {out.parent} is not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_failed_rerun_keeps_the_earlier_checkpoint_and_its_trace(dataset, tmp_path, capsys):

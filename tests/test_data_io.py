@@ -1,6 +1,7 @@
 """On-disk formats, synthetic generation and distance estimation."""
 
 import builtins
+import dataclasses
 import errno
 import functools
 import hashlib
@@ -24,7 +25,6 @@ from sliceseg.data_io import (
     CHECKPOINT_VERSION,
     MAX_EXTENT,
     SynthConfig,
-    ellipse_mask,
     generate_dataset,
     generate_sequence,
     load_checkpoint,
@@ -38,6 +38,7 @@ from sliceseg.errors import (
     ConfigError, ContractError, DomainError, FormatError, SlicesegError, UnsupportedVersionError,
 )
 from sliceseg.model import MICRO_CONFIG, init_params, load_params, save_params
+from sliceseg.training import EvalReport, write_report
 
 from reference_ops import estimate_distance
 
@@ -187,12 +188,15 @@ def test_checkpoint_truncated_tensor(tmp_path):
 
 
 class _FullDisk:
-    """A file opened for writing whose 4th write fails with ENOSPC; the
-    first three (magic, version and length, header) reach the file."""
+    """data_io's `open`, whose `fail_at`-th write, counted over every file it
+    opens, fails with ENOSPC; the writes before it reach their files."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, fail_at: int):
+        self.fail_at, self.writes = fail_at, 0
+
+    def __call__(self, *args, **kwargs):
         self.file = builtins.open(*args, **kwargs)
-        self.writes = 0
+        return self
 
     def __enter__(self):
         return self
@@ -202,7 +206,7 @@ class _FullDisk:
 
     def write(self, data):
         self.writes += 1
-        if self.writes == 4:
+        if self.writes == self.fail_at:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return self.file.write(data)
 
@@ -213,11 +217,46 @@ def test_a_failed_checkpoint_write_keeps_the_earlier_checkpoint(tmp_path, monkey
     if earlier:
         save_checkpoint(p, {"x": np.ones((2, 3)), "y": np.zeros(4)}, {"run": 1})
     before = sorted((q.name, q.read_bytes()) for q in tmp_path.iterdir())
-    monkeypatch.setattr(data_io, "open", _FullDisk, raising=False)
+    # the 4th write is the first payload; magic, version and length, and header reach the file
+    monkeypatch.setattr(data_io, "open", _FullDisk(4), raising=False)
     with pytest.raises(OSError) as raised:
         save_checkpoint(p, {"x": np.full((2, 3), 2.0), "y": np.ones(4)}, {"run": 2})
     assert raised.value.errno == errno.ENOSPC
     assert sorted((q.name, q.read_bytes()) for q in tmp_path.iterdir()) == before
+
+
+def _write_a_raster(root: Path, run: int) -> Path:
+    write_raster(root / "r.psr", np.full((4, 4), float(run)))
+    return root / "r.psr"
+
+
+def _write_a_dataset(root: Path, run: int) -> Path:
+    generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=2, image_size=8, seed=run), root)
+    return root / "seq_000" / "sequence.json"
+
+
+def _write_a_report(root: Path, run: int) -> Path:
+    write_report(EvalReport(run / 2, 0.0, 1, 1, [], {"run": run}), root / "report.json")
+    return root / "report.json"
+
+
+@pytest.mark.parametrize(
+    "write, fail_at",
+    [
+        (_write_a_raster, 3),  # the payload, after magic and header
+        (_write_a_dataset, 13),  # sequence.json, after two image and two mask rasters of 3 writes each
+        (_write_a_report, 1),
+    ],
+)
+def test_a_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write, fail_at):
+    path = write(tmp_path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(data_io, "open", _FullDisk(fail_at), raising=False)
+    with pytest.raises(OSError) as raised:
+        write(tmp_path, 2)
+    assert raised.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.partial"))
 
 
 def test_a_checkpoint_write_through_a_link_or_to_a_device_is_in_place(tmp_path):
@@ -644,11 +683,14 @@ def _psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 def test_corruption_degrades_image_but_not_mask():
     cfg = SynthConfig(num_sequences=6, slices_per_sequence=6, seed=2, corrupt_prob=0.5)
+    clean_cfg = dataclasses.replace(cfg, corrupt_prob=0.0)
     saw_corrupted = False
     for s in range(cfg.num_sequences):
         _, slices = generate_sequence(cfg, s)
-        for sl in slices:
-            assert np.array_equal(sl.mask, ellipse_mask(sl.blobs, cfg.image_size))
+        _, clean_slices = generate_sequence(clean_cfg, s)
+        for sl, clean in zip(slices, clean_slices, strict=True):
+            # geometry and z are drawn before any per-slice draw, so corruption moves neither
+            assert np.array_equal(sl.mask, clean.mask) and sl.z_position_um == clean.z_position_um
             if sl.corrupted:
                 saw_corrupted = True
                 assert _psnr(sl.image, sl.clean_image) < 20.0

@@ -45,6 +45,7 @@ from sliceseg.model import (
 from sliceseg.attention import fuse_memory
 from sliceseg.lora import lora_forward
 from sliceseg.losses import combined_loss
+from sliceseg.memory import prediction_confidence
 from sliceseg.tensor import Tensor
 from sliceseg.training import AdamState, TrainConfig, train_step
 
@@ -742,6 +743,40 @@ def test_a_non_finite_parameter_is_named_by_the_forward_error(name, k, monkeypat
     with pytest.raises(DomainError, match=rf"^parameter '{name}' has a value that is not finite$"):
         forward_sequence(seq, params)
     assert len(scans) == 1
+
+
+def test_a_decoder_logit_past_the_exp_range_is_probability_zero_without_a_warning():
+    # pytest turns a RuntimeWarning into an error: exp(1e300) overflows to inf
+    params = init_params(MICRO_CONFIG, seed=0)
+    params["decoder.fc2.W"].data *= 1e300
+    preds = forward_sequence(make_sequence(np.random.default_rng(3), MICRO_CONFIG, 3), params)
+    for pred in preds:
+        logits, probs = pred.logits.data, pred.probabilities.data
+        with np.errstate(over="ignore"):
+            assert np.array_equal(probs, 1.0 / (1.0 + np.exp(-logits)))
+        assert (probs[logits < -710] == 0.0).all() and (logits < -710).any()
+
+
+def _train_on_a_string_mask():
+    seq = make_sequence(np.random.default_rng(4), MICRO_CONFIG, 3)
+    seq.slices[1].mask = np.full((8, 8), "1")
+    train_step(init_params(MICRO_CONFIG, seed=0), seq, AdamState(), TrainConfig(model=MICRO_CONFIG))
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (_train_on_a_string_mask, r"^slice 1: mask dtype <U1 is not a real number type$"),
+        (
+            lambda: prediction_confidence(np.full((8, 8), "0.7")),
+            r"^probability map dtype <U3 is not a real number type$",
+        ),
+    ],
+    ids=["mask", "probabilities"],
+)
+def test_a_mask_or_probability_map_of_strings_is_a_contract_error(run, message):
+    with pytest.raises(ContractError, match=message):
+        run()
 
 
 @pytest.mark.parametrize("n, blocks", [(64, 4), (40, 3)])
