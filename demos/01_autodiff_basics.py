@@ -21,7 +21,8 @@ loss.backward()
 print("loss          :", loss.item())
 print("dloss/dw      :\n", w.grad)
 
-# Gradients accumulate until zero_grad; a second backward adds on top.
+# Gradients of separate graphs accumulate until zero_grad; one graph backs up
+# once, so the same loss is built again to back it up again.
 w_first = w.grad.copy()
 w.zero_grad()
 x.zero_grad()

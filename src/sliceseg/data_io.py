@@ -149,11 +149,16 @@ def _read_file(path: str | Path) -> bytes:
 def _write_file(path: str | Path, parts) -> None:
     """Write `parts` (bytes or arrays, from any iterable), one `write` each, in order, to
     ``<path>.partial``, which then replaces `path`; any failure removes the partial file.
-    A link, a device or a FIFO at `path` is written through, in place."""
+    A link, a device or a FIFO at `path` is written through, in place. An OSError opening
+    the file names `path`, not the partial file."""
     direct = os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
     out = Path(path if direct else f"{os.fspath(path)}.partial")
     try:
-        with open(out, "wb") as f:
+        try:
+            f = open(out, "wb")
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+        with f:
             for part in parts:
                 f.write(part)
         if not direct:

@@ -7,17 +7,17 @@ connections and layer norm. The query and value projections of block i
 are low-rank adapted: their weight is W + B @ A, with the base
 ``encoder.block<i>.attn.{q,v}.W`` frozen and the factors
 ``lora.block<i>.{q,v}.{A,B}`` trained (B starts at zero). The encoder
-sees each slice on its own, so a sequence is first encoded in chunks of up
-to ENCODE_CHUNK slices (``chunk_bounds``); the calling thread encodes the
-first half of the chunks while the tensor module's one helper thread
-encodes the rest (``tensor._in_halves``), to the same bits. The encoder
-computes in its parameters' dtype, float32 for a loaded checkpoint, and each
-chunk's output is widened to float64. Every slice is pooled next, and the
-memory bank is scored in cosine blocks of ENCODE_CHUNK rows. Then, slice by
-slice, the pooled embedding queries the memory bank, distance-aware attention
-weights fuse the retrieved patch grids with the current one, and a
-per-patch MLP decoder emits the pixel probabilities, the sigmoid of its
-logits (one ``decode`` node with a hand-written backward).
+sees each slice on its own, so a sequence is first encoded in chunks of up to
+ENCODE_CHUNK slices (``chunk_bounds``); the calling thread encodes the first
+half of the chunks while the tensor module's one helper thread encodes the
+rest (``tensor._in_halves``), to the same bits. The encoder computes in its
+parameters' dtype, float32 for a loaded checkpoint, and each chunk's output is
+widened to float64, into one stack the calling thread allocates. Every slice
+is pooled next, and the memory bank is scored in cosine blocks of ENCODE_CHUNK
+rows. Then, slice by slice, the pooled embedding queries the memory bank,
+distance-aware attention weights fuse the retrieved patch grids with the
+current one, and a per-patch MLP decoder emits the pixel probabilities, the
+sigmoid of its logits (one ``decode`` node with a hand-written backward).
 """
 
 from __future__ import annotations
@@ -211,27 +211,26 @@ def encode_slice(images, params: ModelParams) -> Tensor:
     It computes in the dtype of its parameters: the chunk is cast to that of
     ``encoder.patch_proj.W`` here, float64 for ``init_params`` and float32 for
     ``load_params``, exactly for a float32 image either way.
-    An image of the wrong shape is a ShapeError; ``forward_sequence`` checks pixel ranges."""
+    An image of the wrong shape is a ShapeError; ``forward_sequence`` checks pixel ranges.
+    No intermediate outlives its consumer, so with constant parameters each is freed once read."""
     cfg = params.config
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
     for image in images:
         if np.shape(image) != expected:
             raise ShapeError(f"image shape {np.shape(image)} != expected {expected}")
     W, b = params["encoder.patch_proj.W"], params["encoder.patch_proj.b"]
-    patches = _extract_patches(np.asarray(images, dtype=W.data.dtype), cfg)
-    x = T.add(T.linear(patches, W, b), params["encoder.pos_embed"])
+    x = T.linear(_extract_patches(np.asarray(images, dtype=W.data.dtype), cfg), W, b)
+    x = T.add(x, params["encoder.pos_embed"])
     for i in range(cfg.encoder_blocks):
         block, lora = f"encoder.block{i}", f"lora.block{i}"
-        attn = T.multi_head_attention(
+        x = _add_norm(x, T.linear(T.multi_head_attention(
             lora_forward(x, params[f"{block}.attn.q.W"], params[f"{lora}.q.A"], params[f"{lora}.q.B"]),
             T.linear(x, params[f"{block}.attn.k.W"]),
             lora_forward(x, params[f"{block}.attn.v.W"], params[f"{lora}.v.A"], params[f"{lora}.v.B"]),
             cfg.heads,
-        )
-        x = _add_norm(x, T.linear(attn, params[f"{block}.attn.o.W"]), params, f"{block}.ln1")
-        h1 = T.tanh(T.linear(x, params[f"{block}.mlp.fc1.W"], params[f"{block}.mlp.fc1.b"]))
-        m = T.linear(h1, params[f"{block}.mlp.fc2.W"], params[f"{block}.mlp.fc2.b"])
-        x = _add_norm(x, m, params, f"{block}.ln2")
+        ), params[f"{block}.attn.o.W"]), params, f"{block}.ln1")
+        fc = [(params[f"{block}.mlp.fc{j}.W"], params[f"{block}.mlp.fc{j}.b"]) for j in (1, 2)]
+        x = _add_norm(x, T.linear(T.tanh(T.linear(x, *fc[0])), *fc[1]), params, f"{block}.ln2")
     return x
 
 
@@ -253,7 +252,8 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
     encodes nothing: one of the wrong shape is a ShapeError, one whose dtype is not a
     real number type (bool, integer or float) a ContractError, and one with a pixel
     beyond the float32 range (NaN and infinity included) a DomainError, each naming its slice.
-    Each chunk comes out float64: a float32 encoder's output (a constant) is widened."""
+    Each chunk comes out float64: a float32 encoder's output (a constant) is widened into
+    its rows of one (n, P, d) stack allocated here, so the lane's heap keeps none of it."""
     cfg = params.config
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
     peak = 0.0
@@ -274,11 +274,17 @@ def _encode_chunks(images: list, params: ModelParams) -> list[Tensor]:
         params = ModelParams(cfg, wide, params.frozen)
     bounds = chunk_bounds(len(images))
     chunks: list = [None] * (len(bounds) - 1)
+    narrow = params["encoder.patch_proj.W"].data.dtype == np.float32
+    stack = np.empty((len(images), cfg.num_patches, cfg.d_model)) if narrow else None
 
     def encode(half: slice) -> None:
         for c in range(half.start, half.stop):
-            x = encode_slice(images[bounds[c] : bounds[c + 1]], params)
-            chunks[c] = x if x.data.dtype == np.float64 else Tensor(x.data.astype(np.float64))
+            lo, hi = bounds[c], bounds[c + 1]
+            x = encode_slice(images[lo:hi], params)
+            if x.data.dtype != np.float64:  # only a float32 patch_proj.W encodes in float32
+                stack[lo:hi] = x.data
+                x = Tensor(stack[lo:hi])
+            chunks[c] = x
 
     T._in_halves(len(chunks), encode)
     return chunks

@@ -8,7 +8,9 @@ Every operation builds a node in an implicit tape: the output tensor keeps
 references to its parents and a closure that routes the upstream gradient
 to them. ``Tensor.backward()`` on a scalar walks the tape in reverse
 topological order and accumulates gradients additively into every
-``requires_grad`` tensor (call ``zero_grad`` between steps).
+``requires_grad`` tensor (call ``zero_grad`` between steps), dropping each
+node's closure, and so the arrays it saved, once the node's gradient is routed:
+a node keeps its parents, but one graph backs up once.
 
 The op set is 7 of the 12 ops the model builds: ``add``, ``tanh``,
 ``mean``, ``take`` (row i of the first axis) and ``layer_norm`` (which
@@ -110,8 +112,10 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every requires_grad tensor.
 
-        Repeated calls without zeroing add up, matching the per-sequence
-        loss accumulation the training loop relies on.
+        Gradients of separate graphs add up until ``zero_grad``; one graph backs up
+        once. Each node drops its closure (and the arrays only it holds) once its
+        gradient is routed, keeping its parents; a walk that reaches such a node is
+        a ContractError, raised before any gradient moves.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -128,6 +132,8 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._parents and node._backward is None:
+                raise ContractError(f"backward through a consumed {node._op} node: one graph backs up once")
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
@@ -146,6 +152,7 @@ class Tensor:
                 if pg is not None:
                     key = id(parent)
                     flowing[key] = flowing[key] + pg if key in flowing else pg
+            node._backward = None  # any lane half has joined: free what it saved
 
 
 def as_tensor(x) -> Tensor:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sliceseg import training
 from sliceseg.cli import main
-from sliceseg.data_io import load_dataset, read_raster, write_raster
+from sliceseg.data_io import load_dataset, read_raster, save_checkpoint, write_raster
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +277,29 @@ def _single_json_error(capsys) -> dict:
     err_lines = [l for l in capsys.readouterr().err.strip().splitlines() if l]
     assert len(err_lines) == 1
     return json.loads(err_lines[0])
+
+
+@pytest.mark.parametrize("writer", ["write_raster", "save_checkpoint", "write_report", "eval --report"])
+def test_a_write_into_a_missing_directory_names_the_callers_path(writer, dataset, checkpoint, tmp_path, capsys):
+    # the error names the path asked for, not the partial file written first
+    path = tmp_path / "missing" / "r.json"
+    report = training.EvalReport(0.0, 0.0, 0, 0, [], {})
+    writes = {
+        "write_raster": lambda: write_raster(path, np.zeros((4, 4), np.float32)),
+        "save_checkpoint": lambda: save_checkpoint(path, {"w": np.zeros(2)}, {}),
+        "write_report": lambda: training.write_report(report, path),
+    }
+    if writer in writes:
+        with pytest.raises(FileNotFoundError) as info:
+            writes[writer]()
+        assert (info.value.errno, info.value.filename) == (2, str(path))
+        message = str(info.value)
+    else:
+        rc = main(["eval", "--data", str(dataset), "--ckpt", str(checkpoint), "--report", str(path)])
+        assert rc == 1
+        message = _single_json_error(capsys)["error"]
+    assert message == f"[Errno 2] No such file or directory: {str(path)!r}"
+    assert not (tmp_path / "missing").exists()
 
 
 def _edit_manifest(blob: bytes, edit) -> bytes:

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -456,6 +457,31 @@ def test_reference_train_step_tape_size(tmp_path):
         mean=6, sequence_loss=1, take=6, tanh=2,
     )
     assert sum(nodes.values()) == 60
+
+
+def _saved(root: Tensor, op: str, name: str) -> weakref.ref:
+    """A weak reference to the array `name` saved by the backward of an `op` node under root."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node._op == op:
+            fn = node._backward
+            return weakref.ref(fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents)
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    raise AssertionError(f"no {op} node")
+
+
+def test_backward_frees_the_arrays_only_closures_held_and_keeps_the_graph(tmp_path):
+    generate_dataset(SynthConfig(num_sequences=1, slices_per_sequence=6, seed=1), tmp_path)
+    [seq] = load_dataset(tmp_path)
+    _, loss = _sequence_loss(seq, init_params(ModelConfig(), seed=1))
+    saved = [_saved(loss, "layer_norm", "xhat"), _saved(loss, "attention", "p")]
+    assert all(ref() is not None for ref in saved)
+    loss.backward()
+    assert [ref() for ref in saved] == [None, None]
+    assert sum(_tape_nodes(loss).values()) == 60  # _parents still reach every node
 
 
 def test_load_params_keeps_the_encoder_in_float32_and_widens_the_rest(tmp_path):
@@ -957,6 +983,49 @@ def test_loaded_forward_memory_does_not_grow_with_a_tape(stack64):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_a_float32_stacks_chunks_are_views_of_one_float64_buffer(stack64):
+    seq, ckpt = stack64
+    params = load_params(ckpt)
+    images = [sl.image for sl in seq.slices]
+    chunks = model._encode_chunks(images, params)
+    stack = chunks[0].data.base
+    assert stack.shape == (64, 64, 64) and stack.dtype == np.float64
+    assert all(c.data.base is stack and np.shares_memory(c.data, stack) for c in chunks)
+    bounds = model.chunk_bounds(len(images))
+    for c, x in enumerate(chunks):
+        widened = encode_slice(images[bounds[c] : bounds[c + 1]], params).data.astype(np.float64)
+        assert x.data.tobytes() == widened.tobytes()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_one_cpu_default_train_step_traced_peak_is_below_10_4_mib(monkeypatch):
+    # 9.91 MiB measured; 10.86 while every saved array lived until the backward returned
+    _cpus(monkeypatch, 1)
+    config = TrainConfig(seed=1)
+    seq = make_sequence(np.random.default_rng(5), config.model, 6)
+    train_step(init_params(config.model, seed=1), seq, AdamState(), config)  # first-call costs
+    params = init_params(config.model, seed=1)
+    assert _traced_peak(lambda: train_step(params, seq, AdamState(), config)) < 10.4 * 2**20
+
+
+def test_a_one_cpu_float32_encoding_of_16_slices_traced_peak_is_below_2_8_mib(stack64, monkeypatch):
+    # 2.29 MiB measured; 3.29 while each block's attention and MLP outputs stayed bound
+    _cpus(monkeypatch, 1)
+    seq, ckpt = stack64
+    params = load_params(ckpt)
+    images = [sl.image for sl in seq.slices[:16]]
+    encode_slice(images, params)
+    assert _traced_peak(lambda: encode_slice(images, params)) < 2.8 * 2**20
 
 
 # ------------------------------------ chunks and attention halves on the lane

@@ -204,6 +204,21 @@ def test_backward_accumulates_across_calls():
     assert x.grad is None
 
 
+def test_one_graph_backs_up_once():
+    # each node drops its closure once it has routed its gradient: a second walk, or a loss
+    # built over a consumed graph, is a ContractError before any gradient moves
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = T.tanh(x)
+    loss = T.mean(y)
+    loss.backward()
+    grad = x.grad.copy()
+    for again in (loss, T.mean(T.add(y, 1.0))):
+        with pytest.raises(ContractError, match="backs up once"):
+            again.backward()
+        assert np.array_equal(x.grad, grad)
+    assert loss._parents == (y,) and y._parents == (x,)  # the graph can still be read
+
+
 # The old training loss's ops. sub, div, log, clip and tensor_sum were tape
 # ops until the objective became the one sequence_loss node; they stay here
 # as the reference chain that node is checked against, with their own
